@@ -312,11 +312,10 @@ def test_perf_builder_append(benchmark):
 def test_perf_visibility_matrix_mask(benchmark, scenario, day_traffic):
     """Warm-matrix mask resolution over a full day table."""
     table = day_traffic.all_flows()
-    visibility = scenario.visibility
-    assert visibility.matrix is not None
-    visibility.matrix.ixp_tables()  # warm outside the timer
+    matrix = scenario.visibility
+    matrix.ixp_tables()  # warm outside the timer
     src, dst = table["src_asn"], table["dst_asn"]
-    mask, peers = benchmark(lambda: visibility.ixp_mask(src, dst))
+    mask, peers = benchmark(lambda: matrix.ixp_mask(src, dst))
     assert mask.shape == peers.shape == src.shape
 
 
@@ -356,9 +355,9 @@ def _legacy_day_traffic(scenario, day, bin_seconds=60.0):
 def _legacy_observe_all(scenario, traffic):
     """The pre-matrix observation: cold per-pair oracle, per-vantage concat."""
     from repro.flows.records import FlowTable
-    from repro.vantage.visibility import FlowVisibility
+    from tests.reference.visibility import VisibilityOracle
 
-    oracle = FlowVisibility(scenario.topology)  # cold caches, as in a fresh worker
+    oracle = VisibilityOracle(scenario.topology)  # cold caches, as in a fresh worker
     saved = {name: vp.visibility for name, vp in scenario.vantage_points.items()}
     observed = {}
     try:
@@ -391,8 +390,7 @@ def test_perf_flowplane_fastpath(scenario):
     """
     day = 45
     reps = 3
-    matrix = scenario.visibility.matrix
-    assert matrix is not None
+    matrix = scenario.visibility
 
     start = time.perf_counter()
     matrix.ixp_tables()

@@ -4,9 +4,10 @@ Three legs, all appending history entries to ``BENCH_topology.json``
 (a JSON list, oldest first, same shape as the other BENCH files):
 
 * **2k route-tree floor** — the batched array engine must construct route
-  trees >= 10x faster than the legacy per-destination dict BFS at 2k
-  ASes. Both sides are single-threaded numpy/Python, so the ratio is
-  machine-independent and asserted on every runner.
+  trees >= 10x faster than the reference per-destination dict BFS
+  (``tests/reference/routes.py``) at 2k ASes. Both sides are
+  single-threaded numpy/Python, so the ratio is machine-independent and
+  asserted on every runner.
 * **1k/2k/5k scaling curve** — build time, route-plane time, full
   route-tree sweep, and blocked-visibility resolution per AS count, with
   a wall budget on the 5k build+route+observe path.
@@ -31,6 +32,7 @@ import numpy as np
 from repro.netmodel.topology import TopologyConfig, build_topology
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
+from tests.reference.routes import _routes_to_legacy
 
 #: Wall budget (seconds) of the 5k-AS build + route + observe leg. The
 #: measured path is ~3 s on a laptop-class core; the budget absorbs slow
@@ -59,26 +61,22 @@ def _world(n, seed=5):
 
 
 def test_perf_route_tree_speedup_2k():
-    """Batched array engine vs legacy dict BFS at 2k ASes: >= 10x, bit-equal."""
+    """Batched array engine vs reference dict BFS at 2k ASes: >= 10x, bit-equal."""
     _, topo = _world(2000)
     asns = topo.asns
     n = len(asns)
 
     # Warm both engines (plane build, numpy one-time costs) off the clock.
     topo.routes_to_many(asns[:64])
-    topo._routes_to_legacy(asns[0])
-    topo._route_cache.clear()
-    topo._route_cache_bytes = 0
+    _routes_to_legacy(topo, asns[0])
 
     sample = asns[::40]
     start = time.perf_counter()
-    legacy_trees = {dst: topo._routes_to_legacy(dst) for dst in sample}
+    legacy_trees = {dst: _routes_to_legacy(topo, dst) for dst in sample}
     legacy_per_dst_s = (time.perf_counter() - start) / len(sample)
 
     batch_s = float("inf")
     for _ in range(3):
-        topo._route_cache.clear()
-        topo._route_cache_bytes = 0
         start = time.perf_counter()
         kind, length, hop = topo.routes_to_many(asns)
         batch_s = min(batch_s, time.perf_counter() - start)
@@ -136,7 +134,7 @@ def test_perf_scaling_curve():
 
         # Blocked visibility: resolve 200k random pairs through the IXP
         # view and a tier-1 ingress view — touches every column block.
-        matrix = VisibilityMatrix(topo, mode="blocked")
+        matrix = VisibilityMatrix(topo, dense_max_asns=0)
         tier1 = topo.asns[0]
         src = rng.integers(0, len(topo.asns), 200_000)
         dst = rng.integers(0, len(topo.asns), 200_000)
@@ -189,7 +187,7 @@ def test_perf_10k_observation_day():
         )
     )
     build_s = time.perf_counter() - start
-    matrix = scenario.visibility.matrix
+    matrix = scenario.visibility
     assert matrix.blocked, "10k ASes must auto-select blocked visibility"
 
     start = time.perf_counter()

@@ -176,10 +176,7 @@ def _warm_scenario(scenario: Scenario) -> None:
     once in the parent) front-loads it and keeps worker threads from
     racing to build the same tables.
     """
-    matrix = getattr(scenario.visibility, "matrix", None)
-    if matrix is None:
-        return
-    matrix.warm(
+    scenario.visibility.warm(
         isp_views=tuple(
             (vp.asn, vp.ingress_only) for vp in (scenario.tier1, scenario.tier2)
         )

@@ -37,10 +37,6 @@ MAGIC = b"RFL1"
 #: File/segment header: magic, record count (u32), 8 reserved bytes.
 HEADER = struct.Struct("<4sI8x")
 
-# Backwards-compatible private aliases (earlier PRs referenced these).
-_HEADER = HEADER
-_RECORD_DTYPE = RECORD_DTYPE
-
 
 def write_flows_binary(table: FlowTable, path: str | Path) -> int:
     """Write ``table`` to ``path`` in the binary format; returns row count.

@@ -10,27 +10,16 @@ Routing follows the standard Gao-Rexford model: every AS prefers
 customer-learned routes over peer-learned over provider-learned, paths are
 valley-free, and ties break on path length then lowest next-hop ASN.
 
-Two route engines coexist:
-
-* the **array engine** (:meth:`ASTopology.routes_to_arrays`): a CSR
-  adjacency snapshot (:class:`RoutePlane`, rebuilt once per topology
-  version) feeds three frontier-vectorized phases that fill per-node
-  ``(kind, length, next_hop)`` arrays with no per-pair Python. This is
-  the only engine on hot paths; per-destination results live in a
-  byte-bounded LRU (``topology.route_cache_*`` counters).
-* the **legacy dict engine** (:meth:`ASTopology._routes_to_legacy`): the
-  original per-destination three-state BFS over dict-of-``_RouteEntry``.
-  It is kept as the correctness reference — the parity suite asserts the
-  two produce bit-identical route trees — and as the baseline the
-  topology scaling benchmark measures the array engine against.
-
-:meth:`ASTopology._routes_to` remains as a thin dict compatibility view
-over the array engine for callers that still want ``{asn: _RouteEntry}``.
+One route engine, :meth:`ASTopology.routes_to_many`, computes the routes:
+a CSR adjacency snapshot (:class:`RoutePlane`, rebuilt once per topology
+version) feeds three frontier-vectorized phases that fill per-node
+``(kind, length, next_hop)`` arrays for a whole batch of destinations
+with no per-pair Python. The test suite keeps the original per-destination
+dict BFS as the parity reference.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -39,7 +28,6 @@ import numpy as np
 
 from repro.netmodel.addressing import Prefix
 from repro.netmodel.asn import ASRegistry, ASRole, AutonomousSystem
-from repro.obs import metrics
 from repro.stats.rng import SeedSequenceTree
 
 __all__ = [
@@ -140,19 +128,6 @@ class TopologyConfig:
             tier2_peering_prob=min(0.15, 30.0 / max(n_tier2, 1)),
             sampler="vectorized",
         )
-
-
-@dataclass
-class _RouteEntry:
-    """Best route of one AS towards the current destination."""
-
-    kind: str  # "down" | "peer" | "up"
-    length: int
-    next_hop: int  # -1 at the destination itself
-
-
-#: Route-kind codes of the array engine (order = Gao-Rexford preference).
-_KIND_CODES = ("down", "peer", "up")
 
 
 @dataclass(frozen=True)
@@ -272,21 +247,10 @@ def _expand_neighbors_multi(
     return targets, sources, src_nodes
 
 
-def _first_per_target(
-    targets: np.ndarray, rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(unique targets, minimal rank per target) via one lexsort pass."""
-    order = np.lexsort((rank, targets))
-    t, r = targets[order], rank[order]
-    keep = np.ones(t.size, dtype=bool)
-    keep[1:] = t[1:] != t[:-1]
-    return t[keep], r[keep]
-
-
 def _min_rank_per_target(
     targets: np.ndarray, rank: np.ndarray, shift: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_first_per_target` fused into one in-place value sort.
+    """(unique targets, minimal rank per target) via one in-place value sort.
 
     Packs ``(target << shift) | rank`` into one int64 key and sorts the
     *values* — no argsort indirection, no second stable pass — then peels
@@ -305,13 +269,6 @@ def _min_rank_per_target(
 class ASTopology:
     """An AS graph with relationship-annotated edges and route computation."""
 
-    _KIND_PREFERENCE = {"down": 0, "peer": 1, "up": 2}
-
-    #: Byte budget of the per-destination route-array LRU. At the default
-    #: ~240-AS world an entry is ~2 KiB so everything fits; at 10k ASes an
-    #: entry is ~90 KiB and the budget holds the ~700 hottest columns.
-    route_cache_max_bytes: int = 64 << 20
-
     def __init__(self, registry: ASRegistry) -> None:
         self.registry = registry
         self._providers: dict[int, set[int]] = {}
@@ -320,11 +277,7 @@ class ASTopology:
         #: IXP peer edges as ``min_asn << 32 | max_asn`` integer keys (a
         #: set of frozensets at 10k-AS scale costs hundreds of MB).
         self._ixp_peer_edges: set[int] = set()
-        self._route_cache: OrderedDict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
-        self._route_cache = OrderedDict()
-        self._route_cache_bytes = 0
         self._plane: RoutePlane | None = None
-        self._cone_cache: dict[int, set[int]] = {}
         self._cone_mask_cache: dict[int, np.ndarray] = {}
         self._version = 0
 
@@ -340,10 +293,7 @@ class ASTopology:
             self._invalidate()
 
     def _invalidate(self) -> None:
-        self._route_cache.clear()
-        self._route_cache_bytes = 0
         self._plane = None
-        self._cone_cache.clear()
         self._cone_mask_cache.clear()
         self._version += 1
 
@@ -370,7 +320,7 @@ class ASTopology:
     def add_customer_provider_edges(self, edges: Iterable[tuple[int, int]]) -> None:
         """Bulk :meth:`add_customer_provider`: one validation pass, one
         cache invalidation — the builder's transit cones use this so a
-        10k-AS build does not pay 10k route-cache clears."""
+        10k-AS build does not pay 10k cache invalidations."""
         edges = list(edges)
         for customer, provider in edges:
             if customer == provider:
@@ -480,32 +430,17 @@ class ASTopology:
         return self._version
 
     def customer_cone(self, asn: int) -> set[int]:
-        """``asn`` plus every AS reachable by repeatedly descending to customers.
-
-        Memoized per topology version; treat the returned set as
-        immutable (it is shared across callers until the next edge
-        mutation).
-        """
-        self._ensure(asn)
-        cached = self._cone_cache.get(asn)
-        if cached is not None:
-            return cached
-        cone = {asn}
-        frontier = [asn]
-        while frontier:
-            node = frontier.pop()
-            for cust in self._customers.get(node, ()):
-                if cust not in cone:
-                    cone.add(cust)
-                    frontier.append(cust)
-        self._cone_cache[asn] = cone
-        return cone
+        """Set view of :meth:`customer_cone_mask`: ``asn`` and its cone's ASNs."""
+        mask = self.customer_cone_mask(asn)
+        return set(self.route_plane().asns[mask].tolist())
 
     def customer_cone_mask(self, asn: int) -> np.ndarray:
-        """Boolean per-node-index membership mask of :meth:`customer_cone`.
+        """Per-node-index mask of ``asn`` plus every AS reachable by
+        repeatedly descending to customers.
 
         Computed by frontier BFS over the CSR customer arrays (no
-        per-member Python) and memoized per topology version.
+        per-member Python) and memoized per topology version; treat the
+        returned array as read-only.
         """
         cached = self._cone_mask_cache.get(asn)
         if cached is not None:
@@ -524,7 +459,7 @@ class ASTopology:
         self._cone_mask_cache[asn] = mask
         return mask
 
-    # -- routing: CSR plane + array engine -----------------------------------
+    # -- routing: CSR plane + batch engine -----------------------------------
 
     def route_plane(self) -> RoutePlane:
         """The CSR adjacency snapshot of the current version (built once)."""
@@ -564,106 +499,21 @@ class ASTopology:
         self._plane = plane
         return plane
 
-    def _compute_route_arrays(
-        self, plane: RoutePlane, d: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The array engine: best route of every node towards node ``d``.
-
-        Returns per-node-index ``(kind, length, next_hop)`` — kind int8
-        (-1 unreachable, 0 down, 1 peer, 2 up), length int32, next_hop
-        int32 node index (-1 at the destination). Bit-identical to
-        :meth:`_routes_to_legacy` (the parity suite proves it): each
-        phase resolves ties exactly like ``_better`` — kind preference,
-        then length, then lowest next-hop ASN, which in index space is
-        the lowest source index.
-        """
-        n = plane.n
-        kind = np.full(n, -1, dtype=np.int8)
-        length = np.zeros(n, dtype=np.int32)
-        next_hop = np.full(n, -1, dtype=np.int32)
-        kind[d] = 0
-
-        # Phase 1: customer routes climb provider links, BFS by length.
-        frontier = np.array([d], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            targets, sources = _expand_neighbors(
-                plane.prov_indptr, plane.prov_indices, frontier
-            )
-            fresh = kind[targets] == -1
-            targets, sources = targets[fresh], sources[fresh]
-            if targets.size == 0:
-                break
-            t, s = _first_per_target(targets, sources)
-            kind[t] = 0
-            length[t] = level
-            next_hop[t] = s
-            frontier = t
-
-        # Phase 2: peer routes — one lateral step from any down-route holder.
-        holders = np.flatnonzero(kind == 0)
-        targets, sources = _expand_neighbors(plane.peer_indptr, plane.peer_indices, holders)
-        fresh = kind[targets] == -1
-        targets, sources = targets[fresh], sources[fresh]
-        if targets.size:
-            rank = ((length[sources].astype(np.int64) + 1) << np.int64(32)) | sources
-            t, r = _first_per_target(targets, rank)
-            kind[t] = 1
-            length[t] = r >> np.int64(32)
-            next_hop[t] = r & np.int64(0xFFFFFFFF)
-
-        # Phase 3: provider routes descend customer links from any holder,
-        # processed in ascending distance (multi-source unit-weight BFS).
-        # Within one distance bucket the first-per-target lexmin on source
-        # index reproduces the dict engine's fixed point: min length first
-        # (earlier buckets win), then lowest next-hop ASN (= lowest index).
-        holders = np.flatnonzero(kind >= 0)
-        hd = length[holders].astype(np.int64)
-        order = np.argsort(hd, kind="stable")
-        holders, hd = holders[order], hd[order]
-        uniq, starts = np.unique(hd, return_index=True)
-        stops = np.append(starts[1:], hd.size)
-        pending: dict[int, list[np.ndarray]] = {
-            int(u): [holders[a:b]] for u, a, b in zip(uniq, starts, stops)
-        }
-        dist = int(uniq[0])
-        max_dist = int(uniq[-1])
-        while dist <= max_dist:
-            parts = pending.pop(dist, None)
-            if parts is None:
-                dist += 1
-                continue
-            frontier = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            targets, sources = _expand_neighbors(
-                plane.cust_indptr, plane.cust_indices, frontier
-            )
-            fresh = kind[targets] == -1
-            targets, sources = targets[fresh], sources[fresh]
-            if targets.size:
-                t, s = _first_per_target(targets, sources)
-                kind[t] = 2
-                length[t] = dist + 1
-                next_hop[t] = s
-                pending.setdefault(dist + 1, []).append(t)
-                max_dist = max(max_dist, dist + 1)
-            dist += 1
-        return kind, length, next_hop
-
     def _compute_route_arrays_batch(
         self, plane: RoutePlane, d_idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_compute_route_arrays` for many destinations at once.
+        """Best route of every node towards each destination node ``d_idx``.
 
-        Identical phases and tie-breaks, run over flat composite ids
+        The three Gao-Rexford phases run over flat composite ids
         ``row * n + node`` so every numpy call amortizes across the whole
         destination batch instead of paying fixed overhead per tree — the
-        difference between ~4x and >10x over the legacy BFS at 2k ASes.
-        Rows are independent (targets never cross a row base), and the
-        rank fed to the lexmin is the *real* node index, so each row
-        resolves ties exactly like the single-destination engine; the
-        parity suite pins all three implementations together. Returns
-        ``(m, n)`` arrays.
+        difference between ~4x and >10x over the dict BFS at 2k ASes.
+        Rows are independent (targets never cross a row base). Each phase
+        resolves ties like the reference BFS — kind preference, then
+        length, then lowest next-hop ASN, which in index space is the
+        lowest source index — because the rank fed to the lexmin is the
+        *real* node index; the parity suite pins every row to that
+        reference. Returns ``(m, n)`` arrays.
         """
         n = plane.n
         m = int(d_idx.size)
@@ -711,9 +561,12 @@ class ASTopology:
             next_hop[t] = r & np.int64((1 << node_bits) - 1)
 
         # Phase 3: customer-link multi-source BFS in ascending distance.
+        # Within one distance bucket the lexmin on source index reproduces
+        # the reference BFS's fixed point: min length first (earlier
+        # buckets win), then lowest next-hop ASN (= lowest index).
         # Distance buckets are global across rows — processing order only
-        # matters within a row, and within a row it is exactly the
-        # single-destination engine's order.
+        # matters within a row, and within a row it is exactly a
+        # single-destination BFS's order.
         holders = np.flatnonzero(kind >= 0)
         hd = length[holders].astype(np.int64)
         order = np.argsort(hd, kind="stable")
@@ -750,200 +603,39 @@ class ASTopology:
             next_hop.reshape(m, n),
         )
 
-    def routes_to_arrays(
-        self, dst: int, *, cache: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-engine route tree towards ``dst`` (ASN), LRU-cached.
-
-        The cache is bounded by :attr:`route_cache_max_bytes`; evictions
-        are counted under ``topology.route_cache_evictions`` so a
-        ``--profile`` run surfaces thrashing.
-        """
-        dst = int(dst)
-        cached = self._route_cache.get(dst)
-        if cached is not None:
-            self._route_cache.move_to_end(dst)
-            return cached
-        plane = self.route_plane()
-        d = plane.index.get(dst)
-        if d is None:
-            # Registry member not yet in the graph: adding the node is what
-            # the legacy dict engine did implicitly via _ensure.
-            self._ensure(dst)
-            plane = self.route_plane()
-            d = plane.index[dst]
-        result = self._compute_route_arrays(plane, d)
-        if cache:
-            self._route_cache[dst] = result
-            self._route_cache_bytes += sum(a.nbytes for a in result)
-            evicted = 0
-            while (
-                self._route_cache_bytes > self.route_cache_max_bytes
-                and len(self._route_cache) > 1
-            ):
-                _, old = self._route_cache.popitem(last=False)
-                self._route_cache_bytes -= sum(a.nbytes for a in old)
-                evicted += 1
-            registry = metrics()
-            if registry.enabled:
-                registry.inc("topology.route_trees_built")
-                if evicted:
-                    registry.inc("topology.route_cache_evictions", evicted)
-                registry.gauge("topology.route_cache_bytes", self._route_cache_bytes)
-        return result
-
     def routes_to_many(
         self, dsts: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched route trees: ``(kind, length, next_hop)`` of shape
-        ``(len(dsts), n)``.
+        """Route trees towards ``dsts`` (ASNs): ``(kind, length, next_hop)``
+        of shape ``(len(dsts), n)``.
 
-        Shares one CSR plane across all destinations and bypasses the LRU
-        (bulk construction must not evict the hot single-destination
-        entries), reusing cached rows when present. Uncached rows run
-        through the composite-id batch engine in memory-bounded chunks.
+        Column ``i`` is node ``i`` of :meth:`route_plane`. ``kind`` is int8
+        (-1 unreachable, 0 down, 1 peer, 2 up), ``length`` int32 hops, and
+        ``next_hop`` the int32 node index of the next AS (-1 at the
+        destination and where unreachable). All destinations share one
+        CSR plane and run through the batch engine in memory-bounded
+        chunks.
         """
         for dst in dsts:
             self._ensure(int(dst))
         plane = self.route_plane()
-        m, n = len(dsts), plane.n
+        d_idx = np.fromiter(
+            (plane.index[int(dst)] for dst in dsts), dtype=np.int64, count=len(dsts)
+        )
+        m, n = d_idx.size, plane.n
         kind = np.empty((m, n), dtype=np.int8)
         length = np.empty((m, n), dtype=np.int32)
         next_hop = np.empty((m, n), dtype=np.int32)
-        todo_rows: list[int] = []
-        todo_idx: list[int] = []
-        for row, dst in enumerate(dsts):
-            cached = self._route_cache.get(int(dst))
-            if cached is None:
-                todo_rows.append(row)
-                todo_idx.append(plane.index[int(dst)])
-            else:
-                kind[row], length[row], next_hop[row] = cached
         # ~256k flat cells per chunk: large enough to amortize per-call
         # overhead across rows, small enough that the working set stays
         # cache-resident (bigger chunks measured strictly slower).
         chunk = max(1, (1 << 18) // max(n, 1))
-        for i in range(0, len(todo_rows), chunk):
-            rows = todo_rows[i : i + chunk]
-            d_idx = np.asarray(todo_idx[i : i + chunk], dtype=np.int64)
-            k, l, h = self._compute_route_arrays_batch(plane, d_idx)
-            kind[rows], length[rows], next_hop[rows] = k, l, h
-        return kind, length, next_hop
-
-    # -- routing: dict views --------------------------------------------------
-
-    def _routes_to(self, dst: int) -> dict[int, _RouteEntry]:
-        """Dict compatibility view over the array engine's route tree."""
-        kind, length, next_hop = self.routes_to_arrays(dst)
-        plane = self.route_plane()
-        routes: dict[int, _RouteEntry] = {}
-        asns = plane.asns
-        for i in np.flatnonzero(kind >= 0):
-            hop = int(next_hop[i])
-            routes[int(asns[i])] = _RouteEntry(
-                _KIND_CODES[kind[i]], int(length[i]), -1 if hop < 0 else int(asns[hop])
+        for i in range(0, m, chunk):
+            rows = slice(i, i + chunk)
+            kind[rows], length[rows], next_hop[rows] = self._compute_route_arrays_batch(
+                plane, d_idx[rows]
             )
-        return routes
-
-    def _routes_to_legacy(self, dst: int) -> dict[int, _RouteEntry]:
-        """The original per-destination dict BFS (reference implementation).
-
-        Kept verbatim as the correctness authority for the parity tests
-        and as the baseline of the topology scaling benchmark; hot paths
-        never call it.
-        """
-        self._ensure(dst)
-        routes: dict[int, _RouteEntry] = {dst: _RouteEntry("down", 0, -1)}
-
-        # Phase 1: customer routes propagate up provider links (BFS by length).
-        frontier = [dst]
-        while frontier:
-            nxt: list[int] = []
-            for node in frontier:
-                entry = routes[node]
-                if entry.kind != "down":
-                    continue
-                for prov in self._providers.get(node, ()):
-                    cand = _RouteEntry("down", entry.length + 1, node)
-                    if self._better(cand, routes.get(prov)):
-                        routes[prov] = cand
-                        nxt.append(prov)
-            frontier = nxt
-
-        # Phase 2: peer routes — one lateral step from any down-route holder.
-        down_holders = [(asn, e) for asn, e in routes.items() if e.kind == "down"]
-        for holder, entry in down_holders:
-            for peer in self._peers.get(holder, ()):
-                cand = _RouteEntry("peer", entry.length + 1, holder)
-                if self._better(cand, routes.get(peer)):
-                    routes[peer] = cand
-
-        # Phase 3: provider routes propagate down customer links from any
-        # route holder, repeatedly (BFS over the remaining graph).
-        frontier = sorted(routes)
-        while frontier:
-            nxt = []
-            for node in frontier:
-                entry = routes[node]
-                for cust in self._customers.get(node, ()):
-                    cand = _RouteEntry("up", entry.length + 1, node)
-                    if self._better(cand, routes.get(cust)):
-                        routes[cust] = cand
-                        nxt.append(cust)
-            frontier = nxt
-        return routes
-
-    @staticmethod
-    def _better(candidate: _RouteEntry, incumbent: _RouteEntry | None) -> bool:
-        if incumbent is None:
-            return True
-        ck = ASTopology._KIND_PREFERENCE[candidate.kind]
-        ik = ASTopology._KIND_PREFERENCE[incumbent.kind]
-        if ck != ik:
-            return ck < ik
-        if candidate.length != incumbent.length:
-            return candidate.length < incumbent.length
-        return candidate.next_hop < incumbent.next_hop
-
-    def path(self, src: int, dst: int) -> list[int] | None:
-        """AS path from ``src`` to ``dst`` (inclusive), or ``None`` if unreachable."""
-        if src == dst:
-            return [src]
-        kind, _, next_hop = self.routes_to_arrays(dst)
-        plane = self.route_plane()
-        node = plane.index.get(int(src))
-        if node is None or kind[node] < 0:
-            return None
-        d = plane.index[int(dst)]
-        asns = plane.asns
-        path = [int(src)]
-        seen = {node}
-        while node != d:
-            node = int(next_hop[node])
-            if node in seen:  # pragma: no cover - defensive; BFS cannot loop
-                raise RuntimeError(f"routing loop towards {dst} at {int(asns[node])}")
-            seen.add(node)
-            path.append(int(asns[node]))
-        return path
-
-    def reachable(self, src: int, dst: int) -> bool:
-        if src == dst:
-            return True
-        kind, _, _ = self.routes_to_arrays(dst)
-        i = self.route_plane().index.get(int(src))
-        return i is not None and bool(kind[i] >= 0)
-
-    def path_crosses_ixp(self, src: int, dst: int) -> bool:
-        """True if the src->dst path traverses an IXP peering edge."""
-        path = self.path(src, dst)
-        if path is None:
-            return False
-        return any(self.is_ixp_peering(a, b) for a, b in zip(path, path[1:]))
-
-    def transit_asns_on_path(self, src: int, dst: int) -> list[int]:
-        """Intermediate ASes (excluding endpoints) on the src->dst path."""
-        path = self.path(src, dst)
-        return path[1:-1] if path and len(path) > 2 else []
+        return kind, length, next_hop
 
 
 def index_array(asns: np.ndarray, index: dict[int, int]) -> np.ndarray:

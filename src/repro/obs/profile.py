@@ -18,7 +18,6 @@ __all__ = [
     "EXPORT_SCHEMA",
     "cache_hit_rate",
     "disk_cache_hit_rate",
-    "matrix_hit_rate",
     "pool_utilization",
     "render_profile",
     "export_metrics",
@@ -50,22 +49,6 @@ def disk_cache_hit_rate(registry: MetricsRegistry) -> float | None:
     hits = registry.counter("cache.disk_hits")
     misses = registry.counter("cache.disk_misses")
     total = hits + misses
-    if total == 0:
-        return None
-    return hits / total
-
-
-def matrix_hit_rate(registry: MetricsRegistry) -> float | None:
-    """Visibility-matrix fast-path fraction, or ``None`` if unused.
-
-    Flows whose ASNs resolve inside the precomputed matrix count as
-    hits; out-of-registry ASNs fall back to the per-pair oracle. A low
-    rate flags scenarios paying the lazy-lookup cost the matrix was
-    meant to remove.
-    """
-    hits = registry.counter("visibility.matrix_hits")
-    fallbacks = registry.counter("visibility.fallback_lookups")
-    total = hits + fallbacks
     if total == 0:
         return None
     return hits / total
@@ -140,13 +123,6 @@ def render_profile(registry: MetricsRegistry, title: str | None = None) -> str:
             f"result transport: {shm_bytes / 1e6:.1f} MB shm "
             f"({registry.counter('shm.blocks'):.0f} blocks) / "
             f"{pipe_bytes / 1e6:.1f} MB pipe"
-        )
-    visibility_rate = matrix_hit_rate(registry)
-    if visibility_rate is not None:
-        summary.append(
-            f"visibility matrix hits: {visibility_rate * 100:.1f}% "
-            f"({registry.counter('visibility.matrix_hits'):.0f} fast / "
-            f"{registry.counter('visibility.fallback_lookups'):.0f} fallback)"
         )
     utilization = pool_utilization(registry)
     if utilization is not None:

@@ -64,9 +64,7 @@ EXCLUDED_PREFIXES: tuple[str, ...] = (
     "pool.",
     "serve.",
     "shm.",
-    "visibility.",
     "parallel.",
-    "topology.",
     "matrix.",
     # Market-plane execution strategy: ledger chunk fan-out and replica
     # dispatch counts vary with chunk_bytes / jobs, never with results.

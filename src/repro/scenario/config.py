@@ -52,17 +52,6 @@ class ScenarioConfig:
     market: MarketConfig = field(default_factory=MarketConfig)
     background: BackgroundConfig = field(default_factory=BackgroundConfig)
 
-    # Visibility-matrix storage. "auto" keeps the dense tables (the
-    # historical, digest-pinned fast path) up to dense_max_asns registry
-    # entries and switches to demand-built destination-column blocks with
-    # a byte-budget LRU beyond that; "dense"/"blocked" force a mode. Pure
-    # representation knobs: verdicts are bit-identical in every mode, so
-    # none of these participate in the content hash at their defaults.
-    visibility_mode: str = "auto"
-    visibility_dense_max_asns: int = 4096
-    visibility_block_columns: int = 512
-    visibility_budget_mb: int = 256
-
     # Reflector pools: size and AS concentration per protocol. NTP servers
     # are everywhere; memcached amplifiers cluster in few hosting networks
     # (Section 3.2's takeaway about why NTP attacks are the most reliable).
@@ -110,12 +99,6 @@ class ScenarioConfig:
         for window in (self.ixp_window, self.tier1_window, self.tier2_window):
             if window[1] <= window[0]:
                 raise ValueError(f"empty capture window {window}")
-        if self.visibility_mode not in ("auto", "dense", "blocked"):
-            raise ValueError(f"unknown visibility_mode {self.visibility_mode!r}")
-        if self.visibility_dense_max_asns < 0 or self.visibility_block_columns < 1:
-            raise ValueError("invalid visibility matrix sizing")
-        if self.visibility_budget_mb < 1:
-            raise ValueError("visibility_budget_mb must be >= 1")
 
     def default_takedown(self) -> TakedownScenario:
         """The FBI takedown with the paper's timeline (booter A revives +3d)."""
@@ -140,21 +123,10 @@ class ScenarioConfig:
         # changes the hash: per-event seeding draws a different world.
         if not content.get("per_event_seeds"):
             content.pop("per_event_seeds", None)
-        # Representation-only knobs added after the hash was pinned: at
-        # their defaults they are stripped for the same reason. The
-        # visibility storage mode never changes verdicts (parity-tested),
-        # and topology.sampler="legacy" is the exact historical RNG
-        # stream; non-default values DO hash (vectorized sampling draws a
-        # different world, and forcing a mode is a caller's choice worth
-        # a distinct cache key).
-        for knob, default in (
-            ("visibility_mode", "auto"),
-            ("visibility_dense_max_asns", 4096),
-            ("visibility_block_columns", 512),
-            ("visibility_budget_mb", 256),
-        ):
-            if content.get(knob) == default:
-                content.pop(knob, None)
+        # topology.sampler was added after the hash was pinned; at its
+        # default ("legacy", the exact historical RNG stream) it is
+        # stripped for the same reason. "vectorized" DOES hash: it draws
+        # a different world.
         if content.get("topology", {}).get("sampler") == "legacy":
             content["topology"].pop("sampler", None)
         payload = json.dumps(content, sort_keys=True, separators=(",", ":"))

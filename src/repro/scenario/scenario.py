@@ -28,7 +28,6 @@ from repro.vantage.isp import ISPVantagePoint
 from repro.vantage.ixp import IXPVantagePoint
 from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.observatory import IXPObservatory
-from repro.vantage.visibility import FlowVisibility
 
 __all__ = ["DayTraffic", "DayShardPart", "Scenario"]
 
@@ -149,20 +148,10 @@ class Scenario:
             self.registry, self.pools, self.config.background, self.seeds.child("bg")
         )
 
-        # Vantage points. The visibility matrix is precomputed over the
-        # full registry (tables build lazily on first observation, dense
-        # or per-column-block per the config's visibility_* knobs); the
-        # per-pair oracle stays as the fallback for unknown ASNs.
-        self.visibility = FlowVisibility(
-            self.topology,
-            matrix=VisibilityMatrix(
-                self.topology,
-                mode=self.config.visibility_mode,
-                dense_max_asns=self.config.visibility_dense_max_asns,
-                block_columns=self.config.visibility_block_columns,
-                budget_bytes=self.config.visibility_budget_mb << 20,
-            ),
-        )
+        # Vantage points share one visibility matrix over the full
+        # registry (tables build lazily on first observation, dense or
+        # per-column-block by registry size).
+        self.visibility = VisibilityMatrix(self.topology)
         tier1_asn = self.registry.by_role(ASRole.TIER1)[0].asn
         tier2_members = [
             a for a in self.registry.by_role(ASRole.TIER2) if a.ixp_member
@@ -471,9 +460,8 @@ class Scenario:
             else:
                 table = FlowTable.concat([getattr(traffic, kind) for kind in kinds])
             pair_index = None
-            matrix = self.visibility.matrix
-            if default_kinds and matrix is not None and len(table):
-                pair_index = traffic.pair_index(matrix)
+            if default_kinds and len(table):
+                pair_index = traffic.pair_index(self.visibility)
             rng = self.seeds.child("observe", vantage, traffic.day).rng()
             observed = vp.observe(table, rng, pair_index=pair_index)
         if registry.enabled:

@@ -18,11 +18,9 @@ from repro.vantage.isp import ISPVantagePoint
 from repro.vantage.ixp import IXPVantagePoint
 from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.observatory import IXPObservatory, SelfAttackMeasurement
-from repro.vantage.visibility import FlowVisibility
 
 __all__ = [
     "CaptureWindow",
-    "FlowVisibility",
     "ISPVantagePoint",
     "IXPObservatory",
     "IXPVantagePoint",

@@ -6,7 +6,7 @@ from repro.flows.records import FlowTable
 from repro.flows.sampling import PacketSampler
 from repro.netmodel.addressing import PrefixAnonymizer
 from repro.vantage.base import CaptureWindow, VantagePoint
-from repro.vantage.visibility import FlowVisibility
+from repro.vantage.matrix import VisibilityMatrix
 
 __all__ = ["ISPVantagePoint"]
 
@@ -24,7 +24,7 @@ class ISPVantagePoint(VantagePoint):
     def __init__(
         self,
         asn: int,
-        visibility: FlowVisibility,
+        visibility: VisibilityMatrix,
         window: CaptureWindow,
         ingress_only: bool,
         sampling_denominator: int = 1000,

@@ -6,7 +6,7 @@ from repro.flows.records import FlowTable
 from repro.flows.sampling import PacketSampler
 from repro.netmodel.addressing import PrefixAnonymizer
 from repro.vantage.base import CaptureWindow, VantagePoint
-from repro.vantage.visibility import FlowVisibility
+from repro.vantage.matrix import VisibilityMatrix
 
 __all__ = ["IXPVantagePoint"]
 
@@ -23,7 +23,7 @@ class IXPVantagePoint(VantagePoint):
 
     def __init__(
         self,
-        visibility: FlowVisibility,
+        visibility: VisibilityMatrix,
         window: CaptureWindow,
         sampling_denominator: int = 10_000,
         anonymizer: PrefixAnonymizer | None = None,

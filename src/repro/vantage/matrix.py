@@ -1,16 +1,16 @@
-"""Precomputed visibility verdicts over registry AS pairs, dense or blocked.
+"""Visibility verdicts over registry AS pairs, dense or blocked.
 
-:class:`~repro.vantage.visibility.FlowVisibility` answers one (src ASN,
-dst ASN) pair at a time through a memoized oracle; at day-pipeline scale
-the Python loop over unique pairs dominates observation, and each worker
-process re-warms its caches from scratch. :class:`VisibilityMatrix`
-materializes verdicts for whole pair sets instead, with two storage modes:
+:class:`VisibilityMatrix` decides, for a (src ASN, dst ASN) pair, whether
+an observer sees the flow and which neighbor AS hands it over. Verdicts
+are pure functions of the topology's valley-free routing and are
+materialized for whole pair sets, so a day's flow table resolves with
+fancy indexing instead of a Python loop over pairs. Two storage modes,
+picked by registry size:
 
 * **dense** — full ``(n_asn x n_asn)`` ``visible``/``peer_asn`` tables per
-  observation view, resolved by fancy indexing. The historical fast path;
-  kept bit-identical for every existing workload, but ``bool + int32`` per
-  view means ~5 bytes * n^2 — at 10k ASes that is ~0.5 GB per view, which
-  is why it stops being the default above ``dense_max_asns``.
+  observation view, resolved by fancy indexing. Used up to
+  ``dense_max_asns`` ASes (every default-scale world): ``bool + int32``
+  per view means ~5 bytes * n^2, ~0.5 GB per view at 10k ASes.
 * **blocked** — tables are built per destination-column *block* on demand
   (``block_columns`` columns at a time), stored ``bool``/int32 in a
   byte-budget LRU. Lookups group query pairs by block, so a day's flow
@@ -22,8 +22,8 @@ Both modes share one vectorized column builder: a source's verdict towards
 a destination is either decided by its first hop (the hop crosses the IXP
 fabric / reaches the observer) or inherited from its next hop's verdict,
 so each destination column fills level by level over the route tree's
-length groups — no per-pair Python. Verdicts are bit-identical to the lazy
-oracle's (the test suite asserts parity over all pairs in both modes).
+length groups — no per-pair Python. The test suite asserts both modes
+bit-identical to a per-pair path-walk oracle over all pairs.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from repro.obs import metrics
 
 __all__ = ["VisibilityMatrix"]
 
-#: Valid storage modes. ``auto`` picks dense below ``dense_max_asns``.
-MODES = ("auto", "dense", "blocked")
-
 _IXP_VIEW = ("ixp",)
 
 
@@ -48,9 +45,10 @@ class VisibilityMatrix:
 
     Tables are built lazily per observation view (IXP fabric, or one
     ``(observer ASN, ingress_only)`` ISP view) and invalidated when the
-    topology gains edges after construction. ASN values outside the
-    registry (e.g. ``-1`` for unresolved addresses) are not covered;
-    callers route those through the lazy oracle fallback.
+    topology gains edges after construction. A flow whose src or dst ASN
+    lies outside the topology (e.g. ``-1`` for unresolved addresses) is
+    invisible with peer ``-1``, and so is every flow for an ISP observer
+    outside the topology.
     """
 
     #: Largest ASN value for which a dense ASN -> index lookup table is
@@ -62,17 +60,13 @@ class VisibilityMatrix:
         self,
         topology: ASTopology,
         *,
-        mode: str = "auto",
         dense_max_asns: int = 4096,
         block_columns: int = 512,
         budget_bytes: int = 256 << 20,
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r} (choose from {'/'.join(MODES)})")
         if block_columns < 1:
             raise ValueError("block_columns must be >= 1")
         self.topology = topology
-        self.mode = mode
         self.dense_max_asns = int(dense_max_asns)
         self.block_columns = int(block_columns)
         self.budget_bytes = int(budget_bytes)
@@ -121,12 +115,9 @@ class VisibilityMatrix:
 
     @property
     def blocked(self) -> bool:
-        """Whether lookups resolve through column blocks instead of dense tables."""
+        """Whether lookups resolve through column blocks instead of dense
+        tables: true above ``dense_max_asns`` ASes."""
         self._refresh()
-        if self.mode == "dense":
-            return False
-        if self.mode == "blocked":
-            return True
         return self._asns.size > self.dense_max_asns
 
     @property
@@ -173,7 +164,7 @@ class VisibilityMatrix:
         The recurrence runs per column in ascending route-length levels:
         every source's verdict is either decided directly by its first hop
         or inherited from the hop's (already final) verdict — the same
-        fixed point the per-pair oracle walks, now as ~path-diameter numpy
+        fixed point a per-pair path walk reaches, as ~path-diameter numpy
         ops per column.
         """
         topo = self.topology
@@ -211,7 +202,7 @@ class VisibilityMatrix:
         peerf = np.full(C * n, -1, dtype=np.int32)
         if view[0] != "ixp":
             # Observer-sourced flows: the handover "peer" is the next AS
-            # on the observer's own path (the oracle's egress rule).
+            # on the observer's own path (egress-side observation).
             obs_cells = np.arange(C, dtype=np.int64) * n + obs_idx
             ok = (kind[:, obs_idx] >= 0) & (cols != obs_idx)
             visf[obs_cells[ok]] = True
@@ -364,6 +355,65 @@ class VisibilityMatrix:
         return self._lookup(
             ("isp", int(observer_asn), bool(ingress_only)), src_idx, dst_idx
         )
+
+    # -- flow-table masks -----------------------------------------------------
+
+    def ixp_mask(
+        self,
+        src_asns: np.ndarray,
+        dst_asns: np.ndarray,
+        pair_index: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """IXP verdicts for aligned ASN arrays -> (visible mask, peer ASN array).
+
+        ``pair_index`` optionally carries precomputed indices for the same
+        ASN arrays (from :meth:`pair_index`), so repeated observations of
+        one day table share the resolution work.
+        """
+        return self._mask(_IXP_VIEW, src_asns, dst_asns, pair_index)
+
+    def isp_mask(
+        self,
+        observer_asn: int,
+        src_asns: np.ndarray,
+        dst_asns: np.ndarray,
+        ingress_only: bool,
+        pair_index: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """ISP-view verdicts for aligned ASN arrays -> (visible mask, peer ASN array)."""
+        view = ("isp", int(observer_asn), bool(ingress_only))
+        return self._mask(view, src_asns, dst_asns, pair_index)
+
+    def _mask(
+        self,
+        view: tuple,
+        src_asns: np.ndarray,
+        dst_asns: np.ndarray,
+        pair_index: tuple[np.ndarray, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve pairs inside the topology; every other pair is invisible."""
+        src_asns = np.asarray(src_asns, dtype=np.int64)
+        dst_asns = np.asarray(dst_asns, dtype=np.int64)
+        if src_asns.shape != dst_asns.shape:
+            raise ValueError("src and dst ASN arrays must align")
+        if pair_index is None:
+            src_idx, dst_idx = self.pair_index(src_asns, dst_asns)
+        else:
+            src_idx, dst_idx = pair_index
+            if src_idx.shape != src_asns.shape or dst_idx.shape != dst_asns.shape:
+                raise ValueError("pair_index does not match the ASN arrays")
+        if view[0] != "ixp" and not self.knows_observer(view[1]):
+            # An ISP observer outside the topology sees nothing.
+            known = np.zeros(src_asns.shape, dtype=bool)
+        else:
+            known = (src_idx >= 0) & (dst_idx >= 0)
+            if known.all():
+                return self._lookup(view, src_idx, dst_idx)
+        vis = np.zeros(src_asns.shape, dtype=bool)
+        peers = np.full(src_asns.shape, -1, dtype=np.int64)
+        if known.any():
+            vis[known], peers[known] = self._lookup(view, src_idx[known], dst_idx[known])
+        return vis, peers
 
     def warm(self, isp_views: tuple[tuple[int, bool], ...] = ()) -> None:
         """Pre-build what lookups will need (worker-pool initializer hook).

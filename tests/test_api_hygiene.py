@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import repro
+from benchmarks.e2e.layers import LAYER_FUNCTIONS
 
 PACKAGES = [
     "repro",
@@ -64,6 +65,18 @@ class TestImportsAndDocs:
                 # Only check objects defined in this package.
                 if getattr(obj, "__module__", "").startswith("repro"):
                     assert inspect.getdoc(obj), f"{name}.{symbol} lacks a docstring"
+
+
+class TestBenchmarkLayerNames:
+    """The end-to-end benchmark wraps these functions by name; a refactor
+    that drops or renames one must fail here, not in the traced run."""
+
+    @pytest.mark.parametrize("layer,module_name,qualname", LAYER_FUNCTIONS)
+    def test_wrapped_function_resolves(self, layer, module_name, qualname):
+        owner = importlib.import_module(module_name)
+        for attr in qualname.split("."):
+            owner = inspect.getattr_static(owner, attr)
+        assert callable(getattr(owner, "__func__", owner)), (layer, module_name, qualname)
 
 
 class TestVersion:

@@ -7,6 +7,7 @@ from repro.netmodel.addressing import Prefix, parse_ip
 from repro.netmodel.asn import ASRegistry, ASRole, AutonomousSystem
 from repro.netmodel.topology import ASTopology, TopologyConfig, build_topology
 from repro.stats.rng import SeedSequenceTree
+from tests.reference.routes import RouteRows
 
 
 def make_as(asn, role=ASRole.STUB, prefix=None, member=False):
@@ -99,19 +100,20 @@ class TestASTopologyRouting:
 
     def test_customer_route_preferred(self, topo):
         # 1 -> 21 goes straight down its customer chain.
-        assert topo.path(1, 21) == [1, 11, 21]
+        assert RouteRows(topo).path(1, 21) == [1, 11, 21]
 
     def test_peer_route_used_across_ixp(self, topo):
         # 21 -> 22: up to 11, across the IXP peer edge to 12, down to 22.
-        assert topo.path(21, 22) == [21, 11, 12, 22]
-        assert topo.path_crosses_ixp(21, 22)
+        rows = RouteRows(topo)
+        assert rows.path(21, 22) == [21, 11, 12, 22]
+        assert rows.path_crosses_ixp(21, 22)
 
     def test_tier1_peering_not_ixp(self, topo):
-        assert topo.path(11, 2) is not None
+        assert RouteRows(topo).path(11, 2) is not None
         assert not topo.is_ixp_peering(1, 2)
 
     def test_self_path(self, topo):
-        assert topo.path(21, 21) == [21]
+        assert RouteRows(topo).path(21, 21) == [21]
 
     def test_customer_cone(self, topo):
         assert topo.customer_cone(1) == {1, 11, 21}
@@ -126,15 +128,17 @@ class TestASTopologyRouting:
         # 1 -peer- 2, and 3 is a provider of 2. 1 cannot reach 3 via 2.
         t.add_peering(1, 2)
         t.add_customer_provider(2, 3)
-        assert topo_path_kinds_ok(t, 1, 3)
+        assert topo_path_kinds_ok(RouteRows(t), 1, 3)
 
     def test_reachability(self, topo):
-        assert topo.reachable(21, 22)
-        assert topo.reachable(1, 22)
+        rows = RouteRows(topo)
+        assert rows.reachable(21, 22)
+        assert rows.reachable(1, 22)
 
     def test_transit_asns_on_path(self, topo):
-        assert topo.transit_asns_on_path(21, 22) == [11, 12]
-        assert topo.transit_asns_on_path(21, 11) == []
+        rows = RouteRows(topo)
+        assert rows.transit_asns_on_path(21, 22) == [11, 12]
+        assert rows.transit_asns_on_path(21, 11) == []
 
     def test_relationship_conflicts_rejected(self, topo):
         with pytest.raises(ValueError):
@@ -147,9 +151,10 @@ class TestASTopologyRouting:
             topo.add_customer_provider(1, 1)
 
 
-def topo_path_kinds_ok(t, src, dst):
+def topo_path_kinds_ok(rows, src, dst):
     """Either unreachable, or the found path is valley-free."""
-    path = t.path(src, dst)
+    t = rows.topo
+    path = rows.path(src, dst)
     if path is None:
         return True
     # Classify each hop and verify no c2p appears after a p2p or p2c hop.
@@ -193,18 +198,20 @@ class TestBuildTopology:
         """Every AS can reach every other AS (valley-free)."""
         reg, topo = built
         asns = reg.asns
+        rows = RouteRows(topo)
         rng = np.random.default_rng(0)
         for src in rng.choice(asns, 15, replace=False):
             for dst in rng.choice(asns, 15, replace=False):
-                assert topo.reachable(int(src), int(dst)), f"{src} !-> {dst}"
+                assert rows.reachable(int(src), int(dst)), f"{src} !-> {dst}"
 
     def test_all_paths_valley_free(self, built):
         reg, topo = built
         rng = np.random.default_rng(1)
         asns = reg.asns
+        rows = RouteRows(topo)
         for _ in range(100):
             src, dst = rng.choice(asns, 2, replace=False)
-            assert topo_path_kinds_ok(topo, int(src), int(dst))
+            assert topo_path_kinds_ok(rows, int(src), int(dst))
 
     def test_disjoint_prefixes(self, built):
         reg, _ = built

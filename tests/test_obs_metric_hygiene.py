@@ -115,7 +115,7 @@ def test_deterministic_counters_drops_every_excluded_family():
         "pool.busy_s": 0.4,
         "serve.requests": 9.0,
         "shm.bytes": 4096.0,
-        "visibility.matrix_hits": 7.0,
+        "matrix.blocks_built": 7.0,
         "parallel.days_dispatched": 5.0,
         "market.step_chunks": 12.0,
         "market.ledger_resident_bytes": 9e7,

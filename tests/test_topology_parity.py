@@ -1,10 +1,10 @@
-"""Parity of the vectorized topology/visibility planes with the legacy engines.
+"""Parity of the vectorized topology/visibility planes with the reference engines.
 
-The array-based Gao-Rexford route engine and the blocked visibility
-matrix are pure representation changes: over any topology they must
-reproduce the legacy dict BFS and the per-pair oracle bit for bit. These
-properties are asserted over randomized small worlds (hypothesis) plus
-directed regressions for the LRU bounds and index fallbacks.
+The batched Gao-Rexford route engine and both visibility-matrix storage
+modes must reproduce the reference dict BFS and the per-pair oracle in
+``tests/reference`` bit for bit over any topology. These properties are
+asserted over randomized small worlds (hypothesis) plus directed
+regressions for the block LRU bounds and unknown-ASN handling.
 """
 
 import numpy as np
@@ -12,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.netmodel.topology import ASTopology, TopologyConfig, build_topology
+from repro.netmodel.topology import TopologyConfig, build_topology
 from repro.obs import MetricsRegistry, use_metrics
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
-from repro.vantage.visibility import FlowVisibility
+from tests.reference.routes import RouteRows, _routes_to_legacy, customer_cone
+from tests.reference.visibility import VisibilityOracle
 
 slow_settings = settings(
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -41,35 +42,59 @@ def _entry_tuples(routes):
     return {asn: (e.kind, e.length, e.next_hop) for asn, e in routes.items()}
 
 
+def _row_tuples(plane, kind, length, hop):
+    """One ``routes_to_many`` row in the shape of :func:`_entry_tuples`."""
+    kinds = ("down", "peer", "up")
+    return {
+        int(plane.asns[i]): (
+            kinds[kind[i]],
+            int(length[i]),
+            -1 if hop[i] < 0 else int(plane.asns[hop[i]]),
+        )
+        for i in np.flatnonzero(kind >= 0).tolist()
+    }
+
+
 class TestRouteEngineParity:
     @slow_settings
     @given(config=topo_configs, seed=st.integers(0, 2**32 - 1))
     def test_array_engine_matches_legacy_bfs(self, config, seed):
         """Every destination's route tree is identical across engines."""
         _, topo = _world(config, seed)
-        for dst in topo.asns:
-            assert _entry_tuples(topo._routes_to(dst)) == _entry_tuples(
-                topo._routes_to_legacy(dst)
+        kind, length, hop = topo.routes_to_many(topo.asns)
+        plane = topo.route_plane()
+        for row, dst in enumerate(topo.asns):
+            assert _row_tuples(plane, kind[row], length[row], hop[row]) == _entry_tuples(
+                _routes_to_legacy(topo, dst)
             ), dst
 
     @slow_settings
     @given(config=topo_configs, seed=st.integers(0, 2**32 - 1))
     def test_routes_to_many_matches_single(self, config, seed):
+        """Rows do not depend on chunking: a batch spanning several chunks
+        yields, per destination, the row of a single one-chunk call over
+        every AS (hypothesis worlds are far below one chunk)."""
         _, topo = _world(config, seed)
-        dsts = topo.asns
-        kind, length, hop = topo.routes_to_many(dsts)
-        for row, dst in enumerate(dsts):
-            k, l, h = topo.routes_to_arrays(dst)
-            np.testing.assert_array_equal(kind[row], k)
-            np.testing.assert_array_equal(length[row], l)
-            np.testing.assert_array_equal(hop[row], h)
+        asns = topo.asns
+        n = len(asns)
+        kind, length, hop = topo.routes_to_many(asns)
+        dsts = list(asns)
+        while len(dsts) <= (1 << 18) // n:
+            dsts += asns[::-1] + asns
+        ck, cl, ch = topo.routes_to_many(dsts)
+        row_of = {dst: row for row, dst in enumerate(asns)}
+        rows = [row_of[dst] for dst in dsts]
+        np.testing.assert_array_equal(ck, kind[rows])
+        np.testing.assert_array_equal(cl, length[rows])
+        np.testing.assert_array_equal(ch, hop[rows])
 
     def test_path_uses_seen_set_and_matches_route_tree(self):
         _, topo = _world(TopologyConfig(n_tier1=3, n_tier2=6, n_stub=20), 11)
+        rows = RouteRows(topo)
         for dst in topo.asns[:10]:
-            routes = topo._routes_to_legacy(dst)
+            routes = _routes_to_legacy(topo, dst)
             for src in topo.asns:
-                path = topo.path(src, dst)
+                path = rows.path(src, dst)
                 if src == dst:
                     assert path == [src]
                 elif src not in routes:
@@ -83,46 +108,36 @@ class TestRouteEngineParity:
     def test_customer_cone_memoized_per_version(self):
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 3)
         t1 = sorted(topo.asns)[0]
-        first = topo.customer_cone(t1)
-        assert topo.customer_cone(t1) is first  # memo hit
+        first = topo.customer_cone_mask(t1)
+        assert topo.customer_cone_mask(t1) is first  # memo hit
         stubs = sorted(topo.asns)
         topo.add_customer_provider(stubs[-1], stubs[-2])
-        assert topo.customer_cone(t1) is not first  # version bump cleared it
+        assert topo.customer_cone_mask(t1) is not first  # version bump cleared it
 
     def test_cone_mask_matches_cone(self):
         _, topo = _world(TopologyConfig(n_tier1=3, n_tier2=5, n_stub=12), 5)
         plane = topo.route_plane()
         for asn in topo.asns:
             mask = topo.customer_cone_mask(asn)
-            assert set(plane.asns[mask].tolist()) == topo.customer_cone(asn)
+            assert set(plane.asns[mask].tolist()) == customer_cone(topo, asn)
+            assert topo.customer_cone(asn) == customer_cone(topo, asn)
 
 
 class TestRouteCacheBounds:
-    def test_route_cache_evicts_under_byte_budget(self):
-        _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=16), 9)
-        # One entry is n * (1 + 4 + 4) bytes; budget two entries.
-        per_entry = len(topo.asns) * 9
-        topo.route_cache_max_bytes = 2 * per_entry
-        with use_metrics(MetricsRegistry()) as registry:
-            for dst in topo.asns[:6]:
-                topo.routes_to_arrays(dst)
-        assert len(topo._route_cache) <= 2
-        assert registry.counter("topology.route_cache_evictions") >= 4
-        assert topo._route_cache_bytes <= topo.route_cache_max_bytes
-        # Evicted destinations recompute to the same tree.
-        first = topo.asns[0]
-        assert _entry_tuples(topo._routes_to(first)) == _entry_tuples(
-            topo._routes_to_legacy(first)
-        )
-
     def test_cache_cleared_on_edge_mutation(self):
+        """The CSR plane snapshot is rebuilt after an edge mutation and
+        routes see the new edge."""
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 13)
-        topo.routes_to_arrays(topo.asns[0])
-        assert topo._route_cache
+        first = topo.route_plane()
+        assert topo.route_plane() is first
         asns = sorted(topo.asns)
         topo.add_peering(asns[-1], asns[-2], via_ixp=True)
-        assert not topo._route_cache
-        assert topo._route_cache_bytes == 0
+        plane = topo.route_plane()
+        assert plane is not first and plane.version == topo.version
+        kind, length, hop = topo.routes_to_many([asns[-2]])
+        assert _row_tuples(plane, kind[0], length[0], hop[0]) == _entry_tuples(
+            _routes_to_legacy(topo, asns[-2])
+        )
 
 
 class TestMatrixModeParity:
@@ -139,13 +154,13 @@ class TestMatrixModeParity:
         _, topo = _world(config, seed)
         asns = np.asarray(sorted(topo.asns))
         n = asns.size
-        dense = VisibilityMatrix(topo, mode="dense")
-        blocked = VisibilityMatrix(
-            topo, mode="blocked", block_columns=block_columns
-        )
-        oracle = FlowVisibility(topo)
+        dense = VisibilityMatrix(topo)
+        blocked = VisibilityMatrix(topo, dense_max_asns=0, block_columns=block_columns)
+        assert not dense.blocked and blocked.blocked
+        oracle = VisibilityOracle(topo)
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         si, di = ii.ravel(), jj.ravel()
+        src, dst = asns[si], asns[di]
 
         views = [("ixp", None, None)]
         tier1 = int(asns[0])
@@ -160,26 +175,24 @@ class TestMatrixModeParity:
             if kind == "ixp":
                 dv, dp = dense.lookup_ixp(si, di)
                 bv, bp = blocked.lookup_ixp(si, di)
-                check = lambda s, d: oracle.at_ixp(s, d)
+                ov, op = oracle.ixp_mask(src, dst)
             else:
                 dv, dp = dense.lookup_isp(obs, ingress, si, di)
                 bv, bp = blocked.lookup_isp(obs, ingress, si, di)
-                check = lambda s, d: oracle.at_isp(obs, s, d, ingress)
-            np.testing.assert_array_equal(dv, bv)
-            np.testing.assert_array_equal(dp, bp)
-            # Oracle spot-parity on a stride (full n^2 would be slow in Python).
-            for k in range(0, si.size, max(1, si.size // 64)):
-                verdict = check(int(asns[si[k]]), int(asns[di[k]]))
-                assert dv[k] == verdict.visible, (kind, obs, ingress, k)
-                assert dp[k] == verdict.peer_asn, (kind, obs, ingress, k)
+                ov, op = oracle.isp_mask(obs, src, dst, ingress)
+            view = f"{kind}/{obs}/{ingress}"
+            np.testing.assert_array_equal(dv, bv, err_msg=view)
+            np.testing.assert_array_equal(dp, bp, err_msg=view)
+            np.testing.assert_array_equal(dv, ov, err_msg=view)
+            np.testing.assert_array_equal(dp, op, err_msg=view)
 
     def test_block_lru_evicts_and_counts(self):
         _, topo = _world(TopologyConfig(n_tier1=3, n_tier2=6, n_stub=24), 21)
         n = len(topo.asns)
-        dense = VisibilityMatrix(topo, mode="dense")
+        dense = VisibilityMatrix(topo)
         # Budget ~2 single-column blocks: scanning all columns must evict.
         tiny = VisibilityMatrix(
-            topo, mode="blocked", block_columns=1, budget_bytes=2 * n * 5 + 1
+            topo, dense_max_asns=0, block_columns=1, budget_bytes=2 * n * 5 + 1
         )
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         si, di = ii.ravel(), jj.ravel()
@@ -200,16 +213,11 @@ class TestMatrixModeParity:
         base = dict(seed=77, scale=0.05, n_days=82)
         topo_cfg = TopologyConfig(n_tier1=3, n_tier2=8, n_stub=30)
         dense_sc = Scenario(ScenarioConfig(**base, topology=topo_cfg))
-        blocked_sc = Scenario(
-            ScenarioConfig(
-                **base,
-                topology=topo_cfg,
-                visibility_mode="blocked",
-                visibility_block_columns=5,
-            )
-        )
-        assert dense_sc.visibility.matrix.blocked is False
-        assert blocked_sc.visibility.matrix.blocked is True
+        blocked_sc = Scenario(ScenarioConfig(**base, topology=topo_cfg))
+        blocked_sc.visibility.dense_max_asns = 0
+        blocked_sc.visibility.block_columns = 5
+        assert dense_sc.visibility.blocked is False
+        assert blocked_sc.visibility.blocked is True
         for day in (79, 80):
             dense_traffic = dense_sc.day_traffic(day)
             blocked_traffic = blocked_sc.day_traffic(day)
@@ -224,7 +232,7 @@ class TestMatrixModeParity:
 
     def test_unknown_observer_raises_in_blocked_mode(self):
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 31)
-        blocked = VisibilityMatrix(topo, mode="blocked")
+        blocked = VisibilityMatrix(topo, dense_max_asns=0)
         with pytest.raises(KeyError):
             blocked.lookup_isp(999_999, False, np.zeros(1, np.int64), np.zeros(1, np.int64))
         assert not blocked.knows_observer(999_999)
@@ -260,18 +268,17 @@ class TestIndexOfFallbacks:
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 41)
         if force_searchsorted:
             monkeypatch.setattr(VisibilityMatrix, "_LUT_MAX_ASN", 1)
-        vis = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        matrix = VisibilityMatrix(topo)
+        oracle = VisibilityOracle(topo)
         asns = sorted(topo.asns)
-        src = np.array([asns[0], -1, 999_999, asns[2]], dtype=np.int64)
-        dst = np.array([asns[3], asns[1], asns[0], -1], dtype=np.int64)
-        np.testing.assert_array_equal(
-            vis.ixp_mask(src, dst)[0], oracle.ixp_mask(src, dst)[0]
-        )
-        np.testing.assert_array_equal(
-            vis.isp_mask(asns[0], src, dst, True)[1],
-            oracle.isp_mask(asns[0], src, dst, True)[1],
-        )
+        src = np.array([asns[0], -1, 999_999, asns[2], asns[1]], dtype=np.int64)
+        dst = np.array([asns[3], asns[1], asns[0], -1, 999_999], dtype=np.int64)
+        for got, want in (
+            (matrix.ixp_mask(src, dst), oracle.ixp_mask(src, dst)),
+            (matrix.isp_mask(asns[0], src, dst, True), oracle.isp_mask(asns[0], src, dst, True)),
+        ):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestBulkAdders:

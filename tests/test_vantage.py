@@ -14,8 +14,9 @@ from repro.stats.rng import SeedSequenceTree
 from repro.vantage.base import CaptureWindow
 from repro.vantage.isp import ISPVantagePoint
 from repro.vantage.ixp import IXPVantagePoint
+from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.observatory import IXPObservatory
-from repro.vantage.visibility import FlowVisibility
+from tests.reference.visibility import VisibilityOracle
 
 
 @pytest.fixture
@@ -58,74 +59,96 @@ def flows_for_pairs(pairs, packets=100):
     )
 
 
+def at_ixp(topo, src, dst):
+    """(visible, peer ASN) of one pair through ``VisibilityMatrix.ixp_mask``."""
+    mask, peers = VisibilityMatrix(topo).ixp_mask(np.array([src]), np.array([dst]))
+    return bool(mask[0]), int(peers[0])
+
+
+def at_isp(topo, observer, src, dst, ingress_only):
+    """(visible, peer ASN) of one pair through ``VisibilityMatrix.isp_mask``."""
+    mask, peers = VisibilityMatrix(topo).isp_mask(
+        observer, np.array([src]), np.array([dst]), ingress_only
+    )
+    return bool(mask[0]), int(peers[0])
+
+
 class TestFlowVisibility:
+    """Hand-computed flow visibility verdicts on :func:`small_topo`."""
+
     def test_ixp_sees_cross_member_traffic(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        v = vis.at_ixp(21, 12)  # 21 -> 11 -> (IXP) -> 12
-        assert v.visible
-        assert v.peer_asn == 11
+        # 21 -> 11 -> (IXP) -> 12
+        assert at_ixp(topo, 21, 12) == (True, 11)
 
     def test_ixp_blind_to_transit_paths(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_ixp(21, 31).visible  # goes 21-11-1-2-31, no IXP edge
-        assert not vis.at_ixp(1, 2).visible  # private tier-1 peering
+        assert at_ixp(topo, 21, 31) == (False, -1)  # goes 21-11-1-2-31, no IXP edge
+        assert at_ixp(topo, 1, 2) == (False, -1)  # private tier-1 peering
 
     def test_ixp_same_as_invisible(self, small_topo):
         _, topo = small_topo
-        assert not FlowVisibility(topo).at_ixp(11, 11).visible
+        assert at_ixp(topo, 11, 11) == (False, -1)
 
     def test_isp_on_path_visible(self, small_topo):
         # 31 -> 21 routes 31-2-1-11-21, crossing AS1; 31 is outside AS1's
         # customer cone, so the tier-1 ingress-only trace contains it.
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        v = vis.at_isp(1, 31, 21, ingress_only=True)
-        assert v.visible
-        assert v.peer_asn == 2
+        assert at_isp(topo, 1, 31, 21, ingress_only=True) == (True, 2)
 
     def test_isp_customer_cone_src_excluded_even_in_transit(self, small_topo):
         # 21 -> 31 crosses AS1 too, but 21 sits in AS1's customer cone, so
         # the ingress-only trace (no customer-sourced traffic) drops it.
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_isp(1, 21, 31, ingress_only=True).visible
-        assert vis.at_isp(1, 21, 31, ingress_only=False).visible
+        assert not at_isp(topo, 1, 21, 31, ingress_only=True)[0]
+        assert at_isp(topo, 1, 21, 31, ingress_only=False)[0]
 
     def test_isp_off_path_invisible(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_isp(2, 21, 12, ingress_only=True).visible
+        assert not at_isp(topo, 2, 21, 12, ingress_only=True)[0]
 
     def test_ingress_only_excludes_customer_sourced(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
         # 11 is in AS1's customer cone: tier-1 ingress-only excludes it...
-        assert not vis.at_isp(1, 11, 31, ingress_only=True).visible
+        assert not at_isp(topo, 1, 11, 31, ingress_only=True)[0]
         # ...but the tier-2 style (both directions) includes it.
-        assert vis.at_isp(1, 11, 31, ingress_only=False).visible
+        assert at_isp(topo, 1, 11, 31, ingress_only=False)[0]
 
     def test_unknown_asn_invisible(self, small_topo):
+        """ASNs outside the topology — unresolved (-1) or unregistered —
+        on either side of a flow make it invisible with peer -1, and an
+        observer outside the topology sees nothing."""
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_ixp(-1, 12).visible
-        assert not vis.at_isp(1, -1, 31, ingress_only=False).visible
+        matrix = VisibilityMatrix(topo)
+        # Rows: -1 src, positive unknown dst, positive unknown src, -1 on
+        # both sides; the last row is a visible control.
+        srcs = np.array([-1, 21, 999_999, -1, 21])
+        dsts = np.array([12, 999_999, 12, -1, 12])
+        mask, peers = matrix.ixp_mask(srcs, dsts)
+        np.testing.assert_array_equal(mask, [False, False, False, False, True])
+        np.testing.assert_array_equal(peers, [-1, -1, -1, -1, 11])
+        for ingress_only in (True, False):
+            mask, peers = matrix.isp_mask(1, srcs, dsts, ingress_only)
+            np.testing.assert_array_equal(mask[:4], False)
+            np.testing.assert_array_equal(peers[:4], -1)
+        assert at_isp(topo, 1, -1, 31, ingress_only=False) == (False, -1)
+        mask, peers = matrix.isp_mask(999_999, np.array([31, 21]), np.array([21, 31]), False)
+        assert not mask.any() and (peers == -1).all()
 
     def test_vectorized_matches_scalar(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
+        oracle = VisibilityOracle(topo)
         srcs = np.array([21, 21, 1, -1])
         dsts = np.array([12, 31, 2, 12])
-        mask, peers = vis.ixp_mask(srcs, dsts)
-        expected = [vis.at_ixp(s, d) for s, d in zip(srcs, dsts)]
+        mask, peers = VisibilityMatrix(topo).ixp_mask(srcs, dsts)
+        expected = [oracle.at_ixp(s, d) for s, d in zip(srcs, dsts)]
         np.testing.assert_array_equal(mask, [e.visible for e in expected])
         np.testing.assert_array_equal(peers, [e.peer_asn for e in expected])
 
     def test_mask_shape_mismatch(self, small_topo):
         _, topo = small_topo
         with pytest.raises(ValueError):
-            FlowVisibility(topo).ixp_mask(np.array([1]), np.array([1, 2]))
+            VisibilityMatrix(topo).ixp_mask(np.array([1]), np.array([1, 2]))
 
 
 class TestCaptureWindow:
@@ -150,7 +173,7 @@ class TestVantagePoints:
     def test_ixp_observe_pipeline(self, small_topo):
         _, topo = small_topo
         vp = IXPVantagePoint(
-            FlowVisibility(topo),
+            VisibilityMatrix(topo),
             CaptureWindow(0, 10),
             sampling_denominator=1,
             anonymizer=PrefixAnonymizer("k"),
@@ -164,7 +187,7 @@ class TestVantagePoints:
 
     def test_ixp_sampling_loses_small_flows(self, small_topo):
         _, topo = small_topo
-        vp = IXPVantagePoint(FlowVisibility(topo), CaptureWindow(0, 10), sampling_denominator=10_000)
+        vp = IXPVantagePoint(VisibilityMatrix(topo), CaptureWindow(0, 10), sampling_denominator=10_000)
         t = flows_for_pairs([(21, 12)] * 20, packets=2)
         out = vp.observe(t, np.random.default_rng(0))
         assert len(out) < 3
@@ -172,7 +195,7 @@ class TestVantagePoints:
     def test_tier1_excludes_customer_sourced(self, small_topo):
         _, topo = small_topo
         vp = ISPVantagePoint(
-            1, FlowVisibility(topo), CaptureWindow(0, 10), ingress_only=True, sampling_denominator=1
+            1, VisibilityMatrix(topo), CaptureWindow(0, 10), ingress_only=True, sampling_denominator=1
         )
         t = flows_for_pairs([(11, 31), (31, 12)])
         out = vp.observe(t, np.random.default_rng(0))
@@ -184,7 +207,7 @@ class TestVantagePoints:
     def test_tier2_sees_both_directions(self, small_topo):
         _, topo = small_topo
         vp = ISPVantagePoint(
-            11, FlowVisibility(topo), CaptureWindow(0, 10), ingress_only=False, sampling_denominator=1
+            11, VisibilityMatrix(topo), CaptureWindow(0, 10), ingress_only=False, sampling_denominator=1
         )
         t = flows_for_pairs([(21, 12), (12, 21), (11, 12)])
         out = vp.observe(t, np.random.default_rng(0))
@@ -193,7 +216,7 @@ class TestVantagePoints:
     def test_isp_validation(self, small_topo):
         _, topo = small_topo
         with pytest.raises(ValueError):
-            ISPVantagePoint(0, FlowVisibility(topo), CaptureWindow(0, 1), ingress_only=True)
+            ISPVantagePoint(0, VisibilityMatrix(topo), CaptureWindow(0, 1), ingress_only=True)
 
 
 @pytest.fixture(scope="module")

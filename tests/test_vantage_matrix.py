@@ -1,14 +1,13 @@
-"""VisibilityMatrix: parity with the lazy oracle, indexing, invalidation."""
+"""VisibilityMatrix: parity with the reference oracle, indexing, invalidation."""
 
 import numpy as np
 import pytest
 
 from repro.netmodel.topology import TopologyConfig, build_topology
-from repro.obs import MetricsRegistry, use_metrics
 from repro.scenario import Scenario, ScenarioConfig
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
-from repro.vantage.visibility import FlowVisibility
+from tests.reference.visibility import VisibilityOracle
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +22,12 @@ def tiny_world():
 
 
 class TestOracleParity:
-    """The dense tables must be bit-identical to the per-pair oracle."""
+    """The dense tables must be bit-identical to the reference per-pair oracle."""
 
     def test_ixp_all_pairs(self, tiny_world):
         topo = tiny_world.topology
         matrix = VisibilityMatrix(topo)
-        oracle = FlowVisibility(topo)  # no matrix: pure lazy path
+        oracle = VisibilityOracle(topo)
         visible, peer = matrix.ixp_tables()
         asns = matrix.asns.tolist()
         for i, src in enumerate(asns):
@@ -41,7 +40,7 @@ class TestOracleParity:
     def test_isp_all_pairs(self, tiny_world, ingress_only):
         topo = tiny_world.topology
         matrix = VisibilityMatrix(topo)
-        oracle = FlowVisibility(topo)
+        oracle = VisibilityOracle(topo)
         observer = tiny_world.tier1.asn if ingress_only else tiny_world.tier2.asn
         visible, peer = matrix.isp_tables(observer, ingress_only)
         asns = matrix.asns.tolist()
@@ -54,9 +53,7 @@ class TestOracleParity:
     def test_observatory_as_is_covered(self, tiny_world):
         """The measurement AS attached post-build must appear in the index."""
         observatory_asn = tiny_world.config.observatory_asn
-        matrix = tiny_world.visibility.matrix
-        assert matrix is not None
-        idx = matrix.index_of(np.array([observatory_asn]))
+        idx = tiny_world.visibility.index_of(np.array([observatory_asn]))
         assert idx[0] >= 0
 
     def test_unknown_observer_raises(self, tiny_world):
@@ -66,20 +63,21 @@ class TestOracleParity:
 
 
 class TestMaskFallback:
-    """Mask methods agree with the oracle when ASNs fall outside the registry."""
+    """Mask methods agree with the oracle when ASNs fall outside the registry:
+    such pairs are invisible with peer -1."""
 
     def _pairs_with_unknowns(self, topo):
         asns = sorted(topo.asns)
-        src = np.array([asns[0], -1, asns[3], asns[5], -1, 999_999], dtype=np.int64)
-        dst = np.array([asns[4], asns[2], -1, asns[1], -1, asns[0]], dtype=np.int64)
+        src = np.array([asns[0], -1, asns[3], asns[5], -1, 999_999, asns[2]], dtype=np.int64)
+        dst = np.array([asns[4], asns[2], -1, asns[1], -1, asns[0], 999_999], dtype=np.int64)
         return src, dst
 
     def test_ixp_mask_matches_oracle(self, tiny_world):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        matrix = VisibilityMatrix(topo)
+        oracle = VisibilityOracle(topo)
         src, dst = self._pairs_with_unknowns(topo)
-        vis_m, peer_m = with_matrix.ixp_mask(src, dst)
+        vis_m, peer_m = matrix.ixp_mask(src, dst)
         vis_o, peer_o = oracle.ixp_mask(src, dst)
         np.testing.assert_array_equal(vis_m, vis_o)
         np.testing.assert_array_equal(peer_m, peer_o)
@@ -87,33 +85,25 @@ class TestMaskFallback:
     @pytest.mark.parametrize("ingress_only", [True, False])
     def test_isp_mask_matches_oracle(self, tiny_world, ingress_only):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        matrix = VisibilityMatrix(topo)
+        oracle = VisibilityOracle(topo)
         observer = tiny_world.tier1.asn
         src, dst = self._pairs_with_unknowns(topo)
-        vis_m, peer_m = with_matrix.isp_mask(observer, src, dst, ingress_only)
+        vis_m, peer_m = matrix.isp_mask(observer, src, dst, ingress_only)
         vis_o, peer_o = oracle.isp_mask(observer, src, dst, ingress_only)
         np.testing.assert_array_equal(vis_m, vis_o)
         np.testing.assert_array_equal(peer_m, peer_o)
 
     def test_out_of_registry_observer_uses_oracle(self, tiny_world):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        matrix = VisibilityMatrix(topo)
+        oracle = VisibilityOracle(topo)
         src, dst = self._pairs_with_unknowns(topo)
-        vis_m, peer_m = with_matrix.isp_mask(424242, src, dst, False)
+        vis_m, peer_m = matrix.isp_mask(424242, src, dst, False)
         vis_o, peer_o = oracle.isp_mask(424242, src, dst, False)
         np.testing.assert_array_equal(vis_m, vis_o)
         np.testing.assert_array_equal(peer_m, peer_o)
-
-    def test_hit_and_fallback_counters(self, tiny_world):
-        topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        src, dst = self._pairs_with_unknowns(topo)  # 2 fully known, 4 with unknowns
-        with use_metrics(MetricsRegistry()) as registry:
-            with_matrix.ixp_mask(src, dst)
-        assert registry.counter("visibility.matrix_hits") == 2
-        assert registry.counter("visibility.fallback_lookups") == 4
+        assert not vis_m.any()
 
 
 class TestIndexing:
@@ -131,13 +121,13 @@ class TestIndexing:
 
     def test_stale_pair_index_rejected(self, tiny_world):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        asns = with_matrix.matrix.asns
+        matrix = VisibilityMatrix(topo)
+        asns = matrix.asns
         src = np.full(5, asns[0], dtype=np.int64)
         dst = np.full(5, asns[1], dtype=np.int64)
-        bad = with_matrix.matrix.pair_index(src[:3], dst[:3])
+        bad = matrix.pair_index(src[:3], dst[:3])
         with pytest.raises(ValueError, match="pair_index"):
-            with_matrix.ixp_mask(src, dst, pair_index=bad)
+            matrix.ixp_mask(src, dst, pair_index=bad)
 
 
 class TestInvalidation:
@@ -160,7 +150,7 @@ class TestInvalidation:
         matrix.ixp_tables()
         asns = sorted(topo.asns)
         topo.add_peering(asns[-1], asns[-2], via_ixp=True)
-        oracle = FlowVisibility(topo)
+        oracle = VisibilityOracle(topo)
         visible, peer = matrix.ixp_tables()
         for i, src in enumerate(matrix.asns.tolist()):
             for j, dst in enumerate(matrix.asns.tolist()):
