@@ -6,7 +6,8 @@ scratch. This module adds the durable tier: each cached flow table is
 written as one file in the :mod:`repro.flows.binio` fixed-record format
 (header + contiguous :data:`~repro.flows.records.RECORD_DTYPE` records)
 next to a small JSON sidecar carrying the schema version, the full
-cache key, the ``scenario.*`` counter deltas to replay on a hit, and a
+cache key, the ``scenario.*`` counter deltas to replay on a hit (kept
+as the day's ground-truth part and the entry's vantage part), and a
 sha256 of the record bytes. Reads go through ``np.memmap`` and the
 zero-copy :meth:`FlowTable.from_structured` path, so a disk hit costs
 one page-cache-backed mapping plus a checksum pass — no parse, no
@@ -29,10 +30,11 @@ reads as corrupt.
 Two value lanes share the store. Flow tables (the expensive values —
 observed and attack day tables) go through the record format above.
 Small derived reductions whose values are JSON-exact (per-port count
-dicts: string keys, int values) ride entirely in the sidecar with an
-empty record file, guarded by a round-trip equality check so anything
-JSON would distort — tuples, numpy scalars, event objects — is simply
-declined and stays memory-only.
+dicts with string keys and int values, hourly attack-count lists of
+ints) ride entirely in the sidecar with an empty record file, guarded
+by a round-trip equality check so anything JSON would distort — tuples,
+numpy scalars, event objects — is simply declined and stays
+memory-only.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ from repro.obs.metrics import metrics
 __all__ = ["DiskDayCache", "SIDECAR_SCHEMA", "DEFAULT_MAX_BYTES"]
 
 #: Sidecar schema identifier; bump on any layout change so old caches
-#: read as misses instead of misparsing.
-SIDECAR_SCHEMA = "repro.diskcache/1"
+#: read as misses instead of misparsing. Version 2: the deltas split
+#: into ``truth`` and ``vantage`` parts.
+SIDECAR_SCHEMA = "repro.diskcache/2"
 
 #: Default eviction budget for the data files (2 GiB ~= 40M records).
 DEFAULT_MAX_BYTES = 2 << 30

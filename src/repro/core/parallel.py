@@ -5,28 +5,36 @@ scenario's :class:`~repro.stats.rng.SeedSequenceTree` by *path* —
 ``("traffic", day)``, ``("observe", vantage, day)``, ``("demand", day)``
 and so on — never by drawing from a shared generator. A day's traffic
 therefore does not depend on which days were generated before it, in
-which order, or in which process. This module exploits that:
+which order, or in which process. This module exploits that with one
+engine, :func:`day_reductions`:
 
-* :class:`DaySpec` is a picklable recipe for one scenario-day (config +
-  day index + vantage + takedown), shipped to worker processes instead
-  of the live :class:`~repro.scenario.scenario.Scenario`;
-* each worker process reconstructs (or, under ``fork``, inherits) the
-  scenario once per config ``content_hash()`` and reuses it for every
-  day it executes;
-* day fans dispatch to the **persistent warm pool** owned by
-  :mod:`repro.core.workerpool` — spawned once per (executor, jobs,
-  config) and reused across all call sites, with day batching and,
-  for per-event-seeded scenarios, intra-day event-range sharding;
-* per-day results merge through order-independent reductions — series
-  arrays keyed by day, HyperLogLog register max, per-destination
-  max/sum — so ``jobs=1`` and ``jobs=N`` are **bit-identical** for
-  every executor mode.
+* a caller names, per vantage point, the :class:`Reduction` values it
+  wants for each day — the observed table itself (:data:`OBSERVED`),
+  per-selector packet counts (:func:`port_counts`), hourly conservative
+  attack counts (:func:`hourly_attacks`), or, at vantage ``None``, the
+  ground-truth attack table (:data:`ATTACK_TABLE`);
+* each day missing from the cache becomes **one** task that synthesizes
+  the ground truth once, observes it once per vantage still needed and
+  applies every requested reduction, so consumers of the same days
+  (fig4 and fig5) share one synthesis instead of one each;
+* tasks run inline or on the **persistent warm pool** owned by
+  :mod:`repro.core.workerpool` (spawned once per (executor, jobs,
+  config) and reused across call sites, with day batching and, for
+  per-event-seeded scenarios, intra-day event-range sharding), so
+  ``jobs=1`` and ``jobs=N`` are **bit-identical** for every executor.
 
-:class:`DayResultCache` is a process-wide LRU keyed by
-``(kind, config content hash, takedown, vantage, day, with_takedown)``.
-Experiments sharing day ranges (fig2b/fig2c/landscape, fig5 after fig2,
-victimization after honeypot) reuse each other's per-day work within a
-``repro-experiments`` run instead of regenerating the same days.
+:func:`observed_days`, :func:`daily_port_counts` and
+:func:`day_attack_tables` are thin wrappers that name their reduction;
+:func:`streaming_ingest` feeds observed tables through a mergeable
+analyzer.
+
+:class:`DayResultCache` is a process-wide LRU. Every flow-derived value
+lives under one key family, ``("day", config content hash, takedown,
+vantage, day, with_takedown, reduction key)``; only ground-truth event
+lists (:func:`day_events`) keep their own. A call caches only the
+values it asked for, so experiments sharing days (fig2b/fig2c/landscape,
+fig5 after fig4, victimization after honeypot) reuse each other's work
+without the cache holding whole tables nobody reads.
 """
 
 from __future__ import annotations
@@ -36,13 +44,15 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.booter.takedown import TakedownScenario
+from repro.core.classify import ClassifierThresholds
+from repro.core.victims import attacks_per_hour
 from repro.core.workerpool import (
     REPLAY_PREFIX as _REPLAY_PREFIX,
     WorkerPool,
@@ -58,17 +68,106 @@ from repro.scenario.config import ScenarioConfig
 from repro.scenario.scenario import DayTraffic, Scenario
 
 __all__ = [
+    "ATTACK_TABLE",
     "DaySpec",
     "DayResultCache",
+    "OBSERVED",
+    "Reduction",
     "day_cache",
     "resolve_jobs",
     "register_scenario",
+    "day_reductions",
+    "port_counts",
+    "hourly_attacks",
     "daily_port_counts",
     "observed_days",
     "streaming_ingest",
     "day_events",
     "day_attack_tables",
 ]
+
+SECONDS_PER_DAY = 86_400.0
+
+
+# -- reductions -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """One value the engine keeps per (day, vantage).
+
+    ``fn(day, data)`` maps the day's observed table at a vantage point —
+    or, requested at vantage ``None``, its ground-truth
+    :class:`~repro.scenario.scenario.DayTraffic` — to the value. ``key``
+    names the value in the cache and must pin down everything ``fn``
+    depends on. Values meant to persist in the disk tier must be flow
+    tables or JSON-exact (``dict[str, int]``, ``list[int]``). Equality
+    and hashing use ``key`` only, so two equal requests share entries.
+    """
+
+    key: tuple
+    fn: Callable[[int, Any], Any] = field(compare=False, repr=False)
+
+    def __call__(self, day: int, data: Any) -> Any:
+        return self.fn(day, data)
+
+
+def _observed_table(day: int, observed: FlowTable) -> FlowTable:
+    return observed
+
+
+def _attack_table(day: int, traffic: DayTraffic) -> FlowTable:
+    return traffic.attack
+
+
+def _port_counts(selectors: tuple[Any, ...], day: int, observed: FlowTable) -> dict[str, int]:
+    return {s.name: s.packets(observed) for s in selectors}
+
+
+def _hourly_attacks(
+    thresholds: ClassifierThresholds, sampling_factor: float, day: int, observed: FlowTable
+) -> list[int]:
+    hourly = attacks_per_hour(
+        observed,
+        day * SECONDS_PER_DAY,
+        (day + 1) * SECONDS_PER_DAY,
+        thresholds=thresholds,
+        sampling_factor=sampling_factor,
+    )
+    return hourly.tolist()
+
+
+#: The whole observed table of a (day, vantage).
+OBSERVED = Reduction(("observed",), _observed_table)
+
+#: The ground-truth attack flow table of a day (request it at vantage ``None``).
+ATTACK_TABLE = Reduction(("attack",), _attack_table)
+
+
+def port_counts(selectors: Iterable[Any]) -> Reduction:
+    """Packets per :class:`~repro.core.pipeline.TrafficSelector`, by name.
+
+    The value is ``dict[str, int]``; the key holds each selector's
+    (name, port, direction) in order.
+    """
+    selectors = tuple(selectors)
+    fingerprint = tuple((s.name, s.port, s.direction) for s in selectors)
+    return Reduction(("ports", fingerprint), partial(_port_counts, selectors))
+
+
+def hourly_attacks(
+    sampling_factor: float, thresholds: ClassifierThresholds = ClassifierThresholds()
+) -> Reduction:
+    """Systems under NTP attack per hour of the day (Figure 5).
+
+    The value is the day's 24 :func:`~repro.core.victims.attacks_per_hour`
+    counts as ``list[int]``.
+    """
+    sampling_factor = float(sampling_factor)
+    return Reduction(
+        ("hourly_attacks", sampling_factor, repr(thresholds)),
+        partial(_hourly_attacks, thresholds, sampling_factor),
+    )
 
 
 # -- day specs and worker-side scenario reconstruction ------------------------
@@ -80,8 +179,9 @@ class DaySpec:
 
     Carries everything a worker process needs to regenerate the day
     bit-identically: the full scenario config, the day index, the
-    vantage point (``None`` for ground-truth-only tasks), the takedown
-    flag, and the (possibly customized) takedown scenario to apply.
+    vantage point (``None`` for an engine task, whose vantages and
+    reductions travel alongside the spec), the takedown flag, and the
+    (possibly customized) takedown scenario to apply.
     """
 
     config: ScenarioConfig
@@ -114,30 +214,60 @@ def _materialize(spec: DaySpec | DayShardSpec) -> Scenario:
     return scenario
 
 
-# -- worker task functions (module-level: must pickle) ------------------------
+# -- the day task ---------------------------------------------------------------
+
+#: What one day task computes: per vantage (``None`` = ground truth), the
+#: reductions to apply.
+_Need = tuple[tuple[str | None, tuple[Reduction, ...]], ...]
 
 
-def _observed_task(spec: DaySpec) -> FlowTable:
-    scenario = _materialize(spec)
-    traffic = scenario.day_traffic(spec.day, with_takedown=spec.with_takedown)
-    return scenario.observe_day(spec.vantage, traffic)
+def _reduce_traffic(
+    scenario: Scenario, traffic: DayTraffic, need: _Need, truth: dict[str, float] | None
+) -> list[tuple[list[Any], dict[str, dict[str, float]] | None]]:
+    """Observe ``traffic`` once per vantage of ``need`` and reduce it.
+
+    Returns one ``(values, deltas)`` pair per vantage, aligned with
+    ``need``. ``deltas`` keeps the day's ground-truth counters
+    (``truth``, what synthesizing the day recorded) apart from the
+    counters of this vantage's observation, so a later replay can count
+    the ground truth once per day however many vantages it serves.
+    ``None`` when the registry is off.
+    """
+    registry = metrics()
+    out = []
+    for vantage, reductions in need:
+        observed: dict[str, float] | None = {}
+        if vantage is None:
+            data = traffic
+        else:
+            before = _counters_snapshot(registry)
+            data = scenario.observe_day(vantage, traffic)
+            observed = _counters_delta(registry, before)
+        deltas = None if truth is None else {"truth": truth, "vantage": observed}
+        out.append(([reduction(traffic.day, data) for reduction in reductions], deltas))
+    return out
 
 
-def _port_counts_task(spec: DaySpec, selectors: Sequence[Any]) -> dict[str, int]:
-    observed = _observed_task(spec)
-    return {s.name: s.packets(observed) for s in selectors}
+def _reduce_day(scenario: Scenario, day: int, with_takedown: bool, need: _Need) -> list:
+    """Synthesize ``day`` once, then :func:`_reduce_traffic` it."""
+    registry = metrics()
+    before = _counters_snapshot(registry)
+    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
+    return _reduce_traffic(scenario, traffic, need, _counters_delta(registry, before))
 
 
-def _attack_table_task(spec: DaySpec) -> FlowTable:
-    scenario = _materialize(spec)
-    traffic = scenario.day_traffic(spec.day, with_takedown=spec.with_takedown)
-    return traffic.attack
+def _day_task(item: tuple[DaySpec, _Need]) -> list:
+    """Pool task: one day of the engine, in a worker."""
+    spec, need = item
+    return _reduce_day(_materialize(spec), spec.day, spec.with_takedown, need)
 
 
 def _ingest_chunk_task(chunk: tuple[tuple[DaySpec, ...], Any]) -> Any:
     specs, analyzer = chunk
     for spec in specs:
-        analyzer.ingest_day(spec.day, _observed_task(spec))
+        scenario = _materialize(spec)
+        traffic = scenario.day_traffic(spec.day, with_takedown=spec.with_takedown)
+        analyzer.ingest_day(spec.day, scenario.observe_day(spec.vantage, traffic))
     return analyzer
 
 
@@ -197,66 +327,6 @@ def _effective_shards(scenario: Scenario, n_jobs: int, mode: str) -> int:
     return policy_shards if policy_shards > 0 else n_jobs
 
 
-def _pool_map(
-    fn: Callable[[Any], Any],
-    items: list[Any],
-    jobs: int,
-    scenario: Scenario | None = None,
-    executor: str | None = None,
-    batch_days: int | None = None,
-) -> list[Any]:
-    """Map ``fn`` over ``items`` on the warm worker pool (or inline).
-
-    Results come back in submission order, so callers can zip them with
-    their inputs. See :func:`_pool_map_with_deltas` for the metering
-    contract.
-    """
-    return [
-        result
-        for result, _ in _pool_map_with_deltas(
-            fn, items, jobs, scenario=scenario, executor=executor, batch_days=batch_days
-        )
-    ]
-
-
-def _pool_map_with_deltas(
-    fn: Callable[[Any], Any],
-    items: list[Any],
-    jobs: int,
-    scenario: Scenario | None = None,
-    executor: str | None = None,
-    batch_days: int | None = None,
-) -> list[tuple[Any, dict[str, float] | None]]:
-    """:func:`_pool_map`, but each result is paired with the ``scenario.*``
-    counter deltas its task recorded (``None`` when the registry is off).
-
-    Per-day deltas are what the cache stores alongside each day result so
-    a later cache hit can replay them — see :func:`_cache_get`. Pooled
-    fans go to the persistent :func:`repro.core.workerpool.get_pool`
-    executor (``scenario`` keys the pool and must be provided); the
-    inline path records the same ``pool.*`` counter family with one
-    worker, so ``--jobs 1`` profiles stay comparable with pooled runs.
-    """
-    registry = metrics()
-    mode = _resolve_executor(executor)
-    n_jobs = resolve_jobs(jobs)
-    if not _use_pool(mode, n_jobs, len(items)):
-        start = time.perf_counter()
-        out = []
-        for item in items:
-            before = _counters_snapshot(registry)
-            result = fn(item)
-            out.append((result, _counters_delta(registry, before)))
-        record_inline_pool(registry, len(items), time.perf_counter() - start)
-        return out
-    if scenario is None:
-        raise ValueError("pooled _pool_map_with_deltas needs the scenario (keys the pool)")
-    if batch_days is None:
-        batch_days = execution_policy().batch_days
-    pool = get_pool(scenario, n_jobs, mode)
-    return pool.map_with_deltas(fn, items, batch=batch_days or None)
-
-
 def _sharded_day_traffic(
     scenario: Scenario,
     pool: WorkerPool,
@@ -314,13 +384,8 @@ def _counters_delta(
     }
 
 
-def _cache_put(key: tuple, value: Any, deltas: dict[str, float] | None) -> None:
-    """Cache a day result together with the scenario counters it recorded."""
-    _DAY_CACHE.put(key, (value, deltas))
-
-
-def _cache_get(key: tuple) -> tuple[Any, dict[str, float] | None] | None:
-    """A cached ``(value, deltas)`` entry, replaying the deltas.
+def _replay(part: dict[str, float] | None) -> None:
+    """Add one part of a cached entry's deltas to the active registry.
 
     Replay makes a hit indistinguishable from regeneration as far as the
     ``scenario.*`` counters are concerned. Entries cached while the
@@ -328,15 +393,19 @@ def _cache_get(key: tuple) -> tuple[Any, dict[str, float] | None] | None:
     runner invocation the enabled state is constant, so exports stay
     strategy-independent.
     """
-    entry = _DAY_CACHE.get(key)
-    if entry is None:
-        return None
-    value, deltas = entry
     registry = metrics()
-    if registry.enabled and deltas:
-        for name, amount in deltas.items():
+    if registry.enabled and part:
+        for name, amount in part.items():
             registry.inc(name, amount)
-    return value, deltas
+
+
+def _cache_get(key: tuple) -> tuple[Any, dict[str, dict[str, float]] | None] | None:
+    """A cached ``(value, deltas)`` entry, replaying both parts of its deltas."""
+    entry = _DAY_CACHE.get(key)
+    if entry is not None and entry[1] is not None:
+        _replay(entry[1]["truth"])
+        _replay(entry[1]["vantage"])
+    return entry
 
 
 def _approx_nbytes(value: Any) -> int:
@@ -344,7 +413,7 @@ def _approx_nbytes(value: Any) -> int:
 
     Exact for flow tables and numpy arrays (column buffer sizes),
     recursive for the containers the pipeline caches (count dicts,
-    event lists), ``sys.getsizeof`` for everything else.
+    hourly lists, event lists), ``sys.getsizeof`` for everything else.
     """
     if isinstance(value, FlowTable):
         return int(sum(value[name].nbytes for name in SCHEMA))
@@ -360,11 +429,12 @@ def _approx_nbytes(value: Any) -> int:
 class DayResultCache:
     """Bounded LRU cache of per-day results, content-addressed by config.
 
-    Values are whatever the pipeline helpers store per day: observed
-    flow tables, per-selector packet counts, ground-truth event lists or
-    attack tables. Keys embed the scenario config's ``content_hash()``
-    (seed included) and the takedown scenario, so two different worlds
-    never collide and two identically-configured scenarios share.
+    Entries are ``(value, deltas)`` pairs: a day's :class:`Reduction`
+    values (observed or attack tables, port counts, hourly counts) and
+    its ground-truth event lists. Keys embed the scenario config's
+    ``content_hash()`` (seed included) and the takedown scenario, so two
+    different worlds never collide and two identically-configured
+    scenarios share.
 
     Every lookup and insert also feeds the active metrics registry
     (``cache.hits`` / ``cache.misses`` / ``cache.evictions`` /
@@ -525,7 +595,157 @@ def _key(
     return (kind, config_hash, repr(takedown), vantage, int(day), bool(with_takedown), extra)
 
 
-# -- public day-pipeline helpers ----------------------------------------------
+# -- the day-reduction engine ---------------------------------------------------
+
+
+def _with_observed(need: _Need) -> _Need:
+    return tuple(
+        (vantage, reductions if vantage is None or OBSERVED in reductions else reductions + (OBSERVED,))
+        for vantage, reductions in need
+    )
+
+
+def _reduce_days(
+    scenario: Scenario,
+    days: Iterable[int],
+    requests: Mapping[str | None, Sequence[Reduction]],
+    with_takedown: bool,
+    jobs: int,
+    cache: bool,
+    executor: str | None,
+    batch_days: int | None,
+    keep_observed: bool = False,
+) -> dict[tuple[str | None, Reduction], list[Any]]:
+    """The engine behind :func:`day_reductions` and its wrappers.
+
+    Per day: every requested (vantage, reduction) is looked up; a
+    vantage with misses is reduced from its cached observed table when
+    there is one; a day that still needs some vantage becomes one task.
+    ``keep_observed`` also caches the observed tables that tasks run in
+    this process produce, so later whole-table reads of those days hit.
+    """
+    days = [int(d) for d in days]
+    requests = {vantage: tuple(reductions) for vantage, reductions in requests.items() if reductions}
+    config_hash, takedown = _context(scenario)
+    registry = metrics()
+
+    def key(vantage: str | None, day: int, reduction: Reduction) -> tuple:
+        return _key("day", config_hash, takedown, vantage, day, with_takedown, reduction.key)
+
+    found: dict[tuple[str | None, Reduction], dict[int, Any]] = {
+        (vantage, reduction): {} for vantage, reductions in requests.items() for reduction in reductions
+    }
+    todo: list[tuple[int, _Need]] = []
+    for day in dict.fromkeys(days):
+        need = []
+        truth = None
+        satisfied = []
+        for vantage, reductions in requests.items():
+            entries = {r: _DAY_CACHE.get(key(vantage, day, r)) if cache else None for r in reductions}
+            missing = tuple(r for r in reductions if entries[r] is None)
+            if missing and cache and vantage is not None and OBSERVED not in reductions:
+                table = _DAY_CACHE.get(key(vantage, day, OBSERVED))
+                if table is not None:
+                    for r in missing:
+                        entries[r] = (r(day, table[0]), table[1])
+                        _DAY_CACHE.put(key(vantage, day, r), entries[r])
+                    missing = ()
+            for r, entry in entries.items():
+                if entry is not None:
+                    found[vantage, r][day] = entry[0]
+            if missing:
+                need.append((vantage, missing))
+                continue
+            deltas = entries[reductions[0]][1]
+            if deltas is not None:
+                truth = deltas["truth"]
+                satisfied.append(deltas["vantage"])
+        # A day served from the cache counts like a computed one: each
+        # vantage's observation once, and the ground truth once unless
+        # the day is synthesized again below (which counts it live).
+        for part in satisfied:
+            _replay(part)
+        if need:
+            todo.append((day, tuple(need)))
+        else:
+            _replay(truth)
+
+    def store(day: int, need: _Need, result: list) -> None:
+        for (vantage, reductions), (values, deltas) in zip(need, result):
+            for reduction, value in zip(reductions, values):
+                if cache:
+                    _DAY_CACHE.put(key(vantage, day, reduction), (value, deltas))
+                if (vantage, reduction) in found:
+                    found[vantage, reduction][day] = value
+
+    if todo:
+        registry.inc("parallel.days_dispatched", len(todo))
+        n_jobs = resolve_jobs(jobs)
+        mode = _resolve_executor(executor)
+        n_shards = _effective_shards(scenario, n_jobs, mode)
+        sharded = n_shards > 1 and len(todo) < n_jobs
+        if not sharded and _use_pool(mode, n_jobs, len(todo)):
+            if batch_days is None:
+                batch_days = execution_policy().batch_days
+            items = [(DaySpec(scenario.config, day, None, with_takedown, takedown), need) for day, need in todo]
+            pairs = get_pool(scenario, n_jobs, mode).map_with_deltas(
+                _day_task, items, batch=batch_days or None
+            )
+            for (day, need), (result, deltas) in zip(todo, pairs):
+                if deltas is None:  # unmetered workers: nothing to replay later
+                    result = [(values, None) for values, _ in result]
+                store(day, need, result)
+        else:
+            if keep_observed and cache:
+                todo = [(day, _with_observed(need)) for day, need in todo]
+            start = time.perf_counter()
+            pool = get_pool(scenario, n_jobs, mode) if sharded else None
+            for day, need in todo:
+                if pool is None:
+                    result = _reduce_day(scenario, day, with_takedown, need)
+                else:
+                    before = _counters_snapshot(registry)
+                    traffic = _sharded_day_traffic(scenario, pool, day, with_takedown, takedown, n_shards)
+                    result = _reduce_traffic(scenario, traffic, need, _counters_delta(registry, before))
+                store(day, need, result)
+            if pool is None:
+                record_inline_pool(registry, len(todo), time.perf_counter() - start)
+    return {request: [values[day] for day in days] for request, values in found.items()}
+
+
+def day_reductions(
+    scenario: Scenario,
+    days: Iterable[int],
+    requests: Mapping[str | None, Sequence[Reduction]],
+    with_takedown: bool = True,
+    jobs: int = 1,
+    cache: bool = False,
+    executor: str | None = None,
+    batch_days: int | None = None,
+) -> dict[tuple[str | None, Reduction], list[Any]]:
+    """Apply every requested reduction to every day, synthesizing each day once.
+
+    ``requests`` maps a vantage point (``'ixp'`` | ``'tier1'`` |
+    ``'tier2'``, or ``None`` for ground-truth reductions) to the
+    :class:`Reduction` values wanted there. Returns, per
+    ``(vantage, reduction)``, one value per day in ``days`` order.
+
+    With ``cache``, each value is cached per (reduction, day) and only
+    the requested values are kept. A (day, vantage) whose observed table
+    is already cached is reduced from that table in this process. Each
+    remaining day is one task — inline, or on the warm pool (``jobs``,
+    ``executor``, ``batch_days`` per dispatch), or with its event range
+    sharded over the pool for per-event-seeded scenarios — that
+    synthesizes the ground truth once and observes it once per vantage
+    still needed. Results and the ``scenario.*`` counters are the same
+    for every strategy and cache state: per day, the ground truth counts
+    once and each requested vantage's observation once.
+    """
+    with metrics().span("parallel.day_reductions"):
+        return _reduce_days(scenario, days, requests, with_takedown, jobs, cache, executor, batch_days)
+
+
+# -- wrappers ---------------------------------------------------------------------
 
 
 def observed_days(
@@ -540,71 +760,14 @@ def observed_days(
 ) -> list[FlowTable]:
     """One observed flow table per day, in ``days`` order.
 
-    Cache-aware and parallel: cached days are returned immediately, the
-    rest fan out over the warm worker pool (``jobs``/``executor``, with
-    ``batch_days`` specs per task) or run inline. When fewer missing
-    days than workers remain and the scenario uses per-event seeding,
-    each day's event range is sharded across the pool instead (see
-    :func:`_sharded_day_traffic`).
+    The :data:`OBSERVED` reduction of :func:`day_reductions`: cached days
+    are returned immediately, the rest fan out over the warm worker pool
+    or run inline, with the whole tables cached.
     """
     with metrics().span("parallel.observed_days"):
-        days = [int(d) for d in days]
-        config_hash, takedown = _context(scenario)
-        results: dict[int, FlowTable] = {}
-        missing: list[int] = []
-        for day in days:
-            if cache:
-                hit = _cache_get(_key("observed", config_hash, takedown, vantage, day, with_takedown))
-                if hit is not None:
-                    results[day] = hit[0]
-                    continue
-            missing.append(day)
-        if missing:
-            n_jobs = resolve_jobs(jobs)
-            mode = _resolve_executor(executor)
-            registry = metrics()
-            registry.inc("parallel.days_dispatched", len(missing))
-            n_shards = _effective_shards(scenario, n_jobs, mode)
-            if n_shards > 1 and len(missing) < n_jobs:
-                pool = get_pool(scenario, n_jobs, mode)
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(
-                        scenario, pool, day, with_takedown, takedown, n_shards
-                    )
-                    table = scenario.observe_day(vantage, traffic)
-                    results[day] = table
-                    if cache:
-                        _cache_put(
-                            _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                            table,
-                            _counters_delta(registry, before),
-                        )
-                return [results[day] for day in days]
-            specs = [DaySpec(scenario.config, d, vantage, with_takedown, takedown) for d in missing]
-            if _use_pool(mode, n_jobs, len(specs)):
-                pairs = _pool_map_with_deltas(
-                    _observed_task, specs, n_jobs,
-                    scenario=scenario, executor=mode, batch_days=batch_days,
-                )
-            else:
-                pairs = []
-                start = time.perf_counter()
-                for spec in specs:
-                    before = _counters_snapshot(registry)
-                    traffic = scenario.day_traffic(spec.day, with_takedown=with_takedown)
-                    table = scenario.observe_day(vantage, traffic)
-                    pairs.append((table, _counters_delta(registry, before)))
-                record_inline_pool(registry, len(specs), time.perf_counter() - start)
-            for day, (table, deltas) in zip(missing, pairs):
-                results[day] = table
-                if cache:
-                    _cache_put(
-                        _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                        table,
-                        deltas,
-                    )
-        return [results[day] for day in days]
+        return _reduce_days(
+            scenario, days, {vantage: (OBSERVED,)}, with_takedown, jobs, cache, executor, batch_days
+        )[vantage, OBSERVED]
 
 
 def daily_port_counts(
@@ -620,97 +783,20 @@ def daily_port_counts(
 ) -> dict[int, dict[str, int]]:
     """Per-day packet counts per selector, keyed by day.
 
-    Process workers ship back only the reduced counts (never flow
-    tables); thread workers share memory anyway. With the cache
-    enabled, a day is served from its cached counts, derived from a
-    cached observed table if one exists, or regenerated.
+    The :func:`port_counts` reduction of :func:`day_reductions`. Process
+    workers ship back only the counts (never flow tables). Days computed
+    in this process also cache their observed tables, so later
+    whole-table requests for the same days (the serving plane's per-day
+    payloads) are hits.
     """
     with metrics().span("parallel.daily_port_counts"):
-        selectors = list(selectors)
-        fingerprint = tuple((s.name, s.port, s.direction) for s in selectors)
-        config_hash, takedown = _context(scenario)
-        counts: dict[int, dict[str, int]] = {}
-        missing: list[int] = []
-        for day in [int(d) for d in days]:
-            if cache:
-                ports_key = _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint)
-                hit = _cache_get(ports_key)
-                if hit is not None:
-                    counts[day] = hit[0]
-                    continue
-                observed_hit = _cache_get(
-                    _key("observed", config_hash, takedown, vantage, day, with_takedown)
-                )
-                if observed_hit is not None:
-                    observed, deltas = observed_hit
-                    counts[day] = {s.name: s.packets(observed) for s in selectors}
-                    _cache_put(ports_key, counts[day], deltas)
-                    continue
-            missing.append(day)
-        if missing:
-            n_jobs = resolve_jobs(jobs)
-            mode = _resolve_executor(executor)
-            registry = metrics()
-            registry.inc("parallel.days_dispatched", len(missing))
-            n_shards = _effective_shards(scenario, n_jobs, mode)
-            specs = [DaySpec(scenario.config, d, vantage, with_takedown, takedown) for d in missing]
-            if n_shards > 1 and len(missing) < n_jobs:
-                pool = get_pool(scenario, n_jobs, mode)
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(
-                        scenario, pool, day, with_takedown, takedown, n_shards
-                    )
-                    observed = scenario.observe_day(vantage, traffic)
-                    counts[day] = {s.name: s.packets(observed) for s in selectors}
-                    if cache:
-                        deltas = _counters_delta(registry, before)
-                        _cache_put(
-                            _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                            observed,
-                            deltas,
-                        )
-                        _cache_put(
-                            _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint),
-                            counts[day],
-                            deltas,
-                        )
-            elif _use_pool(mode, n_jobs, len(specs)):
-                fresh = _pool_map_with_deltas(
-                    partial(_port_counts_task, selectors=selectors), specs, n_jobs,
-                    scenario=scenario, executor=mode, batch_days=batch_days,
-                )
-                for day, (value, deltas) in zip(missing, fresh):
-                    counts[day] = value
-                    if cache:
-                        _cache_put(
-                            _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint),
-                            value,
-                            deltas,
-                        )
-            else:
-                # Serial: also cache the observed table so later experiments
-                # over the same days (any reduction) can reuse it.
-                start = time.perf_counter()
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-                    observed = scenario.observe_day(vantage, traffic)
-                    counts[day] = {s.name: s.packets(observed) for s in selectors}
-                    if cache:
-                        deltas = _counters_delta(registry, before)
-                        _cache_put(
-                            _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                            observed,
-                            deltas,
-                        )
-                        _cache_put(
-                            _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint),
-                            counts[day],
-                            deltas,
-                        )
-                record_inline_pool(registry, len(missing), time.perf_counter() - start)
-        return counts
+        days = [int(d) for d in days]
+        reduction = port_counts(selectors)
+        counts = _reduce_days(
+            scenario, days, {vantage: (reduction,)}, with_takedown, jobs, cache, executor,
+            batch_days, keep_observed=True,
+        )[vantage, reduction]
+        return dict(zip(days, counts))
 
 
 def streaming_ingest(
@@ -726,72 +812,61 @@ def streaming_ingest(
 ) -> Any:
     """Feed ``days`` through ``analyzer``, optionally over the pool.
 
-    With ``jobs > 1`` the analyzer must implement the merge protocol
-    (``clone_empty()`` + ``merge(other)``); each worker chunk ingests
-    into its own clone and the clones fold back order-independently.
-    Cached observed days are ingested directly in the parent. Days are
-    pre-chunked to ``batch_days`` per clone (auto-sized by default), so
-    the pool maps the chunks one task each.
+    Serially, each day's observed table is the engine's :data:`OBSERVED`
+    value (cached under the engine's key), one day at a time. With ``jobs > 1``
+    the analyzer must implement the merge protocol (``clone_empty()`` +
+    ``merge(other)``): cached observed days are ingested in the parent,
+    and the rest are pre-chunked to ``batch_days`` per clone (auto-sized
+    by default), one pool task per chunk, whose clones fold back
+    order-independently.
     """
     with metrics().span("parallel.streaming_ingest"):
         days = [int(d) for d in days]
+        n_jobs = resolve_jobs(jobs)
+        mode = _resolve_executor(executor)
+        if not _use_pool(mode, n_jobs, len(days)):
+            for day in days:
+                observed = _reduce_days(
+                    scenario, [day], {vantage: (OBSERVED,)}, with_takedown, 1, cache, mode, batch_days
+                )[vantage, OBSERVED][0]
+                analyzer.ingest_day(day, observed)
+            return analyzer
+        if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
+            raise TypeError(
+                "parallel collect_streaming needs an analyzer with the merge "
+                "protocol (clone_empty() and merge()); got "
+                f"{type(analyzer).__name__}"
+            )
         config_hash, takedown = _context(scenario)
         pending: list[int] = []
         for day in days:
             if cache:
-                hit = _cache_get(_key("observed", config_hash, takedown, vantage, day, with_takedown))
+                hit = _cache_get(_key("day", config_hash, takedown, vantage, day, with_takedown, OBSERVED.key))
                 if hit is not None:
                     analyzer.ingest_day(day, hit[0])
                     continue
             pending.append(day)
         if not pending:
             return analyzer
-        n_jobs = resolve_jobs(jobs)
-        mode = _resolve_executor(executor)
-        registry = metrics()
-        registry.inc("parallel.days_dispatched", len(pending))
-        if _use_pool(mode, n_jobs, len(pending)):
-            if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
-                raise TypeError(
-                    "parallel collect_streaming needs an analyzer with the merge "
-                    "protocol (clone_empty() and merge()); got "
-                    f"{type(analyzer).__name__}"
-                )
-            pool = get_pool(scenario, n_jobs, mode)
-            if batch_days is None:
-                batch_days = execution_policy().batch_days
-            chunk_size = pool.resolve_batch(len(pending), batch_days or None)
-            chunks = [
-                pending[i : i + chunk_size] for i in range(0, len(pending), chunk_size)
-            ]
-            tasks = [
-                (
-                    tuple(DaySpec(scenario.config, d, vantage, with_takedown, takedown) for d in chunk),
-                    analyzer.clone_empty(),
-                )
-                for chunk in chunks
-            ]
-            # Each task is already a chunk of days sharing one analyzer
-            # clone, so the pool maps them unbatched (batch=1).
-            for part in _pool_map(
-                _ingest_chunk_task, tasks, n_jobs,
-                scenario=scenario, executor=mode, batch_days=1,
-            ):
-                analyzer.merge(part)
-        else:
-            start = time.perf_counter()
-            for day in pending:
-                before = _counters_snapshot(registry)
-                traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-                observed = scenario.observe_day(vantage, traffic)
-                if cache:
-                    _cache_put(
-                        _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                        observed,
-                        _counters_delta(registry, before),
-                    )
-                analyzer.ingest_day(day, observed)
-            record_inline_pool(registry, len(pending), time.perf_counter() - start)
+        metrics().inc("parallel.days_dispatched", len(pending))
+        pool = get_pool(scenario, n_jobs, mode)
+        if batch_days is None:
+            batch_days = execution_policy().batch_days
+        chunk_size = pool.resolve_batch(len(pending), batch_days or None)
+        tasks = [
+            (
+                tuple(
+                    DaySpec(scenario.config, d, vantage, with_takedown, takedown)
+                    for d in pending[i : i + chunk_size]
+                ),
+                analyzer.clone_empty(),
+            )
+            for i in range(0, len(pending), chunk_size)
+        ]
+        # Each task is already a chunk of days sharing one analyzer
+        # clone, so the pool maps them unbatched (batch=1).
+        for part, _ in pool.map_with_deltas(_ingest_chunk_task, tasks, batch=1):
+            analyzer.merge(part)
         return analyzer
 
 
@@ -801,7 +876,11 @@ def day_events(
     with_takedown: bool = True,
     cache: bool = False,
 ) -> list:
-    """Ground-truth attack events for ``day`` (cached; no flow synthesis)."""
+    """Ground-truth attack events for ``day`` (cached; no flow synthesis).
+
+    Event lists are not flow values, so they keep their own ``"events"``
+    key family instead of the engine's.
+    """
     config_hash, takedown = _context(scenario)
     key = _key("events", config_hash, takedown, None, day, with_takedown)
     if cache:
@@ -812,7 +891,8 @@ def day_events(
     before = _counters_snapshot(registry)
     events = scenario.day_events(day, with_takedown=with_takedown)
     if cache:
-        _cache_put(key, events, _counters_delta(registry, before))
+        truth = _counters_delta(registry, before)
+        _DAY_CACHE.put(key, (events, None if truth is None else {"truth": truth, "vantage": {}}))
     return events
 
 
@@ -825,53 +905,11 @@ def day_attack_tables(
     executor: str | None = None,
     batch_days: int | None = None,
 ) -> list[FlowTable]:
-    """Ground-truth attack flow tables per day, in ``days`` order."""
+    """Ground-truth attack flow tables per day, in ``days`` order.
+
+    The :data:`ATTACK_TABLE` reduction of :func:`day_reductions`.
+    """
     with metrics().span("parallel.day_attack_tables"):
-        days = [int(d) for d in days]
-        config_hash, takedown = _context(scenario)
-        results: dict[int, FlowTable] = {}
-        missing: list[int] = []
-        for day in days:
-            if cache:
-                hit = _cache_get(_key("attack", config_hash, takedown, None, day, with_takedown))
-                if hit is not None:
-                    results[day] = hit[0]
-                    continue
-            missing.append(day)
-        if missing:
-            n_jobs = resolve_jobs(jobs)
-            mode = _resolve_executor(executor)
-            registry = metrics()
-            registry.inc("parallel.days_dispatched", len(missing))
-            n_shards = _effective_shards(scenario, n_jobs, mode)
-            if n_shards > 1 and len(missing) < n_jobs:
-                pool = get_pool(scenario, n_jobs, mode)
-                pairs = []
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(
-                        scenario, pool, day, with_takedown, takedown, n_shards
-                    )
-                    pairs.append((traffic.attack, _counters_delta(registry, before)))
-            else:
-                specs = [DaySpec(scenario.config, d, None, with_takedown, takedown) for d in missing]
-                if _use_pool(mode, n_jobs, len(specs)):
-                    pairs = _pool_map_with_deltas(
-                        _attack_table_task, specs, n_jobs,
-                        scenario=scenario, executor=mode, batch_days=batch_days,
-                    )
-                else:
-                    pairs = []
-                    start = time.perf_counter()
-                    for d in missing:
-                        before = _counters_snapshot(registry)
-                        table = scenario.day_traffic(d, with_takedown=with_takedown).attack
-                        pairs.append((table, _counters_delta(registry, before)))
-                    record_inline_pool(registry, len(missing), time.perf_counter() - start)
-            for day, (table, deltas) in zip(missing, pairs):
-                results[day] = table
-                if cache:
-                    _cache_put(
-                        _key("attack", config_hash, takedown, None, day, with_takedown), table, deltas
-                    )
-        return [results[day] for day in days]
+        return _reduce_days(
+            scenario, days, {None: (ATTACK_TABLE,)}, with_takedown, jobs, cache, executor, batch_days
+        )[None, ATTACK_TABLE]

@@ -125,51 +125,40 @@ def collect_daily_port_series(
         trace_args={"vantage": vantage, "day_start": int(start), "day_end": int(end)},
     ):
         metrics().inc("pipeline.days_processed", int(days.size))
-        if jobs != 1 or cache:
-            from repro.core.parallel import daily_port_counts, observed_days, resolve_jobs
+        from repro.core.parallel import daily_port_counts, observed_days, resolve_jobs
 
-            if per_day_hook is not None:
-                if resolve_jobs(jobs) > 1:
-                    hook_name = (
-                        getattr(per_day_hook, "__qualname__", None) or repr(per_day_hook)
-                    )
-                    raise ValueError(
-                        f"collect_daily_port_series(per_day_hook={hook_name}, "
-                        f"jobs={jobs}) is invalid: per-day hooks cannot be "
-                        f"shipped to worker processes, so per_day_hook "
-                        f"requires jobs=1"
-                    )
-                for i, day in enumerate(days):
-                    observed = observed_days(
-                        scenario, vantage, [int(day)], with_takedown, jobs=1, cache=cache
-                    )[0]
-                    for selector in selectors:
-                        out[selector.name][i] = selector.packets(observed)
-                    per_day_hook(int(day), observed)
-            else:
-                counts = daily_port_counts(
-                    scenario,
-                    vantage,
-                    selectors,
-                    [int(d) for d in days],
-                    with_takedown,
-                    jobs=jobs,
-                    cache=cache,
-                    executor=executor,
-                    batch_days=batch_days,
+        if per_day_hook is not None:
+            if resolve_jobs(jobs) > 1:
+                hook_name = getattr(per_day_hook, "__qualname__", None) or repr(per_day_hook)
+                raise ValueError(
+                    f"collect_daily_port_series(per_day_hook={hook_name}, "
+                    f"jobs={jobs}) is invalid: per-day hooks cannot be "
+                    f"shipped to worker processes, so per_day_hook "
+                    f"requires jobs=1"
                 )
-                for i, day in enumerate(days):
-                    for selector in selectors:
-                        out[selector.name][i] = counts[int(day)][selector.name]
+            for i, day in enumerate(days):
+                observed = observed_days(
+                    scenario, vantage, [int(day)], with_takedown, jobs=1, cache=cache
+                )[0]
+                for selector in selectors:
+                    out[selector.name][i] = selector.packets(observed)
+                per_day_hook(int(day), observed)
             return DailyPortSeries(days=days, series=out)
 
+        counts = daily_port_counts(
+            scenario,
+            vantage,
+            selectors,
+            [int(d) for d in days],
+            with_takedown,
+            jobs=jobs,
+            cache=cache,
+            executor=executor,
+            batch_days=batch_days,
+        )
         for i, day in enumerate(days):
-            traffic = scenario.day_traffic(int(day), with_takedown=with_takedown)
-            observed = scenario.observe_day(vantage, traffic)
             for selector in selectors:
-                out[selector.name][i] = selector.packets(observed)
-            if per_day_hook is not None:
-                per_day_hook(int(day), observed)
+                out[selector.name][i] = counts[int(day)][selector.name]
         return DailyPortSeries(days=days, series=out)
 
 
@@ -204,21 +193,16 @@ def collect_streaming(
         trace_args={"vantage": vantage, "day_start": int(start), "day_end": int(end)},
     ):
         metrics().inc("pipeline.days_processed", end - start)
-        if jobs != 1 or cache:
-            from repro.core.parallel import streaming_ingest
+        from repro.core.parallel import streaming_ingest
 
-            return streaming_ingest(
-                scenario,
-                vantage,
-                analyzer,
-                range(start, end),
-                with_takedown,
-                jobs=jobs,
-                cache=cache,
-                executor=executor,
-                batch_days=batch_days,
-            )
-        for day in range(start, end):
-            traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-            analyzer.ingest_day(day, scenario.observe_day(vantage, traffic))
-        return analyzer
+        return streaming_ingest(
+            scenario,
+            vantage,
+            analyzer,
+            range(start, end),
+            with_takedown,
+            jobs=jobs,
+            cache=cache,
+            executor=executor,
+            batch_days=batch_days,
+        )

@@ -5,16 +5,19 @@ NTP packets, more than 10 amplifiers, >1 Gbps peak) hour by hour at the
 IXP, then runs the same Welch methodology as Figure 4. The paper's
 central negative finding: no significant reduction after the takedown.
 
-The hourly reduction runs through :func:`repro.core.pipeline.collect_streaming`
-with a :class:`~repro.core.streaming.StreamingAnalyzer`, so it
-parallelizes over days (``--jobs``) and reuses cached observed days from
-earlier experiments (``--cache``) with bit-identical results.
+The hourly counts are one :func:`repro.core.parallel.day_reductions`
+value per day (:func:`hourly_attack_counts`), so they parallelize over
+days (``--jobs``) with bit-identical results. fig4 asks for the same
+value over the same days, so after fig4 every day is a cache hit
+(``--cache``); a cached observed IXP table is reduced in place, and only
+days with neither are synthesized.
 """
 
 from __future__ import annotations
 
-from repro.core.pipeline import collect_streaming
-from repro.core.streaming import StreamingAnalyzer
+import numpy as np
+
+from repro.core.parallel import Reduction, day_reductions, hourly_attacks
 from repro.core.takedown_analysis import analyze_takedown
 from repro.experiments.base import (
     ExperimentConfig,
@@ -22,8 +25,14 @@ from repro.experiments.base import (
     build_scenario,
     format_table,
 )
+from repro.scenario import Scenario
 
-__all__ = ["run"]
+__all__ = ["run", "hourly_attack_counts"]
+
+
+def hourly_attack_counts(scenario: Scenario) -> Reduction:
+    """Figure 5's per-day value at the IXP: 24 conservative attack counts."""
+    return hourly_attacks(float(scenario.config.ixp_sampling))
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -31,24 +40,19 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     scenario = build_scenario(config)
     takedown_day = scenario.config.takedown_day
     day_range = (40, scenario.config.n_days - 1)
-    sampling = float(scenario.config.ixp_sampling)
 
-    analyzer = StreamingAnalyzer(
-        [], n_days=scenario.config.n_days, sampling_factor=sampling
-    )
-    collect_streaming(
+    reduction = hourly_attack_counts(scenario)
+    per_day = day_reductions(
         scenario,
-        "ixp",
-        analyzer,
-        day_range=day_range,
+        range(*day_range),
+        {"ixp": (reduction,)},
         jobs=config.jobs,
         cache=config.use_cache,
         executor=config.executor,
         batch_days=config.batch_days,
-    )
-    start, end = day_range
-    daily = analyzer.daily_attack_counts()[start:end].astype(float)
-    hourly_series = analyzer.hourly_attacks[start * 24 : end * 24]
+    )["ixp", reduction]
+    hourly_series = np.array(per_day, dtype=np.int64).reshape(-1)
+    daily = hourly_series.reshape(-1, 24).sum(axis=1).astype(float)
 
     takedown_index = takedown_day - day_range[0]
     report = analyze_takedown(

@@ -181,28 +181,34 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: run the requested experiments, print their reports."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     configure_cli_logging(args.log_level)
     ids = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         _log.error("unknown experiments: %s", ", ".join(unknown))
         return 2
-    config = ExperimentConfig(
-        preset=args.preset,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache=args.cache,
-        cache_dir=args.cache_dir,
-        shm_threshold=args.shm_threshold,
-        metrics_out=args.metrics_out,
-        executor=args.executor,
-        batch_days=args.batch_days,
-        day_shards=args.day_shards,
-    )
-    disk = None
-    if args.cache_dir:
-        disk = DiskDayCache(args.cache_dir, max_bytes=args.cache_max_bytes)
+    # Out-of-range numbers are usage errors (exit 2), not tracebacks.
+    try:
+        config = ExperimentConfig(
+            preset=args.preset,
+            seed=args.seed,
+            jobs=args.jobs,
+            cache=args.cache,
+            cache_dir=args.cache_dir,
+            shm_threshold=args.shm_threshold,
+            metrics_out=args.metrics_out,
+            executor=args.executor,
+            batch_days=args.batch_days,
+            day_shards=args.day_shards,
+        )
+        disk = None
+        if args.cache_dir:
+            disk = DiskDayCache(args.cache_dir, max_bytes=args.cache_max_bytes)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if disk is not None:
         day_cache().attach_disk(disk)
         _log.info(
             "disk cache attached at %s (%d entries, %.1f MB resident)",

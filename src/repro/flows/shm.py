@@ -33,6 +33,7 @@ count the shared-memory lane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,14 +106,29 @@ def _untrack(block) -> None:
         pass
 
 
+#: Result containers whose items :func:`wrap_table`/:func:`unwrap_table`
+#: visit (exact types only: subclasses such as named tuples pass through).
+_CONTAINERS = (list, tuple, dict)
+
+
+def _map_container(obj: list | tuple | dict, fn):
+    if type(obj) is dict:
+        return {key: fn(value) for key, value in obj.items()}
+    return type(obj)(fn(item) for item in obj)
+
+
 def wrap_table(table: object, threshold: int | None = None):
     """Park ``table`` in shared memory if it is big enough; else passthrough.
 
     Called in the *worker* on a day result before it is pickled back.
-    Returns either the object unchanged or a :class:`ShmTableHandle`.
-    Never raises for transport reasons: any failure to provision the
-    block falls back to returning the table itself.
+    Returns either the object unchanged or a :class:`ShmTableHandle`; a
+    plain list, tuple or dict result (a fused day task's per-vantage
+    values) comes back as a copy with each table inside wrapped. Never
+    raises for transport reasons: any failure to provision the block
+    falls back to returning the table itself.
     """
+    if type(table) in _CONTAINERS:
+        return _map_container(table, partial(wrap_table, threshold=threshold))
     if threshold is None:
         threshold = _threshold_bytes
     if (
@@ -156,8 +172,11 @@ def unwrap_table(obj: object):
     Called in the *parent* on each raw pool result. For a handle, the
     records are copied out of the block exactly once and the block is
     unlinked; for a plain FlowTable the payload bytes are credited to
-    ``pool.pipe_bytes``. Any other object passes through untouched.
+    ``pool.pipe_bytes``. A plain list, tuple or dict is resolved item by
+    item; any other object passes through untouched.
     """
+    if type(obj) in _CONTAINERS:
+        return _map_container(obj, unwrap_table)
     reg = metrics()
     if not isinstance(obj, ShmTableHandle):
         if isinstance(obj, FlowTable):

@@ -183,7 +183,6 @@ class Scenario:
             "tier1": self.tier1,
             "tier2": self.tier2,
         }
-        self._day_cache: dict[tuple[int, bool], DayTraffic] = {}
 
     # -- construction helpers -----------------------------------------------
 
@@ -251,18 +250,16 @@ class Scenario:
         day: int,
         with_takedown: bool = True,
         bin_seconds: float = 60.0,
-        cache: bool = False,
     ) -> DayTraffic:
-        """Generate (or return cached) ground-truth traffic for ``day``.
+        """Generate the ground-truth traffic for ``day``.
 
         ``with_takedown=False`` produces the counterfactual world where
-        the seizure never happened (used by ablations).
+        the seizure never happened (used by ablations). Nothing is kept:
+        days are reused through the day-reduction engine's cache
+        (:func:`repro.core.parallel.day_reductions`).
         """
         if not 0 <= day < self.config.n_days:
             raise ValueError(f"day {day} outside scenario [0, {self.config.n_days})")
-        key = (day, with_takedown)
-        if cache and key in self._day_cache:
-            return self._day_cache[key]
 
         registry = metrics()
         with registry.span(
@@ -303,8 +300,6 @@ class Scenario:
                     "scenario.flows_synthesized",
                     len(traffic.attack) + len(traffic.trigger) + len(scan) + len(benign),
                 )
-        if cache:
-            self._day_cache[key] = traffic
         return traffic
 
     def _synthesize_events(

@@ -566,23 +566,29 @@ async def _run_server(args: argparse.Namespace, config: ExperimentConfig) -> int
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point for ``repro-serve``."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # Out-of-range numbers are usage errors (exit 2), not tracebacks.
+    try:
+        config = ExperimentConfig(
+            preset=args.preset,
+            seed=args.seed,
+            jobs=args.jobs,
+            cache=True,
+            cache_dir=args.cache_dir,
+            executor=args.executor,
+            batch_days=args.batch_days,
+            day_shards=args.day_shards,
+        )
+        disk = None
+        if args.cache_dir:
+            disk = DiskDayCache(args.cache_dir, max_bytes=args.cache_max_bytes)
+    except ValueError as exc:
+        parser.error(str(exc))
     configure_cli_logging(args.log_level)
     trace = TraceRecorder() if args.trace_out else None
     set_metrics(MetricsRegistry(enabled=True, trace=trace))
-    config = ExperimentConfig(
-        preset=args.preset,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache=True,
-        cache_dir=args.cache_dir,
-        executor=args.executor,
-        batch_days=args.batch_days,
-        day_shards=args.day_shards,
-    )
-    disk = None
-    if args.cache_dir:
-        disk = DiskDayCache(args.cache_dir, max_bytes=args.cache_max_bytes)
+    if disk is not None:
         day_cache().attach_disk(disk)
         _log.info(
             "disk cache attached at %s (%d entries)", disk.root, len(disk)

@@ -12,7 +12,10 @@ from repro.core.parallel import (
     day_attack_tables,
     day_cache,
     day_events,
+    day_reductions,
+    hourly_attacks,
     observed_days,
+    port_counts,
     resolve_jobs,
 )
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
@@ -25,6 +28,22 @@ SELECTORS = [
     TrafficSelector("ntp_to", 123, "to_reflectors"),
     TrafficSelector("ntp_from", 123, "from_reflectors"),
 ]
+PORTS = port_counts(SELECTORS)
+HOURLY = hourly_attacks(10_000.0)
+#: fig4's fused request: port counts at both vantages plus fig5's hourly counts.
+FUSED = {"ixp": (PORTS, HOURLY), "tier2": (PORTS,)}
+FUSED_DAYS = range(40, 44)
+
+
+def _span_calls(registry, stage: str) -> int:
+    return sum(stats.calls for path, stats in registry.spans.items() if path[-1] == stage)
+
+
+def _fused_pair(scenario, **kwargs):
+    """The fused call, then an hourly-only call; both calls' values."""
+    fused = day_reductions(scenario, FUSED_DAYS, FUSED, **kwargs)
+    hourly = day_reductions(scenario, FUSED_DAYS, {"ixp": (HOURLY,)}, **kwargs)
+    return fused, hourly
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -291,6 +310,43 @@ class TestDayResultCache:
         np.testing.assert_array_equal(tables[0]["packets"], truth["packets"])
         np.testing.assert_array_equal(tables[0]["dst_ip"], truth["dst_ip"])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fused_pass_synthesizes_each_day_once(self, scenario, jobs):
+        from repro.core.workerpool import shutdown_pool
+        from repro.obs import MetricsRegistry, use_metrics
+
+        cache = day_cache()
+        cache.clear()
+        try:
+            fused_registry = MetricsRegistry()
+            with use_metrics(fused_registry):
+                fused = day_reductions(scenario, FUSED_DAYS, FUSED, jobs=jobs, cache=True)
+            # One synthesis per day, one observation per (day, vantage),
+            # counted over the parent and the merged worker spans.
+            assert _span_calls(fused_registry, "scenario.day_traffic") == 4
+            assert _span_calls(fused_registry, "scenario.observe_day") == 8
+
+            hourly_registry = MetricsRegistry()
+            with use_metrics(hourly_registry):
+                hourly = day_reductions(
+                    scenario, FUSED_DAYS, {"ixp": (HOURLY,)}, jobs=jobs, cache=True
+                )
+            assert _span_calls(hourly_registry, "scenario.day_traffic") == 0
+            assert hourly_registry.counter("cache.hits") == 4
+            assert hourly["ixp", HOURLY] == fused["ixp", HOURLY]
+        finally:
+            cache.clear()
+            shutdown_pool()
+        # The values are the reductions of the plain per-vantage pipeline.
+        for i, day in enumerate(FUSED_DAYS):
+            traffic = scenario.day_traffic(day)
+            for vantage in ("ixp", "tier2"):
+                observed = scenario.observe_day(vantage, traffic)
+                assert fused[vantage, PORTS][i] == {s.name: s.packets(observed) for s in SELECTORS}
+            ixp = scenario.observe_day("ixp", traffic)
+            assert fused["ixp", HOURLY][i] == HOURLY(day, ixp)
+            assert len(fused["ixp", HOURLY][i]) == 24
+
 
 class TestDayResultCacheEdgeCases:
     def test_eviction_exactly_at_max_entries_boundary(self):
@@ -489,6 +545,37 @@ class TestDiskTierIntegration:
         finally:
             cache.attach_disk(None)
             cache.clear()
+
+    def test_disk_warm_fused_pair_bit_identical_with_equal_counters(self, scenario, tmp_path):
+        from repro.core.diskcache import DiskDayCache
+        from repro.obs import MetricsRegistry, use_metrics
+        from repro.obs.runledger import counter_digest
+
+        def run(**kwargs):
+            registry = MetricsRegistry(enabled=True)
+            with use_metrics(registry):
+                values = _fused_pair(scenario, **kwargs)
+            return values, counter_digest(registry.counters)
+
+        cache = day_cache()
+        cache.clear()
+        disk = DiskDayCache(tmp_path / "day_cache")
+        cache.attach_disk(disk)
+        try:
+            cold, cold_digest = run(cache=True)
+            # Four days x three JSON-exact values; no whole table is kept.
+            assert disk.puts == 12
+            warm, warm_digest = run(cache=True)
+            cache.clear()
+            cache.attach_disk(disk)
+            disk_warm, disk_warm_digest = run(cache=True)
+            assert disk.hits == 12
+        finally:
+            cache.attach_disk(None)
+            cache.clear()
+        uncached, uncached_digest = run(cache=False)
+        assert cold == warm == disk_warm == uncached
+        assert cold_digest == warm_digest == disk_warm_digest == uncached_digest
 
     def test_ports_reduction_persists_via_json_lane(self, scenario, tmp_path):
         from repro.core.diskcache import DiskDayCache

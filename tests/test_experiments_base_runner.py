@@ -89,3 +89,24 @@ class TestRunnerCli:
         captured = capsys.readouterr()
         assert "completed" not in captured.err
         assert "===" in captured.out  # results still on stdout
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-1"], "jobs must be >= 0"),
+            (["--batch-days", "-1"], "batch_days must be >= 0"),
+            (["--day-shards", "0"], "day_shards must be >= 1"),
+            (["--cache-max-bytes", "0"], "max_bytes must be positive"),
+        ],
+    )
+    def test_invalid_numbers_are_usage_errors(self, flags, message, tmp_path, capsys):
+        argv = ["table1", *flags]
+        if "--cache-max-bytes" in flags:
+            argv += ["--cache-dir", str(tmp_path / "day_cache")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-experiments: error:" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "day_cache").exists()

@@ -320,6 +320,31 @@ class TestInstrumentedPipeline:
         warm = stream(cache=True)
         assert warm.counter("cache.hits") >= 3  # served, not regenerated
         assert _deterministic(warm) == _deterministic(cold)
+
+        # The fig5-after-fig4 case through the engine: fig4's fused call
+        # (port counts at both vantages plus the hourly counts) warms
+        # the cache; the hourly-only call is then served from it and
+        # must count exactly like a cold hourly-only call.
+        from repro.core.parallel import day_reductions, hourly_attacks, port_counts
+
+        ports, hourly = port_counts(SELECTORS), hourly_attacks(10_000.0)
+
+        def hourly_only(cache):
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                day_reductions(scenario, range(40, 43), {"ixp": (hourly,)}, cache=cache)
+            return registry
+
+        day_cache().clear()
+        cold_hourly = hourly_only(cache=False)
+        with use_metrics(MetricsRegistry()):
+            day_reductions(
+                scenario, range(40, 43), {"ixp": (ports, hourly), "tier2": (ports,)}, cache=True
+            )
+        warm_hourly = hourly_only(cache=True)
+        assert warm_hourly.counter("cache.hits") == 3
+        assert not any(p[-1] == "scenario.day_traffic" for p in warm_hourly.spans)
+        assert _deterministic(warm_hourly) == _deterministic(cold_hourly)
         day_cache().clear()
 
     def test_span_tree_covers_hot_path(self, scenario):

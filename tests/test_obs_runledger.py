@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.booter.market import MarketConfig
-from repro.core.parallel import day_cache
+from repro.core.parallel import day_cache, day_reductions, hourly_attacks, port_counts
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
 from repro.core.streaming import StreamingAnalyzer
 from repro.netmodel.topology import TopologyConfig
@@ -109,6 +109,36 @@ class TestDigestBitIdentityAcrossStrategies:
         # indifference is doing real work (pool ran only in jobs=4 runs).
         jobs4 = self._run(scenario, 4, False)
         assert jobs4.counter("pool.tasks") > 0
+
+    def _run_fused_pair(self, scenario, jobs, cache):
+        """fig4's fused call, then fig5's hourly-only call, on one cache."""
+        ports = port_counts(SELECTORS)
+        hourly = hourly_attacks(10_000.0)
+        day_cache().clear()
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            day_reductions(
+                scenario, range(40, 44), {"ixp": (ports, hourly), "tier2": (ports,)},
+                jobs=jobs, cache=cache,
+            )
+            day_reductions(scenario, range(40, 44), {"ixp": (hourly,)}, jobs=jobs, cache=cache)
+        day_cache().clear()
+        return registry
+
+    def test_fused_pair_digest_identical_jobs1_jobs4_cache_on_off(self, scenario):
+        runs = {
+            (jobs, cache): self._run_fused_pair(scenario, jobs, cache)
+            for jobs in (1, 4)
+            for cache in (False, True)
+        }
+        digests = {key: counter_digest(run.counters) for key, run in runs.items()}
+        assert len(set(digests.values())) == 1, digests
+        # Per call, the ground truth counts once per day and each vantage
+        # once per day, whether computed, shared or replayed.
+        cached = runs[1, True]
+        assert cached.counter("scenario.days_generated") == 8
+        assert cached.counter("scenario.days_observed") == 12
+        assert cached.counter("cache.hits") == 4
 
 
 class TestRecordAppendRead:

@@ -109,11 +109,6 @@ class TestDayTraffic:
         without_td = scenario.day_traffic(after_day, with_takedown=False)
         assert without_td.scan.total_packets > with_td.scan.total_packets
 
-    def test_cache(self, scenario):
-        a = scenario.day_traffic(31, cache=True)
-        b = scenario.day_traffic(31, cache=True)
-        assert a is b
-
     def test_to_reflectors_excludes_attack(self, scenario):
         d = scenario.day_traffic(30)
         refl = d.to_reflectors()

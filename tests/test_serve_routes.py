@@ -330,3 +330,31 @@ class TestRouteErrors:
         assert frames[-1].startswith(b"event: end")
         end_data = json.loads(frames[-1].split(b"data: ", 1)[1])
         assert end_data == {"events_sent": 5}
+
+
+class TestServeCliValidation:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-1"], "jobs must be >= 0"),
+            (["--batch-days", "-1"], "batch_days must be >= 0"),
+            (["--day-shards", "0"], "day_shards must be >= 1"),
+            (["--cache-max-bytes", "0"], "max_bytes must be positive"),
+        ],
+    )
+    def test_invalid_numbers_are_usage_errors(self, flags, message, tmp_path, capsys):
+        from repro.serve.server import main
+
+        argv = ["--port", "0", *flags]
+        if "--cache-max-bytes" in flags:
+            argv += ["--cache-dir", str(tmp_path / "serve_cache")]
+        before = metrics()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-serve: error:" in err and message in err
+        assert "Traceback" not in err
+        # Rejected before anything global changes or the server binds.
+        assert metrics() is before
+        assert not (tmp_path / "serve_cache").exists()
