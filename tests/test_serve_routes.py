@@ -2,10 +2,11 @@
 
 Three pillars:
 
-* **Byte determinism** — ``/v1/series/takedown`` answers with identical
-  bytes whichever executor computed it (inline/thread/process) and
-  whichever tier served it (cold compute vs disk-warm), pinned against
-  a committed golden digest like the experiment outputs are.
+* **Byte determinism** — ``/v1/series/takedown``, ``/v1/days/{date}``
+  and ``/v1/victims/top`` answer with identical bytes whichever
+  executor computed them (inline/thread/process) and whichever tier
+  served them (cold compute vs disk-warm), pinned against committed
+  golden digests like the experiment outputs are.
 * **Single-flight coalescing** — the acceptance property: 100 concurrent
   clients asking for the same uncomputed day cost exactly one pipeline
   run (``serve.cache_tier.compute == 1``, ``serve.singleflight_hits ==
@@ -37,13 +38,18 @@ from repro.experiments.base import ExperimentConfig
 from repro.obs import MetricsRegistry, metrics, use_metrics
 from repro.serve.routes import ServeContext, cached_payload_bytes
 from repro.serve.server import ObservatoryServer
-from repro.serve.service import ObservatoryService
+from repro.serve.service import VANTAGES, ObservatoryService
 from repro.timeutil import date_of
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "serve_small.json"
+PAYLOADS_GOLDEN_PATH = Path(__file__).parent / "goldens" / "serve_payloads.json"
 
 #: The series range under test: the 5 days straddling the takedown.
 SERIES_QUERY = "/v1/series/takedown?start=2018-12-17&end=2018-12-21"
+
+#: Days (relative to the takedown) and ``top`` sizes the payload golden pins.
+PAYLOAD_OFFSETS = (-2, 0, 3)
+PAYLOAD_TOPS = (1, 10, 1000)
 
 
 def _config(executor: str = "inline", jobs: int = 1) -> ExperimentConfig:
@@ -70,17 +76,20 @@ async def _http_get(port: int, path: str) -> tuple[int, bytes]:
         writer.close()
 
 
-def _fetch_series_bytes(config: ExperimentConfig) -> bytes:
-    """Boot a server for ``config``, GET the series, tear down."""
+def _fetch_bytes(config: ExperimentConfig, queries: list[str]) -> dict[str, bytes]:
+    """Boot a server for ``config``, GET each query in order, tear down."""
 
-    async def run() -> bytes:
+    async def run() -> dict[str, bytes]:
         service = ObservatoryService(config)
         server = ObservatoryServer(service, compute_slots=1)
         await server.start()
         try:
-            status, body = await _http_get(server.port, SERIES_QUERY)
-            assert status == 200, body
-            return body
+            bodies = {}
+            for query in queries:
+                status, body = await _http_get(server.port, query)
+                assert status == 200, (query, body)
+                bodies[query] = body
+            return bodies
         finally:
             await server.aclose()
 
@@ -88,6 +97,26 @@ def _fetch_series_bytes(config: ExperimentConfig) -> bytes:
         return asyncio.run(run())
     finally:
         shutdown_pool()
+
+
+def _fetch_series_bytes(config: ExperimentConfig) -> bytes:
+    """Boot a server for ``config``, GET the series, tear down."""
+    return _fetch_bytes(config, [SERIES_QUERY])[SERIES_QUERY]
+
+
+def _payload_queries(config: ExperimentConfig) -> list[str]:
+    """``/v1/days`` and ``/v1/victims/top`` at every vantage and pinned day."""
+    takedown = config.scenario_config().takedown_day
+    queries = []
+    for offset in PAYLOAD_OFFSETS:
+        date = date_of(takedown + offset)
+        for vantage in VANTAGES:
+            queries.append(f"/v1/days/{date}?vantage={vantage}")
+            queries.extend(
+                f"/v1/victims/top?date={date}&vantage={vantage}&top={top}"
+                for top in PAYLOAD_TOPS
+            )
+    return queries
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +178,49 @@ class TestSeriesByteDeterminism:
         assert golden == snapshot, (
             "serve payload drifted from the committed golden; if the "
             "change is intentional, refresh with --update-goldens"
+        )
+
+    def test_day_and_victims_payloads_identical_across_executors_and_tiers(
+        self, tmp_path, update_goldens
+    ):
+        """Every ``/v1/days`` and ``/v1/victims/top`` body at the pinned days."""
+        queries = _payload_queries(_config())
+        bodies: dict[str, dict[str, bytes]] = {}
+        for executor, jobs in (("inline", 1), ("thread", 2), ("process", 2)):
+            day_cache().clear()
+            bodies[executor] = _fetch_bytes(_config(executor, jobs), queries)
+        assert bodies["inline"] == bodies["thread"] == bodies["process"]
+
+        disk = DiskDayCache(tmp_path / "daycache")
+        day_cache().clear()
+        day_cache().attach_disk(disk)
+        cold = _fetch_bytes(_config(), queries)
+        day_cache().clear()
+        before_disk_hits = disk.hits
+        warm = _fetch_bytes(_config(), queries)
+        assert cold == warm == bodies["inline"]
+        assert disk.hits > before_disk_hits, "warm run never touched the disk tier"
+
+        snapshot = {
+            "scenario_config_hash": _config().scenario_config().content_hash(),
+            "payload_sha256": {
+                query: hashlib.sha256(body).hexdigest()
+                for query, body in bodies["inline"].items()
+            },
+        }
+        if update_goldens:
+            PAYLOADS_GOLDEN_PATH.write_text(
+                json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+            )
+            pytest.skip(f"goldens rewritten at {PAYLOADS_GOLDEN_PATH}; commit the file")
+        assert PAYLOADS_GOLDEN_PATH.exists(), (
+            f"{PAYLOADS_GOLDEN_PATH} is missing; generate it with "
+            "`python -m pytest tests/test_serve_routes.py --update-goldens`"
+        )
+        golden = json.loads(PAYLOADS_GOLDEN_PATH.read_text())
+        assert golden == snapshot, (
+            "serve day/victims payloads drifted from the committed golden; "
+            "if the change is intentional, refresh with --update-goldens"
         )
 
     def test_analysis_window_rides_on_the_series(self, service):
