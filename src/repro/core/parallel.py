@@ -34,7 +34,10 @@ vantage, day, with_takedown, reduction key)``; only ground-truth event
 lists (:func:`day_events`) keep their own. A call caches only the
 values it asked for, so experiments sharing days (fig2b/fig2c/landscape,
 fig5 after fig4, victimization after honeypot) reuse each other's work
-without the cache holding whole tables nobody reads.
+without the cache holding whole tables nobody reads. The serving plane
+(:mod:`repro.serve.service`) is a client too: it asks for small
+per-day reductions at all three vantage points at once, never for
+tables.
 """
 
 from __future__ import annotations
@@ -577,32 +580,29 @@ def day_cache() -> DayResultCache:
     return _DAY_CACHE
 
 
-def _context(scenario: Scenario) -> tuple[str, TakedownScenario]:
-    return scenario.config.content_hash(), scenario.takedown
+def _context(scenario: Scenario) -> tuple[str, str]:
+    """The config content hash and takedown fingerprint that key a scenario.
+
+    The takedown scenario is a frozen dataclass; its repr is a stable
+    fingerprint of every behavioural parameter. Callers take it once per
+    call, not once per key.
+    """
+    return scenario.config.content_hash(), repr(scenario.takedown)
 
 
 def _key(
     kind: str,
     config_hash: str,
-    takedown: TakedownScenario,
+    takedown: str,
     vantage: str | None,
     day: int,
     with_takedown: bool,
     extra: Any = None,
 ) -> tuple:
-    # The takedown scenario is a frozen dataclass; its repr is a stable
-    # fingerprint of every behavioural parameter.
-    return (kind, config_hash, repr(takedown), vantage, int(day), bool(with_takedown), extra)
+    return (kind, config_hash, takedown, vantage, int(day), bool(with_takedown), extra)
 
 
 # -- the day-reduction engine ---------------------------------------------------
-
-
-def _with_observed(need: _Need) -> _Need:
-    return tuple(
-        (vantage, reductions if vantage is None or OBSERVED in reductions else reductions + (OBSERVED,))
-        for vantage, reductions in need
-    )
 
 
 def _reduce_days(
@@ -614,15 +614,12 @@ def _reduce_days(
     cache: bool,
     executor: str | None,
     batch_days: int | None,
-    keep_observed: bool = False,
 ) -> dict[tuple[str | None, Reduction], list[Any]]:
     """The engine behind :func:`day_reductions` and its wrappers.
 
     Per day: every requested (vantage, reduction) is looked up; a
     vantage with misses is reduced from its cached observed table when
     there is one; a day that still needs some vantage becomes one task.
-    ``keep_observed`` also caches the observed tables that tasks run in
-    this process produce, so later whole-table reads of those days hit.
     """
     days = [int(d) for d in days]
     requests = {vantage: tuple(reductions) for vantage, reductions in requests.items() if reductions}
@@ -687,7 +684,7 @@ def _reduce_days(
         if not sharded and _use_pool(mode, n_jobs, len(todo)):
             if batch_days is None:
                 batch_days = execution_policy().batch_days
-            items = [(DaySpec(scenario.config, day, None, with_takedown, takedown), need) for day, need in todo]
+            items = [(DaySpec(scenario.config, day, None, with_takedown, scenario.takedown), need) for day, need in todo]
             pairs = get_pool(scenario, n_jobs, mode).map_with_deltas(
                 _day_task, items, batch=batch_days or None
             )
@@ -696,8 +693,6 @@ def _reduce_days(
                     result = [(values, None) for values, _ in result]
                 store(day, need, result)
         else:
-            if keep_observed and cache:
-                todo = [(day, _with_observed(need)) for day, need in todo]
             start = time.perf_counter()
             pool = get_pool(scenario, n_jobs, mode) if sharded else None
             for day, need in todo:
@@ -705,7 +700,7 @@ def _reduce_days(
                     result = _reduce_day(scenario, day, with_takedown, need)
                 else:
                     before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(scenario, pool, day, with_takedown, takedown, n_shards)
+                    traffic = _sharded_day_traffic(scenario, pool, day, with_takedown, scenario.takedown, n_shards)
                     result = _reduce_traffic(scenario, traffic, need, _counters_delta(registry, before))
                 store(day, need, result)
             if pool is None:
@@ -783,18 +778,15 @@ def daily_port_counts(
 ) -> dict[int, dict[str, int]]:
     """Per-day packet counts per selector, keyed by day.
 
-    The :func:`port_counts` reduction of :func:`day_reductions`. Process
-    workers ship back only the counts (never flow tables). Days computed
-    in this process also cache their observed tables, so later
-    whole-table requests for the same days (the serving plane's per-day
-    payloads) are hits.
+    The :func:`port_counts` reduction of :func:`day_reductions`: only the
+    counts are cached, and process workers ship back only the counts
+    (never flow tables).
     """
     with metrics().span("parallel.daily_port_counts"):
         days = [int(d) for d in days]
         reduction = port_counts(selectors)
         counts = _reduce_days(
-            scenario, days, {vantage: (reduction,)}, with_takedown, jobs, cache, executor,
-            batch_days, keep_observed=True,
+            scenario, days, {vantage: (reduction,)}, with_takedown, jobs, cache, executor, batch_days
         )[vantage, reduction]
         return dict(zip(days, counts))
 
@@ -856,7 +848,7 @@ def streaming_ingest(
         tasks = [
             (
                 tuple(
-                    DaySpec(scenario.config, d, vantage, with_takedown, takedown)
+                    DaySpec(scenario.config, d, vantage, with_takedown, scenario.takedown)
                     for d in pending[i : i + chunk_size]
                 ),
                 analyzer.clone_empty(),

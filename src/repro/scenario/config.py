@@ -111,8 +111,17 @@ class ScenarioConfig:
         processes and Python versions (canonical JSON + SHA-256); any
         field change — including ``seed`` — changes the hash. This keys
         the day-result cache and the per-process scenario memo in
-        :mod:`repro.core.parallel`.
+        :mod:`repro.core.parallel`, so every cache lookup asks for it.
+        The config and everything in it are frozen, so the digest is
+        computed once per instance and memoized.
         """
+        cached = self.__dict__.get("_content_hash")
+        if cached is None:
+            cached = self._compute_content_hash()
+            object.__setattr__(self, "_content_hash", cached)
+        return cached
+
+    def _compute_content_hash(self) -> str:
         # Local import: serialize imports this module.
         from repro.scenario.serialize import config_to_dict
 

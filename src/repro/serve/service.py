@@ -1,16 +1,24 @@
 """Domain layer of the observatory service: cache-tier-resolved payloads.
 
 Every endpoint payload is derived from the same deterministic day
-pipeline the experiments use (:mod:`repro.core.parallel` helpers with
-caching on), so a request resolves through the tiers in order:
+engine the experiments use, :func:`repro.core.parallel.day_reductions`
+with caching on. The paper's evidence is one day seen from three
+vantage points at once, so every endpoint asks for one fixed per-day
+request, :data:`SERVE_DAY`: at each of ``ixp``, ``tier1`` and
+``tier2``, the day's per-selector packet counts, its flow/packet/byte
+totals and its victim ranking cut at :data:`MAX_TOP_VICTIMS`. A request
+resolves through the tiers in order:
 
 1. in-memory :class:`~repro.core.parallel.DayResultCache` — hit in
-   microseconds;
+   microseconds, and never touches a flow table;
 2. the attached :class:`~repro.core.diskcache.DiskDayCache` (when the
-   server runs with ``--cache-dir``) — one memmap + checksum pass;
+   server runs with ``--cache-dir``) — the reductions are small
+   JSON-exact values, one sidecar file each;
 3. warm-pool compute via :mod:`repro.core.workerpool` under the server's
    configured ``--jobs/--executor`` — the expensive path, coalesced by
-   the single-flight layer so concurrent misses run it once.
+   the single-flight layer so concurrent misses run it once. A cold day
+   is synthesized once and observed at all three vantage points, so a
+   later request for the same day at another vantage is a memory hit.
 
 Which tier served each request is counted as
 ``serve.cache_tier.{mem,disk,compute}`` by watching the cache counters
@@ -20,7 +28,7 @@ request fully absorbed by the durable tier as disk, else mem).
 All payload builders are synchronous — the server runs them in worker
 threads via ``asyncio.to_thread`` behind a bounded semaphore — and end
 in :func:`canonical_json`: sorted keys, no whitespace, ``allow_nan``
-off. Determinism of the upstream day pipeline (bit-identical across
+off. Determinism of the upstream day engine (bit-identical across
 ``jobs``, executors, and cache temperature) therefore lifts to
 byte-identical HTTP payloads, which ``tests/test_serve_routes.py`` pins.
 """
@@ -29,27 +37,24 @@ from __future__ import annotations
 
 import json
 import threading
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.parallel import (
-    daily_port_counts,
-    day_cache,
-    day_events,
-    observed_days,
-    resolve_jobs,
-)
+from repro.core.classify import ClassifierThresholds
+from repro.core.parallel import Reduction, day_cache, day_events, day_reductions, port_counts, resolve_jobs
 from repro.core.workerpool import get_pool
 from repro.core.takedown_analysis import analyze_takedown
 from repro.core.victims import victim_report
 from repro.experiments.base import ExperimentConfig, build_scenario
 from repro.experiments.fig4 import SELECTORS
+from repro.flows.records import FlowTable
 from repro.obs import metrics
 from repro.serve.http import HttpError
 from repro.timeutil import TRAFFIC_EPOCH, date_of, day_index, parse_date
 
-__all__ = ["ObservatoryService", "VANTAGES", "VP_SAMPLING", "canonical_json"]
+__all__ = ["ObservatoryService", "SERVE_DAY", "VANTAGES", "VP_SAMPLING", "canonical_json"]
 
 #: Vantage points a request may select (the paper's three).
 VANTAGES = ("ixp", "tier1", "tier2")
@@ -57,9 +62,13 @@ VANTAGES = ("ixp", "tier1", "tier2")
 #: Renormalization per vantage point (mirrors fig2's sampling factors).
 VP_SAMPLING = {"ixp": 10_000.0, "tier1": 1_000.0, "tier2": 1_000.0}
 
-#: Hard caps on the work one request may ask for.
+#: Hard caps on the work one request may ask for. The victim ranking is
+#: cached cut at ``MAX_TOP_VICTIMS``; ``?top=`` slices it.
 MAX_SERIES_DAYS = 366
 MAX_TOP_VICTIMS = 1000
+
+#: Bin of the per-victim peak rate: one minute, as in Figure 2.
+VICTIM_BIN_SECONDS = 60.0
 
 
 def _py(value: Any) -> Any:
@@ -99,6 +108,73 @@ def _warm_probe(item: int) -> int:
 def _dotted(ip: int) -> str:
     ip = int(ip)
     return f"{(ip >> 24) & 255}.{(ip >> 16) & 255}.{(ip >> 8) & 255}.{ip & 255}"
+
+
+# -- the per-day reductions every endpoint reads ----------------------------------
+
+
+def _day_totals(day: int, observed: FlowTable) -> dict[str, int]:
+    return {
+        "flows": len(observed),
+        "packets": int(observed["packets"].sum()),
+        "bytes": int(observed["bytes"].sum()),
+    }
+
+
+def _victim_ranking(
+    thresholds: ClassifierThresholds, sampling_factor: float, day: int, observed: FlowTable
+) -> dict[str, Any]:
+    report = victim_report(
+        observed, thresholds=thresholds, bin_seconds=VICTIM_BIN_SECONDS,
+        sampling_factor=sampling_factor,
+    )
+    stats = report.stats
+    peak = report.peak_gbps
+    # Deterministic ranking: peak Gbps descending, destination IP as
+    # the tie-break so equal peaks never reorder run to run.
+    order = np.lexsort((stats.destinations, -peak))[:MAX_TOP_VICTIMS]
+    return {
+        "n_destinations": report.n_destinations,
+        "victims_above_1gbps": report.victims_above_gbps(1.0),
+        "victims": [
+            {
+                "ip": _dotted(stats.destinations[i]),
+                "peak_gbps": float(peak[i]),
+                "unique_sources": int(stats.unique_sources[i]),
+                "max_sources_per_min": int(stats.max_sources_per_bin[i]),
+            }
+            for i in order
+        ],
+    }
+
+
+def victim_ranking(
+    sampling_factor: float, thresholds: ClassifierThresholds = ClassifierThresholds()
+) -> Reduction:
+    """A day's victims ranked by renormalized peak Gbps, cut at :data:`MAX_TOP_VICTIMS`.
+
+    The value is JSON-exact: the destination count, the count above
+    1 Gbps, and the ranked victims as payload-ready dicts.
+    """
+    sampling_factor = float(sampling_factor)
+    return Reduction(
+        ("victim_ranking", sampling_factor, repr(thresholds), VICTIM_BIN_SECONDS, MAX_TOP_VICTIMS),
+        partial(_victim_ranking, thresholds, sampling_factor),
+    )
+
+
+#: Per-selector packet counts of the day (fig4's selectors).
+PORTS = port_counts(SELECTORS.values())
+
+#: The day's observed flow/packet/byte totals.
+TOTALS = Reduction(("totals",), _day_totals)
+
+#: Victim ranking per vantage point, renormalized by its sampling factor.
+RANKINGS = {vantage: victim_ranking(VP_SAMPLING[vantage]) for vantage in VANTAGES}
+
+#: The one request every endpoint makes for a day: a cold day is
+#: synthesized once and observed at all three vantage points.
+SERVE_DAY = {vantage: (PORTS, TOTALS, RANKINGS[vantage]) for vantage in VANTAGES}
 
 
 class ObservatoryService:
@@ -207,18 +283,16 @@ class ObservatoryService:
         metrics().inc(f"serve.cache_tier.{tier}")
         return result
 
-    def _observed_day(self, day: int, vantage: str):
-        scenario = self.scenario
-        return self._resolve(
-            lambda: observed_days(
-                scenario,
-                vantage,
-                [day],
-                jobs=self.config.jobs,
-                cache=True,
-                executor=self.config.executor,
-                batch_days=self.config.batch_days,
-            )[0]
+    def _serve_days(self, days: list[int]) -> dict[tuple[str, Reduction], list[Any]]:
+        """:data:`SERVE_DAY` for ``days``, through the cache tiers."""
+        return day_reductions(
+            self.scenario,
+            days,
+            SERVE_DAY,
+            jobs=self.config.jobs,
+            cache=True,
+            executor=self.config.executor,
+            batch_days=self.config.batch_days,
         )
 
     # -- endpoint payloads ----------------------------------------------------
@@ -264,37 +338,23 @@ class ObservatoryService:
         """Per-day observed-attack aggregates for ``/v1/days/{date}``."""
         vantage_name = self.parse_vantage(vantage)
         day = self.parse_day(date_text)
-        scenario = self.scenario
 
         def fetch():
-            # One resolve spans both pipeline accesses, so one request is
+            # One resolve spans both cache accesses, so one request is
             # one cache-tier classification (the acceptance test pins
             # serve.cache_tier.compute == 1 for one uncomputed day).
-            observed = observed_days(
-                scenario,
-                vantage_name,
-                [day],
-                jobs=self.config.jobs,
-                cache=True,
-                executor=self.config.executor,
-                batch_days=self.config.batch_days,
-            )[0]
-            events = day_events(scenario, day, cache=True)
-            return observed, events
+            values = self._serve_days([day])
+            events = day_events(self.scenario, day, cache=True)
+            return values, events
 
-        observed, events = self._resolve(fetch)
-        ports = {
-            name: selector.packets(observed) for name, selector in SELECTORS.items()
-        }
+        values, events = self._resolve(fetch)
         return {
             "date": date_text,
             "day_index": day,
             "vantage": vantage_name,
             "observed": {
-                "flows": len(observed),
-                "packets": int(observed["packets"].sum()),
-                "bytes": int(observed["bytes"].sum()),
-                "ports": ports,
+                **values[vantage_name, TOTALS][0],
+                "ports": values[vantage_name, PORTS][0],
             },
             "attacks": {
                 "events": len(events),
@@ -343,24 +403,9 @@ class ObservatoryService:
                 f"(choose from {', '.join(sorted(SELECTORS))})",
                 close=False,
             )
-        selectors = [SELECTORS[n] for n in names]
-        scenario = self.scenario
         days = list(range(start_day, end_day + 1))
-        counts = self._resolve(
-            lambda: daily_port_counts(
-                scenario,
-                vantage_name,
-                selectors,
-                days,
-                jobs=self.config.jobs,
-                cache=True,
-                executor=self.config.executor,
-                batch_days=self.config.batch_days,
-            )
-        )
-        series = {
-            name: [int(counts[day][name]) for day in days] for name in names
-        }
+        counts = self._resolve(lambda: self._serve_days(days))[vantage_name, PORTS]
+        series = {name: [day_counts[name] for day_counts in counts] for name in names}
         takedown_day = self.scenario_config.takedown_day
         payload: dict[str, Any] = {
             "vantage": vantage_name,
@@ -429,30 +474,15 @@ class ObservatoryService:
             raise HttpError(
                 400, f"top must be in [1, {MAX_TOP_VICTIMS}], got {top}", close=False
             )
-        observed = self._observed_day(day, vantage_name)
-        report = victim_report(observed, sampling_factor=VP_SAMPLING[vantage_name])
-        stats = report.stats
-        peak = report.peak_gbps
-        # Deterministic ranking: peak Gbps descending, destination IP as
-        # the tie-break so equal peaks never reorder run to run.
-        order = np.lexsort((stats.destinations, -peak))[:top]
-        victims = [
-            {
-                "ip": _dotted(stats.destinations[i]),
-                "peak_gbps": float(peak[i]),
-                "unique_sources": int(stats.unique_sources[i]),
-                "max_sources_per_min": int(stats.max_sources_per_bin[i]),
-            }
-            for i in order
-        ]
+        ranking = self._resolve(lambda: self._serve_days([day]))[vantage_name, RANKINGS[vantage_name]][0]
         return {
             "date": date_text,
             "day_index": day,
             "vantage": vantage_name,
             "sampling_factor": VP_SAMPLING[vantage_name],
-            "n_destinations": report.n_destinations,
-            "victims_above_1gbps": report.victims_above_gbps(1.0),
-            "victims": victims,
+            "n_destinations": ranking["n_destinations"],
+            "victims_above_1gbps": ranking["victims_above_1gbps"],
+            "victims": ranking["victims"][:top],
         }
 
     def day_events_payload(self, day: int) -> list[dict[str, Any]]:

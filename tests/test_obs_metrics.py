@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.booter.market import MarketConfig
-from repro.core.parallel import day_cache
+from repro.core.parallel import day_cache, observed_days
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
 from repro.core.streaming import StreamingAnalyzer
 from repro.netmodel.topology import TopologyConfig
@@ -314,9 +314,8 @@ class TestInstrumentedPipeline:
         cold = stream(cache=False)
         warmup = MetricsRegistry()
         with use_metrics(warmup):
-            collect_daily_port_series(
-                scenario, "tier2", SELECTORS, day_range=(40, 43), cache=True
-            )
+            # observed_days is the call that caches whole observed tables.
+            observed_days(scenario, "tier2", range(40, 43), cache=True)
         warm = stream(cache=True)
         assert warm.counter("cache.hits") >= 3  # served, not regenerated
         assert _deterministic(warm) == _deterministic(cold)

@@ -1,5 +1,7 @@
 """Tests for the scenario orchestration and benign background."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,46 @@ class TestScenarioConfig:
             ScenarioConfig(takedown_day=999)
         with pytest.raises(ValueError):
             ScenarioConfig(ixp_window=(50, 50))
+
+
+def _bumped(value):
+    """A different valid value of a config field, of the same shape."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return "203.0.113.0/24"
+    if isinstance(value, tuple):
+        head = value[0]
+        if isinstance(head, tuple):  # ((name, number), ...) tables
+            return ((head[0], head[1] + 1),) + value[1:]
+        return (head + 1,) + value[1:]  # (start, end) windows
+    numeric = next(
+        f.name
+        for f in dataclasses.fields(value)
+        if isinstance(getattr(value, f.name), (int, float))
+        and not isinstance(getattr(value, f.name), bool)
+    )
+    return dataclasses.replace(value, **{numeric: getattr(value, numeric) + 1})
+
+
+class TestContentHashMemo:
+    def test_memo_equals_a_fresh_computation(self):
+        config = ScenarioConfig()
+        memo = config.content_hash()
+        assert config.content_hash() is memo
+        fresh = dataclasses.replace(config)
+        assert "_content_hash" not in fresh.__dict__
+        assert fresh == config
+        assert fresh.content_hash() == memo
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+    def test_every_field_changes_the_hash(self, name):
+        config = ScenarioConfig()
+        memo = config.content_hash()
+        changed = dataclasses.replace(config, **{name: _bumped(getattr(config, name))})
+        assert changed.content_hash() != memo
 
 
 class TestScenarioBuild:

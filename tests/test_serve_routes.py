@@ -35,6 +35,7 @@ from repro.core.diskcache import DiskDayCache
 from repro.core.parallel import day_cache
 from repro.core.workerpool import shutdown_pool
 from repro.experiments.base import ExperimentConfig
+from repro.flows.records import FlowTable
 from repro.obs import MetricsRegistry, metrics, use_metrics
 from repro.serve.routes import ServeContext, cached_payload_bytes
 from repro.serve.server import ObservatoryServer
@@ -303,6 +304,27 @@ class TestSingleFlightAcceptance:
         assert registry.counter("serve.cache_tier.compute") == 1
         assert registry.counter("serve.singleflight_leaders") == 1
         assert registry.counter("serve.singleflight_hits") == k - 1
+
+
+def _span_calls(registry: MetricsRegistry, stage: str) -> int:
+    return sum(stats.calls for path, stats in registry.spans.items() if path[-1] == stage)
+
+
+class TestFusedServeDay:
+    def test_one_synthesis_serves_all_three_vantages(self, service):
+        """A day asked for at three vantages is synthesized and observed once each."""
+        registry = MetricsRegistry(enabled=True)
+        date = str(date_of(service.scenario_config.takedown_day - 2))
+        with use_metrics(registry):
+            service.day_payload(date, "ixp")
+            service.victims_payload(date, "tier1", None)
+            service.series_payload(date, date, "tier2", None, None)
+        assert _span_calls(registry, "scenario.day_traffic") == 1
+        assert _span_calls(registry, "scenario.observe_day") == 3
+        assert registry.counter("serve.cache_tier.compute") == 1
+        assert registry.counter("serve.cache_tier.mem") == 2
+        cached = [value for value, _ in day_cache()._data.values()]
+        assert cached and not any(isinstance(value, FlowTable) for value in cached)
 
 
 class TestConcurrentDistinctDates:
