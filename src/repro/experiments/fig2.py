@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.classify import ClassifierThresholds, ConservativeClassifier, OptimisticClassifier
-from repro.core.parallel import observed_days
+from repro.core.parallel import OBSERVED, day_reductions, observed_days
 from repro.core.victims import victim_report
 from repro.experiments.base import (
     ExperimentConfig,
@@ -107,13 +107,34 @@ def _large_mode(sizes: np.ndarray) -> float:
 
 
 def _per_vp_reports(scenario: Scenario, config: ExperimentConfig) -> dict[str, object]:
+    """One victim report per vantage point, one engine call per distinct window.
+
+    The IXP and the tier-2 ISP share days 40-53, so each of those days is
+    synthesized once and observed at both.
+    """
+    windows: dict[tuple[int, int], list[str]] = {}
+    for vantage, window in _VP_DAYS.items():
+        windows.setdefault(window, []).append(vantage)
     reports = {}
-    for vantage in ("ixp", "tier1", "tier2"):
-        observed = _observed_window(scenario, vantage, config)
-        reports[vantage] = victim_report(
-            observed, sampling_factor=_VP_SAMPLING[vantage]
+    for (start, end), vantages in windows.items():
+        tables = day_reductions(
+            scenario,
+            range(start, end),
+            {vantage: (OBSERVED,) for vantage in vantages},
+            jobs=config.jobs,
+            cache=config.use_cache,
+            executor=config.executor,
+            batch_days=config.batch_days,
         )
-    return reports
+        for vantage in vantages:
+            # Concatenate one vantage's window at a time and drop it
+            # before the next: only the report outlives the loop body.
+            observed = FlowTable.concat(tables.pop((vantage, OBSERVED)))
+            reports[vantage] = victim_report(
+                observed, sampling_factor=_VP_SAMPLING[vantage]
+            )
+            del observed
+    return {vantage: reports[vantage] for vantage in _VP_DAYS}
 
 
 def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
