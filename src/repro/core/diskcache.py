@@ -31,10 +31,12 @@ Two value lanes share the store. Flow tables (the expensive values —
 observed and attack day tables) go through the record format above.
 Small derived reductions whose values are JSON-exact (per-port count
 dicts with string keys and int values, hourly attack-count lists of
-ints) ride entirely in the sidecar with an empty record file, guarded
-by a round-trip equality check so anything JSON would distort — tuples,
-numpy scalars, event objects — is simply declined and stays
-memory-only.
+ints, the serving plane's per-day totals and victim rankings) ride
+entirely in the sidecar, which is then the entry's only file. They are
+guarded by a round-trip equality check so anything JSON would distort —
+tuples, numpy scalars, event objects — is simply declined and stays
+memory-only. The byte budget counts every byte an entry owns: its
+sidecar, plus its record file for a table.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ __all__ = ["DiskDayCache", "SIDECAR_SCHEMA", "DEFAULT_MAX_BYTES"]
 
 #: Sidecar schema identifier; bump on any layout change so old caches
 #: read as misses instead of misparsing. Version 2: the deltas split
-#: into ``truth`` and ``vantage`` parts.
-SIDECAR_SCHEMA = "repro.diskcache/2"
+#: into ``truth`` and ``vantage`` parts. Version 3: a JSON-lane entry is
+#: its sidecar alone, with no record file.
+SIDECAR_SCHEMA = "repro.diskcache/3"
 
-#: Default eviction budget for the data files (2 GiB ~= 40M records).
+#: Default eviction budget for all entry files (2 GiB ~= 40M records).
 DEFAULT_MAX_BYTES = 2 << 30
 
 
@@ -70,12 +73,12 @@ def key_digest(key: tuple) -> str:
 
 
 class DiskDayCache:
-    """Byte-bounded, content-addressed on-disk store of day flow tables.
+    """Byte-bounded, content-addressed on-disk store of per-day values.
 
     Values move through the same ``(value, deltas)`` tuples the in-memory
-    cache stores: :meth:`put` accepts ``(FlowTable, deltas-or-None)`` and
-    silently declines anything else; :meth:`get` returns that tuple or
-    ``None``. Attach one to the in-memory cache with
+    cache stores: :meth:`put` accepts a flow table or a JSON-exact value
+    with its deltas (or ``None``) and silently declines anything else;
+    :meth:`get` returns that tuple or ``None``. Attach one to the in-memory cache with
     :meth:`DayResultCache.attach_disk` and the tiers compose — memory
     miss consults disk, disk hit promotes back into memory.
 
@@ -98,7 +101,8 @@ class DiskDayCache:
         self.puts = 0
         self.evictions = 0
         self.corrupt = 0
-        #: digest -> data-file size, in LRU order (oldest mtime first).
+        #: digest -> bytes the entry owns on disk, in LRU order (oldest
+        #: sidecar mtime first).
         self._index: OrderedDict[str, int] = OrderedDict()
         self.resident_bytes = 0
         self._scan()
@@ -112,14 +116,23 @@ class DiskDayCache:
         return self.root / f"{digest}.json"
 
     def _scan(self) -> None:
-        """Rebuild the LRU index from the directory (mtime order)."""
+        """Rebuild the LRU index from the directory (sidecar mtime order).
+
+        Every entry has a sidecar; a table entry also owns a record file,
+        whose bytes count towards the entry's size.
+        """
         entries = []
-        for data in self.root.glob("*.rfl"):
+        for sidecar in self.root.glob("*.json"):
             try:
-                stat = data.stat()
+                stat = sidecar.stat()
             except OSError:
                 continue
-            entries.append((stat.st_mtime, data.stem, stat.st_size))
+            size = stat.st_size
+            try:
+                size += self._data_path(sidecar.stem).stat().st_size
+            except OSError:
+                pass
+            entries.append((stat.st_mtime, sidecar.stem, size))
         entries.sort()
         self._index = OrderedDict((digest, size) for _, digest, size in entries)
         self.resident_bytes = sum(self._index.values())
@@ -134,22 +147,23 @@ class DiskDayCache:
 
     # -- the cache protocol ---------------------------------------------------
 
-    def get(self, key: tuple) -> tuple[FlowTable, dict[str, float] | None] | None:
-        """The stored ``(table, deltas)`` for ``key``, or ``None``.
+    def get(self, key: tuple) -> tuple[Any, dict[str, float] | None] | None:
+        """The stored ``(value, deltas)`` for ``key``, or ``None``.
 
         Any validation failure — schema drift, key collision, bad magic,
-        truncation, checksum mismatch — deletes the entry and counts as
-        a corrupt miss rather than raising.
+        truncation, checksum mismatch, a record file without its sidecar
+        — deletes the entry and counts as a corrupt miss rather than
+        raising.
         """
         with self._lock:
             digest = key_digest(key)
-            data_path = self._data_path(digest)
-            if not data_path.exists():
+            sidecar_path = self._sidecar_path(digest)
+            if not sidecar_path.exists() and not self._data_path(digest).exists():
                 self.misses += 1
                 metrics().inc("cache.disk_misses")
                 return None
             try:
-                entry = self._load(key, digest, data_path)
+                entry = self._load(key, digest)
             except Exception:
                 self._drop(digest)
                 self.corrupt += 1
@@ -164,20 +178,29 @@ class DiskDayCache:
                 self._index.move_to_end(digest)
             try:
                 # Refresh mtime so a directory re-scan preserves LRU order.
-                os.utime(data_path)
+                os.utime(sidecar_path)
             except OSError:
                 pass
             return entry
 
-    def _load(
-        self, key: tuple, digest: str, data_path: Path
-    ) -> tuple[Any, dict[str, float] | None]:
+    def _load(self, key: tuple, digest: str) -> tuple[Any, dict[str, float] | None]:
         sidecar = json.loads(self._sidecar_path(digest).read_text())
         if sidecar.get("schema") != SIDECAR_SCHEMA:
             raise ValueError(f"sidecar schema {sidecar.get('schema')!r}")
         if sidecar.get("key") != repr(key):
             raise ValueError("key repr mismatch (digest collision or tamper)")
-        kind = sidecar.get("kind", "table")
+        deltas = sidecar.get("deltas")
+        if deltas is not None:
+            # Keep JSON-native numeric types: counters incremented with
+            # ints must replay as ints, or the canonical counter digest
+            # (which distinguishes 162 from 162.0) would drift.
+            deltas = {str(name): value for name, value in deltas.items()}
+        kind = sidecar.get("kind")
+        if kind == "json":
+            return sidecar["value"], deltas
+        if kind != "table":
+            raise ValueError(f"unknown entry kind {kind!r}")
+        data_path = self._data_path(digest)
         n_records = int(sidecar["n_records"])
         size = data_path.stat().st_size
         if size != HEADER.size + n_records * RECORD_DTYPE.itemsize:
@@ -194,25 +217,13 @@ class DiskDayCache:
             records = np.memmap(data_path, dtype=RECORD_DTYPE, mode="r", offset=HEADER.size)
         if hashlib.sha256(records).hexdigest() != sidecar["sha256"]:
             raise ValueError("record checksum mismatch")
-        deltas = sidecar.get("deltas")
-        if deltas is not None:
-            # Keep JSON-native numeric types: counters incremented with
-            # ints must replay as ints, or the canonical counter digest
-            # (which distinguishes 162 from 162.0) would drift.
-            deltas = {str(name): value for name, value in deltas.items()}
-        if kind == "json":
-            if n_records != 0:
-                raise ValueError("json entry with a non-empty record file")
-            return sidecar["value"], deltas
-        if kind != "table":
-            raise ValueError(f"unknown entry kind {kind!r}")
         return FlowTable.from_structured(records), deltas
 
     def put(self, key: tuple, value: Any) -> bool:
         """Persist a ``(value, deltas)`` entry; returns True if stored.
 
         Flow tables use the record lane; JSON-exact values (checked by a
-        dump/load round-trip equality) use the sidecar lane. Everything
+        dump/load round-trip equality) live in the sidecar alone. Everything
         else — event-object lists, numpy-scalar dicts, tables whose AS
         numbers do not fit the packed i32 fields — is declined and stays
         memory-only.
@@ -222,44 +233,41 @@ class DiskDayCache:
         payload, deltas = value
         if deltas is not None and not isinstance(deltas, dict):
             return False
-        extra: dict[str, Any] = {}
+        sidecar: dict[str, Any] = {"schema": SIDECAR_SCHEMA, "key": repr(key), "deltas": deltas}
+        records = None
         if isinstance(payload, FlowTable):
             try:
                 records = payload.to_structured()
             except ValueError:
                 return False
-            extra["kind"] = "table"
+            sidecar.update(kind="table", n_records=len(records), sha256=hashlib.sha256(records).hexdigest())
         else:
             try:
                 if json.loads(json.dumps(payload)) != payload:
                     return False
             except (TypeError, ValueError):
                 return False
-            records = np.empty(0, dtype=RECORD_DTYPE)
-            extra["kind"] = "json"
-            extra["value"] = payload
+            sidecar.update(kind="json", value=payload)
+        encoded = json.dumps(sidecar).encode("utf-8")
         digest = key_digest(key)
         data_path = self._data_path(digest)
-        sidecar = {
-            "schema": SIDECAR_SCHEMA,
-            "key": repr(key),
-            "n_records": len(records),
-            "sha256": hashlib.sha256(records).hexdigest(),
-            "deltas": deltas,
-            **extra,
-        }
+        sidecar_path = self._sidecar_path(digest)
         with self._lock:
             tmp_data = data_path.with_suffix(".rfl.tmp")
-            tmp_sidecar = self._sidecar_path(digest).with_suffix(".json.tmp")
+            tmp_sidecar = sidecar_path.with_suffix(".json.tmp")
             try:
-                with tmp_data.open("wb") as fh:
-                    fh.write(HEADER.pack(MAGIC, len(records)))
-                    fh.write(records.tobytes())
-                tmp_sidecar.write_text(json.dumps(sidecar))
+                if records is not None:
+                    with tmp_data.open("wb") as fh:
+                        fh.write(HEADER.pack(MAGIC, len(records)))
+                        fh.write(records.tobytes())
+                tmp_sidecar.write_bytes(encoded)
                 # Data before sidecar: a crash in between leaves an orphan
                 # .rfl that the next get() treats as corrupt and deletes.
-                os.replace(tmp_data, data_path)
-                os.replace(tmp_sidecar, self._sidecar_path(digest))
+                if records is not None:
+                    os.replace(tmp_data, data_path)
+                else:
+                    data_path.unlink(missing_ok=True)
+                os.replace(tmp_sidecar, sidecar_path)
             except OSError:
                 for tmp in (tmp_data, tmp_sidecar):
                     try:
@@ -267,7 +275,7 @@ class DiskDayCache:
                     except OSError:
                         pass
                 return False
-            size = HEADER.size + records.nbytes
+            size = len(encoded) + (HEADER.size + records.nbytes if records is not None else 0)
             if digest in self._index:
                 self.resident_bytes -= self._index.pop(digest)
             self._index[digest] = size

@@ -165,9 +165,21 @@ class TestEviction:
     def _key(self, i):
         return ("observed", "cfg", "td", "ixp", i, True, None)
 
+    def _entry_size(self, tmp_path):
+        """Bytes one 100-record entry owns: its record file and its sidecar."""
+        probe = DiskDayCache(tmp_path / "probe")
+        probe.put(self._key(0), (make_table(100), None))
+        digest = key_digest(self._key(0))
+        size = sum(
+            (tmp_path / "probe" / f"{digest}{suffix}").stat().st_size
+            for suffix in (".rfl", ".json")
+        )
+        assert (tmp_path / "probe" / f"{digest}.rfl").stat().st_size == HEADER.size + 100 * 50
+        return size
+
     def test_evicts_lru_by_bytes(self, tmp_path):
-        entry_size = HEADER.size + 100 * 50
-        cache = DiskDayCache(tmp_path, max_bytes=3 * entry_size)
+        entry_size = self._entry_size(tmp_path)
+        cache = DiskDayCache(tmp_path / "cache", max_bytes=3 * entry_size)
         for i in range(5):
             assert cache.put(self._key(i), (make_table(100, seed=i), None))
         assert cache.evictions == 2
@@ -183,8 +195,8 @@ class TestEviction:
         assert cache.get(self._key(0)) is not None
 
     def test_hit_refreshes_lru_position(self, tmp_path):
-        entry_size = HEADER.size + 100 * 50
-        cache = DiskDayCache(tmp_path, max_bytes=3 * entry_size)
+        entry_size = self._entry_size(tmp_path)
+        cache = DiskDayCache(tmp_path / "cache", max_bytes=3 * entry_size)
         for i in range(3):
             cache.put(self._key(i), (make_table(100, seed=i), None))
         assert cache.get(self._key(0)) is not None  # touch oldest
@@ -203,6 +215,56 @@ class TestEviction:
     def test_bad_max_bytes(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             DiskDayCache(tmp_path, max_bytes=0)
+
+
+class TestJsonLane:
+    def _key(self, i):
+        return ("day", "cfg", "td", "ixp", i, True, ("ports",))
+
+    def test_one_file_per_json_entry(self, tmp_path):
+        cache = DiskDayCache(tmp_path)
+        assert cache.put(KEY, ({"ntp_to": 7}, DELTAS))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key_digest(KEY)}.json"]
+        assert DiskDayCache(tmp_path).get(KEY) == ({"ntp_to": 7}, DELTAS)
+
+    def test_resident_bytes_is_every_file_byte(self, tmp_path):
+        cache = DiskDayCache(tmp_path)
+        cache.put(self._key(0), ({"ntp_to": 123456}, DELTAS))
+        cache.put(self._key(1), (list(range(500)), None))
+        cache.put(KEY, (make_table(30), DELTAS))
+        on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
+        assert cache.resident_bytes == on_disk
+        assert DiskDayCache(tmp_path).resident_bytes == on_disk  # the re-scan agrees
+
+    def test_large_json_entry_evicted_by_its_sidecar_size(self, tmp_path):
+        cache = DiskDayCache(tmp_path, max_bytes=20_000)
+        big = list(range(10_000))  # a ~50 KB sidecar
+        assert cache.put(self._key(0), (big, None))
+        assert cache.resident_bytes > cache.max_bytes  # the newest entry survives
+        assert cache.put(self._key(1), ({"ntp_to": 1}, None))
+        assert cache.evictions == 1
+        assert cache.get(self._key(0)) is None
+        assert cache.get(self._key(1)) == ({"ntp_to": 1}, None)
+        assert cache.resident_bytes <= cache.max_bytes
+
+    @pytest.mark.parametrize("damage", ["truncated", "old_schema"])
+    def test_bad_sidecar_is_a_counted_miss(self, tmp_path, damage):
+        cache = DiskDayCache(tmp_path)
+        cache.put(KEY, ({"ntp_to": 7}, DELTAS))
+        sidecar = tmp_path / f"{key_digest(KEY)}.json"
+        if damage == "truncated":
+            sidecar.write_text(sidecar.read_text()[:-9])
+        else:
+            payload = json.loads(sidecar.read_text())
+            payload["schema"] = "repro.diskcache/2"
+            sidecar.write_text(json.dumps(payload))
+        registry = MetricsRegistry(enabled=True)
+        with use_metrics(registry):
+            assert cache.get(KEY) is None
+        assert cache.corrupt == 1 and cache.misses == 1
+        assert registry.counter("cache.disk_corrupt") == 1
+        assert not sidecar.exists()
+        assert cache.resident_bytes == 0 and len(cache) == 0
 
 
 class TestDayResultCacheIntegration:
