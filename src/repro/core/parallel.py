@@ -80,6 +80,7 @@ __all__ = [
     "resolve_jobs",
     "register_scenario",
     "day_reductions",
+    "memory_resident",
     "port_counts",
     "hourly_attacks",
     "daily_port_counts",
@@ -110,6 +111,18 @@ class Reduction:
 
     key: tuple
     fn: Callable[[int, Any], Any] = field(compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # The engine keys its per-call tables by reduction; hashing the
+        # nested key tuple on every lookup cost more than the lookups.
+        object.__setattr__(self, "_hash", hash(self.key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # String hashes differ between processes: rebuild, never ship, it.
+        return (Reduction, (self.key, self.fn))
 
     def __call__(self, day: int, data: Any) -> Any:
         return self.fn(day, data)
@@ -398,8 +411,9 @@ def _replay(part: dict[str, float] | None) -> None:
     """
     registry = metrics()
     if registry.enabled and part:
+        counters = registry.counters
         for name, amount in part.items():
-            registry.inc(name, amount)
+            counters[name] = counters.get(name, 0) + amount
 
 
 def _cache_get(key: tuple) -> tuple[Any, dict[str, dict[str, float]] | None] | None:
@@ -488,22 +502,32 @@ class DayResultCache:
         disk hit counts as a memory miss *and* a disk hit, and the value
         is promoted into the memory LRU for subsequent lookups.
         """
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys: Sequence[tuple]) -> list[Any | None]:
+        """:meth:`get` for each of ``keys``, under one lock and one count."""
+        values: list[Any | None] = []
         with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                metrics().inc("cache.misses")
+            for key in keys:
+                value = self._data.get(key)
+                if value is not None:
+                    self._data.move_to_end(key)
+                values.append(value)
+            hits = sum(value is not None for value in values)
+            self.hits += hits
+            self.misses += len(keys) - hits
+            registry = metrics()
+            if hits:
+                registry.inc("cache.hits", hits)
+            if hits < len(keys):
+                registry.inc("cache.misses", len(keys) - hits)
                 if self.disk is not None:
-                    value = self.disk.get(key)
-                    if value is not None:
-                        self._insert(key, value, write_disk=False)
-                        return value
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            metrics().inc("cache.hits")
-            return value
+                    for i, key in enumerate(keys):
+                        if values[i] is None:
+                            values[i] = self.disk.get(key)
+                            if values[i] is not None:
+                                self._insert(key, values[i], write_disk=False)
+        return values
 
     def put(self, key: tuple, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the least recently used.
@@ -567,6 +591,10 @@ class DayResultCache:
             if self.disk is not None:
                 stats["disk"] = self.disk.stats()
             return stats
+
+    def __contains__(self, key: tuple) -> bool:
+        """Whether ``key`` is in the memory LRU (no counters, no disk)."""
+        return key in self._data
 
     def __len__(self) -> int:
         return len(self._data)
@@ -638,7 +666,11 @@ def _reduce_days(
         truth = None
         satisfied = []
         for vantage, reductions in requests.items():
-            entries = {r: _DAY_CACHE.get(key(vantage, day, r)) if cache else None for r in reductions}
+            entries = (
+                dict(zip(reductions, _DAY_CACHE.get_many([key(vantage, day, r) for r in reductions])))
+                if cache
+                else dict.fromkeys(reductions)
+            )
             missing = tuple(r for r in reductions if entries[r] is None)
             if missing and cache and vantage is not None and OBSERVED not in reductions:
                 table = _DAY_CACHE.get(key(vantage, day, OBSERVED))
@@ -738,6 +770,27 @@ def day_reductions(
     """
     with metrics().span("parallel.day_reductions"):
         return _reduce_days(scenario, days, requests, with_takedown, jobs, cache, executor, batch_days)
+
+
+def memory_resident(
+    scenario: Scenario,
+    days: Iterable[int],
+    requests: Mapping[str | None, Sequence[Reduction]],
+    with_takedown: bool = True,
+) -> bool:
+    """Whether every value :func:`day_reductions` would return is in memory.
+
+    A membership test of the memory LRU only: it counts no hit or miss,
+    replays nothing, never reads the disk tier and never computes, so a
+    caller can tell cheaply whether a cached call is a pure memory read.
+    """
+    config_hash, takedown = _context(scenario)
+    return all(
+        _key("day", config_hash, takedown, vantage, day, with_takedown, reduction.key) in _DAY_CACHE
+        for day in days
+        for vantage, reductions in requests.items()
+        for reduction in reductions
+    )
 
 
 # -- wrappers ---------------------------------------------------------------------

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -103,12 +104,10 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                break
-        else:  # above every bound: clamp into the last bucket
-            self.counts[-1] += 1
+        # The first bucket whose bound is >= value; above every bound
+        # (or NaN, which compares false to all), clamp into the last.
+        i = bisect_left(self.buckets, value) if value == value else len(self.counts)
+        self.counts[min(i, len(self.counts) - 1)] += 1
         self.count += 1
         self.total += value
 
@@ -352,10 +351,17 @@ class MetricsRegistry:
 #: unconditionally; runs opt in by installing an enabled registry.
 _ACTIVE = MetricsRegistry(enabled=False)
 
+class _ThreadOverride(threading.local):
+    #: The class-level default makes a thread without an override read
+    #: ``None`` directly: ``getattr`` with a default would raise and
+    #: catch an ``AttributeError`` on every :func:`metrics` call.
+    registry: MetricsRegistry | None = None
+
+
 #: Per-thread registry override, installed by the thread-pool executor so
 #: concurrent day tasks record into isolated registries (the process
 #: global is shared by all threads and would interleave their counters).
-_THREAD_LOCAL = threading.local()
+_THREAD_LOCAL = _ThreadOverride()
 
 
 def metrics() -> MetricsRegistry:
@@ -365,7 +371,7 @@ def metrics() -> MetricsRegistry:
     :func:`set_thread_metrics`); every other caller gets the process-wide
     registry, disabled by default.
     """
-    override = getattr(_THREAD_LOCAL, "registry", None)
+    override = _THREAD_LOCAL.registry
     return _ACTIVE if override is None else override
 
 
@@ -385,7 +391,7 @@ def set_thread_metrics(registry: MetricsRegistry | None) -> MetricsRegistry | No
     per item, exactly like process workers do with :func:`set_metrics`
     (which is process-global and single-threaded in a pool worker).
     """
-    previous = getattr(_THREAD_LOCAL, "registry", None)
+    previous = _THREAD_LOCAL.registry
     _THREAD_LOCAL.registry = registry
     return previous
 

@@ -81,6 +81,18 @@ def request_scope(request_id: str | None) -> Iterator[str | None]:
     finally:
         _REQUEST_ID.reset(token)
 
+#: This process's id, refreshed in forked children: ``os.getpid()`` is a
+#: system call, and every trace event carries the pid.
+_PID = os.getpid()
+
+
+def _refresh_pid() -> None:
+    global _PID
+    _PID = os.getpid()
+
+
+os.register_at_fork(after_in_child=_refresh_pid)
+
 #: Version tag embedded in the exported trace file (under ``otherData``).
 TRACE_SCHEMA = "repro.obs.trace/1"
 
@@ -133,7 +145,7 @@ class TraceRecorder:
                 name,
                 start_s * 1e6,
                 duration_s * 1e6,
-                os.getpid(),
+                _PID,
                 threading.get_native_id(),
                 args,
             )

@@ -12,7 +12,9 @@ endpoints all funnel through :func:`cached_payload_bytes`:
 
 so N concurrent requests for the same uncomputed resource cost one
 pipeline run and the pool is never oversubscribed by unrelated
-requests.
+requests. A payload whose days are all resident in the memory tier
+only reads cached values; it is built on the event loop instead, which
+costs less than the hop to a worker thread and back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import datetime
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Awaitable, Callable
+from typing import Any, AsyncIterator, Awaitable, Callable, Sequence
 
 from repro.obs import metrics
 from repro.obs.expo import EXPO_CONTENT_TYPE, render_exposition
@@ -108,13 +110,18 @@ Handler = Callable[[Request, dict[str, str], ServeContext], Awaitable[Response |
 
 
 async def cached_payload_bytes(
-    ctx: ServeContext, key: tuple, fn: Callable[[], Any]
+    ctx: ServeContext, key: tuple, fn: Callable[[], Any], days: Sequence[int] = ()
 ) -> bytes:
     """Canonical JSON bytes of ``fn()``, deduplicated across waiters.
 
     The single-flight result is the serialized payload, so every
-    coalesced waiter writes bit-identical bytes to its client.
+    coalesced waiter writes bit-identical bytes to its client. When the
+    scenario ``days`` that ``fn`` reads are all memory-resident
+    (:meth:`ObservatoryService.resident`), ``fn`` runs right here: it
+    only reads cached values and needs neither coalescing nor a thread.
     """
+    if days and ctx.service.resident(days):
+        return canonical_json(fn())
 
     async def factory() -> bytes:
         payload = await ctx.compute(fn)
@@ -179,6 +186,20 @@ class Router:
                 close=False,
             )
         raise HttpError(404, f"no such resource: {request.path}", close=False)
+
+
+def _request_days(service: ObservatoryService, start: str, end: str | None = None) -> list[int]:
+    """The scenario days a payload over ``start``..``end`` reads.
+
+    Empty when a date does not parse or lies outside the scenario: the
+    payload builder then runs on the usual path and reports why.
+    """
+    try:
+        first = service.parse_day(start)
+        last = first if end is None else service.parse_day(end)
+    except HttpError:
+        return []
+    return list(range(first, last + 1))
 
 
 # -- handlers ------------------------------------------------------------------
@@ -251,7 +272,10 @@ async def handle_day(request: Request, params: dict[str, str], ctx: ServeContext
     vantage = request.param("vantage")
     key = ("day", params["date"], vantage or "ixp")
     body = await cached_payload_bytes(
-        ctx, key, lambda: service.day_payload(params["date"], vantage)
+        ctx,
+        key,
+        lambda: service.day_payload(params["date"], vantage),
+        _request_days(service, params["date"]),
     )
     return Response(body=body)
 
@@ -274,6 +298,7 @@ async def handle_series(request: Request, params: dict[str, str], ctx: ServeCont
         ctx,
         key,
         lambda: service.series_payload(start, end, vantage, selectors, window),
+        _request_days(service, start, end),
     )
     return Response(body=body)
 
@@ -287,7 +312,10 @@ async def handle_victims(request: Request, params: dict[str, str], ctx: ServeCon
     top = request.param("top")
     key = ("victims", date, vantage or "ixp", top or "10")
     body = await cached_payload_bytes(
-        ctx, key, lambda: service.victims_payload(date, vantage, top)
+        ctx,
+        key,
+        lambda: service.victims_payload(date, vantage, top),
+        _request_days(service, date),
     )
     return Response(body=body)
 

@@ -6,8 +6,9 @@ with caching on. The paper's evidence is one day seen from three
 vantage points at once, so every endpoint asks for one fixed per-day
 request, :data:`SERVE_DAY`: at each of ``ixp``, ``tier1`` and
 ``tier2``, the day's per-selector packet counts, its flow/packet/byte
-totals and its victim ranking cut at :data:`MAX_TOP_VICTIMS`. A request
-resolves through the tiers in order:
+totals and its victim ranking cut at :data:`MAX_TOP_VICTIMS`, plus the
+day's ground-truth attack summary. A request resolves through the tiers
+in order:
 
 1. in-memory :class:`~repro.core.parallel.DayResultCache` — hit in
    microseconds, and never touches a flow table;
@@ -43,7 +44,15 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.classify import ClassifierThresholds
-from repro.core.parallel import Reduction, day_cache, day_events, day_reductions, port_counts, resolve_jobs
+from repro.core.parallel import (
+    Reduction,
+    day_cache,
+    day_events,
+    day_reductions,
+    memory_resident,
+    port_counts,
+    resolve_jobs,
+)
 from repro.core.workerpool import get_pool
 from repro.core.takedown_analysis import analyze_takedown
 from repro.core.victims import victim_report
@@ -51,6 +60,7 @@ from repro.experiments.base import ExperimentConfig, build_scenario
 from repro.experiments.fig4 import SELECTORS
 from repro.flows.records import FlowTable
 from repro.obs import metrics
+from repro.scenario.scenario import DayTraffic
 from repro.serve.http import HttpError
 from repro.timeutil import TRAFFIC_EPOCH, date_of, day_index, parse_date
 
@@ -71,8 +81,14 @@ MAX_TOP_VICTIMS = 1000
 VICTIM_BIN_SECONDS = 60.0
 
 
+#: Leaf types :func:`_py` passes through unchanged.
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
 def _py(value: Any) -> Any:
     """Recursively convert numpy scalars/arrays to canonical-JSON types."""
+    if type(value) in _JSON_LEAVES:
+        return value
     if isinstance(value, dict):
         return {str(k): _py(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -172,9 +188,23 @@ TOTALS = Reduction(("totals",), _day_totals)
 #: Victim ranking per vantage point, renormalized by its sampling factor.
 RANKINGS = {vantage: victim_ranking(VP_SAMPLING[vantage]) for vantage in VANTAGES}
 
+
+def _attack_summary(day: int, traffic: DayTraffic) -> dict[str, Any]:
+    events = traffic.events
+    return {
+        "events": len(events),
+        "victims": len({int(e.victim_ip) for e in events}),
+        "peak_pps": max((float(e.total_pps) for e in events), default=0.0),
+        "vectors": sorted({e.vector for e in events}),
+    }
+
+
+#: The day's ground-truth attack events, summarized (vantage ``None``).
+ATTACKS = Reduction(("attack_summary",), _attack_summary)
+
 #: The one request every endpoint makes for a day: a cold day is
 #: synthesized once and observed at all three vantage points.
-SERVE_DAY = {vantage: (PORTS, TOTALS, RANKINGS[vantage]) for vantage in VANTAGES}
+SERVE_DAY = {None: (ATTACKS,), **{v: (PORTS, TOTALS, RANKINGS[v]) for v in VANTAGES}}
 
 
 class ObservatoryService:
@@ -283,7 +313,16 @@ class ObservatoryService:
         metrics().inc(f"serve.cache_tier.{tier}")
         return result
 
-    def _serve_days(self, days: list[int]) -> dict[tuple[str, Reduction], list[Any]]:
+    def resident(self, days: list[int]) -> bool:
+        """Whether :data:`SERVE_DAY` of ``days`` is all in the memory tier.
+
+        A side-effect-free membership test (no counters, no disk, no
+        scenario build): a payload over resident days only reads cached
+        values, so the server builds it without leaving the event loop.
+        """
+        return self._scenario is not None and memory_resident(self._scenario, days, SERVE_DAY)
+
+    def _serve_days(self, days: list[int]) -> dict[tuple[str | None, Reduction], list[Any]]:
         """:data:`SERVE_DAY` for ``days``, through the cache tiers."""
         return day_reductions(
             self.scenario,
@@ -338,16 +377,7 @@ class ObservatoryService:
         """Per-day observed-attack aggregates for ``/v1/days/{date}``."""
         vantage_name = self.parse_vantage(vantage)
         day = self.parse_day(date_text)
-
-        def fetch():
-            # One resolve spans both cache accesses, so one request is
-            # one cache-tier classification (the acceptance test pins
-            # serve.cache_tier.compute == 1 for one uncomputed day).
-            values = self._serve_days([day])
-            events = day_events(self.scenario, day, cache=True)
-            return values, events
-
-        values, events = self._resolve(fetch)
+        values = self._resolve(lambda: self._serve_days([day]))
         return {
             "date": date_text,
             "day_index": day,
@@ -356,12 +386,7 @@ class ObservatoryService:
                 **values[vantage_name, TOTALS][0],
                 "ports": values[vantage_name, PORTS][0],
             },
-            "attacks": {
-                "events": len(events),
-                "victims": len({int(e.victim_ip) for e in events}),
-                "peak_pps": max((float(e.total_pps) for e in events), default=0.0),
-                "vectors": sorted({e.vector for e in events}),
-            },
+            "attacks": values[None, ATTACKS][0],
         }
 
     def series_payload(

@@ -327,6 +327,34 @@ class TestFusedServeDay:
         assert cached and not any(isinstance(value, FlowTable) for value in cached)
 
 
+class TestWarmPathOnTheLoop:
+    def test_resident_payloads_skip_the_worker_thread(self, service):
+        """A payload over memory-resident days is built without a thread hop."""
+        day = service.scenario_config.takedown_day - 1
+        date = str(date_of(day))
+        hops = []
+
+        async def run() -> tuple[bytes, bytes]:
+            ctx = ServeContext(service=service)
+            compute = ctx.compute
+
+            async def counted(fn):
+                hops.append(fn)
+                return await compute(fn)
+
+            ctx.compute = counted
+            build = lambda: service.day_payload(date, None)  # noqa: E731
+            cold = await cached_payload_bytes(ctx, ("day", date), build, [day])
+            warm = await cached_payload_bytes(ctx, ("day", date), build, [day])
+            return cold, warm
+
+        cold, warm = asyncio.run(run())
+        assert cold == warm
+        assert len(hops) == 1, "the warm request left the event loop"
+        assert service.resident([day])
+        assert not service.resident([day, day + 1])
+
+
 class TestConcurrentDistinctDates:
     def test_parallel_compute_slots_hammer_the_cache_locks(self, service, tmp_path):
         """Distinct-date requests through parallel compute slots.

@@ -40,7 +40,7 @@ from repro.obs import (
 from repro.obs import cli as obs_cli
 from repro.serve import routes as routes_module
 from repro.serve.routes import ServerState
-from repro.serve.server import AccessLog, ObservatoryServer
+from repro.serve.server import ACCESS_LOG_FLUSH_S, AccessLog, ObservatoryServer, _exchange_line
 from repro.serve.service import ObservatoryService
 
 SERIES_QUERY = "/v1/series/takedown?start=2018-12-17&end=2018-12-21"
@@ -180,6 +180,33 @@ class TestAccessLog:
         assert health["latency_ms"] >= 0
         assert health["bytes"] > 0
         assert health["client"] == "127.0.0.1"
+
+    def test_lines_reach_the_file_while_the_server_runs(self, tmp_path):
+        """Lines are buffered, but flushed within ACCESS_LOG_FLUSH_S of a write."""
+        log_path = tmp_path / "access.jsonl"
+        with _live_server(access_log=AccessLog(log_path)) as (base, _):
+            _get(f"{base}/v1/health")
+            deadline = time.monotonic() + 10
+            while not log_path.read_text() and time.monotonic() < deadline:
+                time.sleep(ACCESS_LOG_FLUSH_S)
+            assert json.loads(log_path.read_text())["target"] == "/v1/health"
+
+    def test_exchange_line_is_canonical_json(self):
+        target = '/v1/days/2018-12-18?q="\\é\n'
+        line = _exchange_line(1760000000.1234567, "id-1", "::1", "GET", target, 404, 0.00123456, None)
+        record = json.loads(line)
+        assert list(record) == sorted(record)
+        assert record == {
+            "bytes": None,
+            "client": "::1",
+            "latency_ms": 1.235,
+            "method": "GET",
+            "request_id": "id-1",
+            "status": 404,
+            "target": target,
+            "ts": 1760000000.123457,
+        }
+        assert line.isascii() and " " not in line.replace(target, "")
 
     def test_rotates_by_size_with_no_partial_lines(self, tmp_path):
         log_path = tmp_path / "access.jsonl"
