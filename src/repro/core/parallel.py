@@ -121,7 +121,8 @@ class Reduction:
         return self._hash
 
     def __reduce__(self) -> tuple:
-        # String hashes differ between processes: rebuild, never ship, it.
+        # String hashes differ between processes, so an unpickled
+        # reduction computes its own instead of carrying the sender's.
         return (Reduction, (self.key, self.fn))
 
     def __call__(self, day: int, data: Any) -> Any:

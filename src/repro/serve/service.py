@@ -27,9 +27,10 @@ across the call (a request that generated anything counts as compute, a
 request fully absorbed by the durable tier as disk, else mem).
 
 All payload builders are synchronous — the server runs them in worker
-threads via ``asyncio.to_thread`` behind a bounded semaphore — and end
-in :func:`canonical_json`: sorted keys, no whitespace, ``allow_nan``
-off. Determinism of the upstream day engine (bit-identical across
+threads via ``asyncio.to_thread`` behind a bounded semaphore, or on the
+event loop when every day they read is memory-resident
+(:meth:`ObservatoryService.resident`) — and end in
+:func:`canonical_json`: sorted keys, no whitespace, ``allow_nan`` off. Determinism of the upstream day engine (bit-identical across
 ``jobs``, executors, and cache temperature) therefore lifts to
 byte-identical HTTP payloads, which ``tests/test_serve_routes.py`` pins.
 """
@@ -137,12 +138,9 @@ def _day_totals(day: int, observed: FlowTable) -> dict[str, int]:
     }
 
 
-def _victim_ranking(
-    thresholds: ClassifierThresholds, sampling_factor: float, day: int, observed: FlowTable
-) -> dict[str, Any]:
+def _victim_ranking(sampling_factor: float, day: int, observed: FlowTable) -> dict[str, Any]:
     report = victim_report(
-        observed, thresholds=thresholds, bin_seconds=VICTIM_BIN_SECONDS,
-        sampling_factor=sampling_factor,
+        observed, bin_seconds=VICTIM_BIN_SECONDS, sampling_factor=sampling_factor
     )
     stats = report.stats
     peak = report.peak_gbps
@@ -164,29 +162,29 @@ def _victim_ranking(
     }
 
 
-def victim_ranking(
-    sampling_factor: float, thresholds: ClassifierThresholds = ClassifierThresholds()
-) -> Reduction:
-    """A day's victims ranked by renormalized peak Gbps, cut at :data:`MAX_TOP_VICTIMS`.
-
-    The value is JSON-exact: the destination count, the count above
-    1 Gbps, and the ranked victims as payload-ready dicts.
-    """
-    sampling_factor = float(sampling_factor)
-    return Reduction(
-        ("victim_ranking", sampling_factor, repr(thresholds), VICTIM_BIN_SECONDS, MAX_TOP_VICTIMS),
-        partial(_victim_ranking, thresholds, sampling_factor),
-    )
-
-
 #: Per-selector packet counts of the day (fig4's selectors).
 PORTS = port_counts(SELECTORS.values())
 
 #: The day's observed flow/packet/byte totals.
 TOTALS = Reduction(("totals",), _day_totals)
 
-#: Victim ranking per vantage point, renormalized by its sampling factor.
-RANKINGS = {vantage: victim_ranking(VP_SAMPLING[vantage]) for vantage in VANTAGES}
+#: Per vantage point, the day's victims ranked by peak Gbps renormalized
+#: by its sampling factor, cut at ``MAX_TOP_VICTIMS``: the destination
+#: count, the count above 1 Gbps, and payload-ready victim dicts. The key
+#: pins the default classifier thresholds, the bin and the cut.
+RANKINGS = {
+    vantage: Reduction(
+        (
+            "victim_ranking",
+            VP_SAMPLING[vantage],
+            repr(ClassifierThresholds()),
+            VICTIM_BIN_SECONDS,
+            MAX_TOP_VICTIMS,
+        ),
+        partial(_victim_ranking, VP_SAMPLING[vantage]),
+    )
+    for vantage in VANTAGES
+}
 
 
 def _attack_summary(day: int, traffic: DayTraffic) -> dict[str, Any]:
