@@ -13,8 +13,9 @@ endpoints all funnel through :func:`cached_payload_bytes`:
 so N concurrent requests for the same uncomputed resource cost one
 pipeline run and the pool is never oversubscribed by unrelated
 requests. A payload whose days are all resident in the memory tier
-only reads cached values; it is built on the event loop instead, which
-costs less than the hop to a worker thread and back.
+only reads cached values; when a compute slot is free it is built on
+the event loop instead, which costs less than the hop to a worker
+thread and back.
 """
 
 from __future__ import annotations
@@ -115,12 +116,17 @@ async def cached_payload_bytes(
     """Canonical JSON bytes of ``fn()``, deduplicated across waiters.
 
     The single-flight result is the serialized payload, so every
-    coalesced waiter writes bit-identical bytes to its client. When the
-    scenario ``days`` that ``fn`` reads are all memory-resident
-    (:meth:`ObservatoryService.resident`), ``fn`` runs right here: it
-    only reads cached values and needs neither coalescing nor a thread.
+    coalesced waiter writes bit-identical bytes to its client. When a
+    compute slot is free and the scenario ``days`` that ``fn`` reads are
+    all memory-resident (:meth:`ObservatoryService.resident`), ``fn``
+    runs right here: it only reads cached values, so it needs neither
+    coalescing nor a thread, and holds the free slot for no longer than
+    it runs. While every slot is busy it waits its turn like any other
+    request, so a computing day's counter deltas never absorb the
+    replays of concurrent warm requests.
     """
-    if days and ctx.service.resident(days):
+    semaphore = ctx.compute_semaphore
+    if days and (semaphore is None or not semaphore.locked()) and ctx.service.resident(days):
         return canonical_json(fn())
 
     async def factory() -> bytes:

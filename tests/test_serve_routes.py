@@ -354,6 +354,26 @@ class TestWarmPathOnTheLoop:
         assert service.resident([day])
         assert not service.resident([day, day + 1])
 
+    def test_resident_payloads_wait_while_every_compute_slot_is_busy(self, service):
+        """A running compute's counter deltas must not absorb warm replays."""
+        day = service.scenario_config.takedown_day - 1
+        date = str(date_of(day))
+        service.day_payload(date, None)
+        assert service.resident([day])
+
+        async def run() -> bytes:
+            ctx = ServeContext(service=service, compute_semaphore=asyncio.Semaphore(1))
+            await ctx.compute_semaphore.acquire()  # a compute holds the only slot
+            warm = asyncio.ensure_future(
+                cached_payload_bytes(ctx, ("day", date), lambda: service.day_payload(date, None), [day])
+            )
+            await asyncio.sleep(0.05)
+            assert not warm.done(), "a warm request ran beside a compute"
+            ctx.compute_semaphore.release()
+            return await asyncio.wait_for(warm, 30)
+
+        assert json.loads(asyncio.run(run()))["date"] == date
+
 
 class TestConcurrentDistinctDates:
     def test_parallel_compute_slots_hammer_the_cache_locks(self, service, tmp_path):
