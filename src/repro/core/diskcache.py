@@ -78,9 +78,10 @@ class DiskDayCache:
     Values move through the same ``(value, deltas)`` tuples the in-memory
     cache stores: :meth:`put` accepts a flow table or a JSON-exact value
     with its deltas (or ``None``) and silently declines anything else;
-    :meth:`get` returns that tuple or ``None``. Attach one to the in-memory cache with
-    :meth:`DayResultCache.attach_disk` and the tiers compose — memory
-    miss consults disk, disk hit promotes back into memory.
+    :meth:`get` returns that tuple or ``None``. Attach one to the
+    in-memory cache with :meth:`DayResultCache.attach_disk` and the
+    tiers compose — memory miss consults disk, disk hit promotes back
+    into memory.
 
     All index mutations and file writes happen under one re-entrant
     lock: the serving plane reads from ``asyncio.to_thread`` workers
