@@ -662,16 +662,18 @@ def _reduce_days(
         (vantage, reduction): {} for vantage, reductions in requests.items() for reduction in reductions
     }
     todo: list[tuple[int, _Need]] = []
+    n_values = sum(len(reductions) for reductions in requests.values())
     for day in dict.fromkeys(days):
         need = []
         truth = None
         satisfied = []
+        looked_up = iter(
+            _DAY_CACHE.get_many([key(v, day, r) for v, rs in requests.items() for r in rs])
+            if cache
+            else [None] * n_values
+        )
         for vantage, reductions in requests.items():
-            entries = (
-                dict(zip(reductions, _DAY_CACHE.get_many([key(vantage, day, r) for r in reductions])))
-                if cache
-                else dict.fromkeys(reductions)
-            )
+            entries = {r: next(looked_up) for r in reductions}
             missing = tuple(r for r in reductions if entries[r] is None)
             if missing and cache and vantage is not None and OBSERVED not in reductions:
                 table = _DAY_CACHE.get(key(vantage, day, OBSERVED))
