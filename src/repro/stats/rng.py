@@ -38,7 +38,12 @@ def derive_seed(root_seed: int, *path: str | int) -> int:
     True
     """
     h = hashlib.blake2b(digest_size=_SEED_BYTES)
-    h.update(int(root_seed).to_bytes(16, "little", signed=True))
+    root = int(root_seed)
+    try:
+        encoded = root.to_bytes(16, "little", signed=True)
+    except OverflowError:  # beyond 128 bits: as many bytes as it needs
+        encoded = root.to_bytes((root.bit_length() + 8) // 8, "little", signed=True)
+    h.update(encoded)
     for part in path:
         data = str(part).encode("utf-8")
         # Length-prefix each component so ("ab","c") != ("a","bc").
