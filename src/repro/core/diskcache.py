@@ -24,8 +24,8 @@ Corruption is expected, not exceptional: a bad magic, a truncated
 payload, a sha mismatch, or a mangled sidecar makes the entry a counted
 miss (``cache.disk_corrupt``) and deletes the files — it never fails
 the run. Writes are crash-safe via tmp-file + ``os.replace``, data file
-before sidecar, so an interrupted write can only leave an orphan that
-reads as corrupt.
+before sidecar, so an interrupted write can only leave an orphan record
+file, which reads as corrupt and which the next directory scan deletes.
 
 Two value lanes share the store. Flow tables (the expensive values —
 observed and attack day tables) go through the record format above.
@@ -120,8 +120,14 @@ class DiskDayCache:
         """Rebuild the LRU index from the directory (sidecar mtime order).
 
         Every entry has a sidecar; a table entry also owns a record file,
-        whose bytes count towards the entry's size.
+        whose bytes count towards the entry's size. A record file without
+        a sidecar is what a put() interrupted between its two renames
+        leaves: nothing can read it, so it is deleted here rather than
+        left outside the byte budget.
         """
+        for data in self.root.glob("*.rfl"):
+            if not self._sidecar_path(data.stem).exists():
+                data.unlink(missing_ok=True)
         entries = []
         for sidecar in self.root.glob("*.json"):
             try:
@@ -263,7 +269,7 @@ class DiskDayCache:
                         fh.write(records.tobytes())
                 tmp_sidecar.write_bytes(encoded)
                 # Data before sidecar: a crash in between leaves an orphan
-                # .rfl that the next get() treats as corrupt and deletes.
+                # .rfl that the next get() or directory scan deletes.
                 if records is not None:
                     os.replace(tmp_data, data_path)
                 else:

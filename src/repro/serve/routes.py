@@ -12,10 +12,7 @@ endpoints all funnel through :func:`cached_payload_bytes`:
 
 so N concurrent requests for the same uncomputed resource cost one
 pipeline run and the pool is never oversubscribed by unrelated
-requests. A payload whose days are all resident in the memory tier
-only reads cached values; when a compute slot is free it is built on
-the event loop instead, which costs less than the hop to a worker
-thread and back.
+requests.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import datetime
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Awaitable, Callable, Sequence
+from typing import Any, AsyncIterator, Awaitable, Callable
 
 from repro.obs import metrics
 from repro.obs.expo import EXPO_CONTENT_TYPE, render_exposition
@@ -111,23 +108,13 @@ Handler = Callable[[Request, dict[str, str], ServeContext], Awaitable[Response |
 
 
 async def cached_payload_bytes(
-    ctx: ServeContext, key: tuple, fn: Callable[[], Any], days: Sequence[int] = ()
+    ctx: ServeContext, key: tuple, fn: Callable[[], Any]
 ) -> bytes:
     """Canonical JSON bytes of ``fn()``, deduplicated across waiters.
 
     The single-flight result is the serialized payload, so every
-    coalesced waiter writes bit-identical bytes to its client. When a
-    compute slot is free and the scenario ``days`` that ``fn`` reads are
-    all memory-resident (:meth:`ObservatoryService.resident`), ``fn``
-    runs right here: it only reads cached values, so it needs neither
-    coalescing nor a thread, and holds the free slot for no longer than
-    it runs. While every slot is busy it waits its turn like any other
-    request, so a computing day's counter deltas never absorb the
-    replays of concurrent warm requests.
+    coalesced waiter writes bit-identical bytes to its client.
     """
-    semaphore = ctx.compute_semaphore
-    if days and (semaphore is None or not semaphore.locked()) and ctx.service.resident(days):
-        return canonical_json(fn())
 
     async def factory() -> bytes:
         payload = await ctx.compute(fn)
@@ -192,20 +179,6 @@ class Router:
                 close=False,
             )
         raise HttpError(404, f"no such resource: {request.path}", close=False)
-
-
-def _request_days(service: ObservatoryService, start: str, end: str | None = None) -> list[int]:
-    """The scenario days a payload over ``start``..``end`` reads.
-
-    Empty when a date does not parse or lies outside the scenario: the
-    payload builder then runs on the usual path and reports why.
-    """
-    try:
-        first = service.parse_day(start)
-        last = first if end is None else service.parse_day(end)
-    except HttpError:
-        return []
-    return list(range(first, last + 1))
 
 
 # -- handlers ------------------------------------------------------------------
@@ -278,10 +251,7 @@ async def handle_day(request: Request, params: dict[str, str], ctx: ServeContext
     vantage = request.param("vantage")
     key = ("day", params["date"], vantage or "ixp")
     body = await cached_payload_bytes(
-        ctx,
-        key,
-        lambda: service.day_payload(params["date"], vantage),
-        _request_days(service, params["date"]),
+        ctx, key, lambda: service.day_payload(params["date"], vantage)
     )
     return Response(body=body)
 
@@ -304,7 +274,6 @@ async def handle_series(request: Request, params: dict[str, str], ctx: ServeCont
         ctx,
         key,
         lambda: service.series_payload(start, end, vantage, selectors, window),
-        _request_days(service, start, end),
     )
     return Response(body=body)
 
@@ -318,10 +287,7 @@ async def handle_victims(request: Request, params: dict[str, str], ctx: ServeCon
     top = request.param("top")
     key = ("victims", date, vantage or "ixp", top or "10")
     body = await cached_payload_bytes(
-        ctx,
-        key,
-        lambda: service.victims_payload(date, vantage, top),
-        _request_days(service, date),
+        ctx, key, lambda: service.victims_payload(date, vantage, top)
     )
     return Response(body=body)
 

@@ -155,6 +155,16 @@ class TestCorruption:
         sidecar.unlink()
         self._assert_corrupt_miss(cache, data, sidecar)
 
+    def test_orphan_record_file_deleted_on_reopen(self, tmp_path):
+        """A put() interrupted between its renames leaves a bare record file."""
+        cache, data, sidecar = self._store(tmp_path)
+        cache.put(("day", "cfg", "td", "ixp", 1, True, ("ports",)), ({"ntp_to": 7}, None))
+        sidecar.unlink()
+        reopened = DiskDayCache(tmp_path)
+        assert not data.exists()
+        assert len(reopened) == 1
+        assert reopened.resident_bytes == sum(p.stat().st_size for p in tmp_path.iterdir())
+
     def test_corruption_never_raises_from_get(self, tmp_path):
         cache, data, _ = self._store(tmp_path)
         data.write_bytes(b"garbage")
