@@ -31,15 +31,14 @@ from __future__ import annotations
 import argparse
 import asyncio
 import itertools
-import json
 import logging
 import os
 import re
+import signal
 import threading
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
 
 from repro.core.diskcache import DEFAULT_MAX_BYTES, DiskDayCache
 from repro.core.parallel import day_cache
@@ -137,12 +136,8 @@ class AccessLog:
         self._size = 0
         self.rotations += 1
 
-    def write(self, record: dict[str, Any]) -> None:
-        """Append ``record`` as one canonical JSON line."""
-        self.write_line(json.dumps(record, sort_keys=True, separators=(",", ":")))
-
     def write_line(self, line: str) -> None:
-        """Append one already-canonical JSON line, given without its newline."""
+        """Append one :func:`_exchange_line`, given without its newline."""
         line += "\n"
         with self._lock:
             if (
@@ -610,11 +605,18 @@ async def _run_server(args: argparse.Namespace, config: ExperimentConfig) -> int
         config.executor,
         config.jobs,
     )
+    # SIGTERM (how process managers and CI stop a server) ends the serve
+    # loop as Ctrl-C does, so the access log is flushed and closed, and
+    # main() writes the trace and shuts the worker pool down.
+    serving = asyncio.ensure_future(server.serve_forever())
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, serving.cancel)
     try:
-        await server.serve_forever()
+        await serving
     except asyncio.CancelledError:
         pass
     finally:
+        loop.remove_signal_handler(signal.SIGTERM)
         await server.aclose()
         if access_log is not None:
             access_log.close()

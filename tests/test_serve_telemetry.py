@@ -19,10 +19,15 @@ server.
 import asyncio
 import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +97,11 @@ def _live_server(config: ExperimentConfig | None = None, **server_kwargs):
     finally:
         holder["loop"].call_soon_threadsafe(holder["task"].cancel)
         thread.join(30)
+
+
+def _line(request_id: str) -> str:
+    """An access-log line for a 200 ``/v1/health`` exchange."""
+    return _exchange_line(1760000000.0, request_id, "127.0.0.1", "GET", "/v1/health", 200, 0.001, 2)
 
 
 def _get(url: str, headers: dict | None = None) -> tuple[int, dict, bytes]:
@@ -191,6 +201,40 @@ class TestAccessLog:
                 time.sleep(ACCESS_LOG_FLUSH_S)
             assert json.loads(log_path.read_text())["target"] == "/v1/health"
 
+    def test_sigterm_flushes_the_log_and_writes_the_trace(self, tmp_path):
+        """``kill PID`` stops repro-serve cleanly: no buffered line is lost."""
+        log_path, trace_path = tmp_path / "access.jsonl", tmp_path / "trace.json"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serve.server", "--port", "0",
+                "--executor", "inline", "--access-log", str(log_path),
+                "--trace-out", str(trace_path),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            ready = proc.stdout.readline()
+            assert ready.startswith("SERVE_READY "), ready
+            status, headers, _ = _get(f"{ready.split()[1]}/v1/health")
+            assert status == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        (line,) = log_path.read_text().splitlines()
+        record = json.loads(line)
+        assert record["target"] == "/v1/health"
+        assert record["request_id"] == headers["X-Request-Id"]
+        assert trace_path.exists()
+
     def test_exchange_line_is_canonical_json(self):
         target = '/v1/days/2018-12-18?q="\\é\n'
         line = _exchange_line(1760000000.1234567, "id-1", "::1", "GET", target, 404, 0.00123456, None)
@@ -213,7 +257,7 @@ class TestAccessLog:
         log = AccessLog(log_path, max_bytes=400)
         try:
             for i in range(50):
-                log.write({"request_id": f"req-{i:04d}", "status": 200})
+                log.write_line(_line(f"req-{i:04d}"))
         finally:
             log.close()
         assert log.rotations > 0
@@ -235,7 +279,7 @@ class TestAccessLog:
         log = AccessLog(log_path)
         try:
             for i in range(100):
-                log.write({"request_id": i})
+                log.write_line(_line(str(i)))
         finally:
             log.close()
         assert log.rotations == 0
@@ -248,12 +292,12 @@ class TestAccessLog:
         """A reopened log appends (tell() seeds the size), then rotates."""
         log_path = tmp_path / "access.jsonl"
         first = AccessLog(log_path, max_bytes=200)
-        first.write({"request_id": "old-0"})
+        first.write_line(_line("old-0"))
         first.close()
         log = AccessLog(log_path, max_bytes=200)
         try:
             for i in range(20):
-                log.write({"request_id": f"new-{i}"})
+                log.write_line(_line(f"new-{i}"))
         finally:
             log.close()
         assert log.rotations > 0
