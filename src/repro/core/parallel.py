@@ -36,8 +36,7 @@ values it asked for, so experiments sharing days (fig2b/fig2c/landscape,
 fig5 after fig4, victimization after honeypot) reuse each other's work
 without the cache holding whole tables nobody reads. The serving plane
 (:mod:`repro.serve.service`) is a client too: it asks for small
-per-day reductions at all three vantage points at once, never for
-tables.
+per-day reductions at one vantage point, never for tables.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ __all__ = [
     "resolve_jobs",
     "register_scenario",
     "day_reductions",
-    "memory_resident",
     "port_counts",
     "hourly_attacks",
     "daily_port_counts",
@@ -593,10 +591,6 @@ class DayResultCache:
                 stats["disk"] = self.disk.stats()
             return stats
 
-    def __contains__(self, key: tuple) -> bool:
-        """Whether ``key`` is in the memory LRU (no counters, no disk)."""
-        return key in self._data
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -773,27 +767,6 @@ def day_reductions(
     """
     with metrics().span("parallel.day_reductions"):
         return _reduce_days(scenario, days, requests, with_takedown, jobs, cache, executor, batch_days)
-
-
-def memory_resident(
-    scenario: Scenario,
-    days: Iterable[int],
-    requests: Mapping[str | None, Sequence[Reduction]],
-    with_takedown: bool = True,
-) -> bool:
-    """Whether every value :func:`day_reductions` would return is in memory.
-
-    A membership test of the memory LRU only: it counts no hit or miss,
-    replays nothing, never reads the disk tier and never computes, so a
-    caller can tell cheaply whether a cached call is a pure memory read.
-    """
-    config_hash, takedown = _context(scenario)
-    return all(
-        _key("day", config_hash, takedown, vantage, day, with_takedown, reduction.key) in _DAY_CACHE
-        for day in days
-        for vantage, reductions in requests.items()
-        for reduction in reductions
-    )
 
 
 # -- wrappers ---------------------------------------------------------------------

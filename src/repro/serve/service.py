@@ -2,13 +2,11 @@
 
 Every endpoint payload is derived from the same deterministic day
 engine the experiments use, :func:`repro.core.parallel.day_reductions`
-with caching on. The paper's evidence is one day seen from three
-vantage points at once, so every endpoint asks for one fixed per-day
-request, :data:`SERVE_DAY`: at each of ``ixp``, ``tier1`` and
-``tier2``, the day's per-selector packet counts, its flow/packet/byte
-totals and its victim ranking cut at :data:`MAX_TOP_VICTIMS`, plus the
-day's ground-truth attack summary. A request resolves through the tiers
-in order:
+with caching on. Every endpoint asks for one fixed request per day and
+vantage point, :data:`SERVE_DAY`: the day's per-selector packet counts,
+its flow/packet/byte totals and its victim ranking cut at
+:data:`MAX_TOP_VICTIMS` there, plus the day's ground-truth attack
+summary. A request resolves through the tiers in order:
 
 1. in-memory :class:`~repro.core.parallel.DayResultCache` — hit in
    microseconds, and never touches a flow table;
@@ -17,9 +15,10 @@ in order:
    JSON-exact values, one sidecar file each;
 3. warm-pool compute via :mod:`repro.core.workerpool` under the server's
    configured ``--jobs/--executor`` — the expensive path, coalesced by
-   the single-flight layer so concurrent misses run it once. A cold day
-   is synthesized once and observed at all three vantage points, so a
-   later request for the same day at another vantage is a memory hit.
+   the single-flight layer so concurrent misses run it once. A cold
+   (day, vantage) is synthesized and observed once and every reduction
+   of it is cached, so a later request of any endpoint for that day and
+   vantage is a memory hit.
 
 Which tier served each request is counted as
 ``serve.cache_tier.{mem,disk,compute}`` by watching the cache counters
@@ -27,10 +26,9 @@ across the call (a request that generated anything counts as compute, a
 request fully absorbed by the durable tier as disk, else mem).
 
 All payload builders are synchronous — the server runs them in worker
-threads via ``asyncio.to_thread`` behind a bounded semaphore, or on the
-event loop when every day they read is memory-resident
-(:meth:`ObservatoryService.resident`) — and end in
-:func:`canonical_json`: sorted keys, no whitespace, ``allow_nan`` off. Determinism of the upstream day engine (bit-identical across
+threads via ``asyncio.to_thread`` behind a bounded semaphore — and end
+in :func:`canonical_json`: sorted keys, no whitespace, ``allow_nan``
+off. Determinism of the upstream day engine (bit-identical across
 ``jobs``, executors, and cache temperature) therefore lifts to
 byte-identical HTTP payloads, which ``tests/test_serve_routes.py`` pins.
 """
@@ -50,7 +48,6 @@ from repro.core.parallel import (
     day_cache,
     day_events,
     day_reductions,
-    memory_resident,
     port_counts,
     resolve_jobs,
 )
@@ -200,9 +197,13 @@ def _attack_summary(day: int, traffic: DayTraffic) -> dict[str, Any]:
 #: The day's ground-truth attack events, summarized (vantage ``None``).
 ATTACKS = Reduction(("attack_summary",), _attack_summary)
 
-#: The one request every endpoint makes for a day: a cold day is
-#: synthesized once and observed at all three vantage points.
-SERVE_DAY = {None: (ATTACKS,), **{v: (PORTS, TOTALS, RANKINGS[v]) for v in VANTAGES}}
+#: Per vantage point, the one request every endpoint makes for a day
+#: there. Asking for all three vantage points at once would synthesize a
+#: day once for traffic that asks it at several of them, but pay two
+#: extra observations and rankings per cold day for traffic that asks
+#: one; no benchmark workload has the second kind of traffic to weigh
+#: the two against.
+SERVE_DAY = {v: {None: (ATTACKS,), v: (PORTS, TOTALS, RANKINGS[v])} for v in VANTAGES}
 
 
 class ObservatoryService:
@@ -311,21 +312,14 @@ class ObservatoryService:
         metrics().inc(f"serve.cache_tier.{tier}")
         return result
 
-    def resident(self, days: list[int]) -> bool:
-        """Whether :data:`SERVE_DAY` of ``days`` is all in the memory tier.
-
-        A side-effect-free membership test (no counters, no disk, no
-        scenario build): a payload over resident days only reads cached
-        values, so the server builds it without leaving the event loop.
-        """
-        return self._scenario is not None and memory_resident(self._scenario, days, SERVE_DAY)
-
-    def _serve_days(self, days: list[int]) -> dict[tuple[str | None, Reduction], list[Any]]:
-        """:data:`SERVE_DAY` for ``days``, through the cache tiers."""
+    def _serve_days(
+        self, days: list[int], vantage: str
+    ) -> dict[tuple[str | None, Reduction], list[Any]]:
+        """:data:`SERVE_DAY` of ``vantage`` for ``days``, through the cache tiers."""
         return day_reductions(
             self.scenario,
             days,
-            SERVE_DAY,
+            SERVE_DAY[vantage],
             jobs=self.config.jobs,
             cache=True,
             executor=self.config.executor,
@@ -375,7 +369,7 @@ class ObservatoryService:
         """Per-day observed-attack aggregates for ``/v1/days/{date}``."""
         vantage_name = self.parse_vantage(vantage)
         day = self.parse_day(date_text)
-        values = self._resolve(lambda: self._serve_days([day]))
+        values = self._resolve(lambda: self._serve_days([day], vantage_name))
         return {
             "date": date_text,
             "day_index": day,
@@ -427,7 +421,7 @@ class ObservatoryService:
                 close=False,
             )
         days = list(range(start_day, end_day + 1))
-        counts = self._resolve(lambda: self._serve_days(days))[vantage_name, PORTS]
+        counts = self._resolve(lambda: self._serve_days(days, vantage_name))[vantage_name, PORTS]
         series = {name: [day_counts[name] for day_counts in counts] for name in names}
         takedown_day = self.scenario_config.takedown_day
         payload: dict[str, Any] = {
@@ -497,7 +491,8 @@ class ObservatoryService:
             raise HttpError(
                 400, f"top must be in [1, {MAX_TOP_VICTIMS}], got {top}", close=False
             )
-        ranking = self._resolve(lambda: self._serve_days([day]))[vantage_name, RANKINGS[vantage_name]][0]
+        values = self._resolve(lambda: self._serve_days([day], vantage_name))
+        ranking = values[vantage_name, RANKINGS[vantage_name]][0]
         return {
             "date": date_text,
             "day_index": day,

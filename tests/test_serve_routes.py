@@ -310,69 +310,30 @@ def _span_calls(registry: MetricsRegistry, stage: str) -> int:
     return sum(stats.calls for path, stats in registry.spans.items() if path[-1] == stage)
 
 
-class TestFusedServeDay:
-    def test_one_synthesis_serves_all_three_vantages(self, service):
-        """A day asked for at three vantages is synthesized and observed once each."""
+class TestServeDay:
+    def test_one_compute_serves_every_endpoint_at_its_vantage(self, service):
+        """A day at one vantage point is synthesized and observed once.
+
+        Every endpoint then reads the cached reductions, never a flow
+        table; another vantage point is a compute of its own.
+        """
         registry = MetricsRegistry(enabled=True)
         date = str(date_of(service.scenario_config.takedown_day - 2))
         with use_metrics(registry):
-            service.day_payload(date, "ixp")
+            service.day_payload(date, "tier1")
             service.victims_payload(date, "tier1", None)
-            service.series_payload(date, date, "tier2", None, None)
+            service.series_payload(date, date, "tier1", None, None)
         assert _span_calls(registry, "scenario.day_traffic") == 1
-        assert _span_calls(registry, "scenario.observe_day") == 3
+        assert _span_calls(registry, "scenario.observe_day") == 1
         assert registry.counter("serve.cache_tier.compute") == 1
         assert registry.counter("serve.cache_tier.mem") == 2
         cached = [value for value, _ in day_cache()._data.values()]
         assert cached and not any(isinstance(value, FlowTable) for value in cached)
-
-
-class TestWarmPathOnTheLoop:
-    def test_resident_payloads_skip_the_worker_thread(self, service):
-        """A payload over memory-resident days is built without a thread hop."""
-        day = service.scenario_config.takedown_day - 1
-        date = str(date_of(day))
-        hops = []
-
-        async def run() -> tuple[bytes, bytes]:
-            ctx = ServeContext(service=service)
-            compute = ctx.compute
-
-            async def counted(fn):
-                hops.append(fn)
-                return await compute(fn)
-
-            ctx.compute = counted
-            build = lambda: service.day_payload(date, None)  # noqa: E731
-            cold = await cached_payload_bytes(ctx, ("day", date), build, [day])
-            warm = await cached_payload_bytes(ctx, ("day", date), build, [day])
-            return cold, warm
-
-        cold, warm = asyncio.run(run())
-        assert cold == warm
-        assert len(hops) == 1, "the warm request left the event loop"
-        assert service.resident([day])
-        assert not service.resident([day, day + 1])
-
-    def test_resident_payloads_wait_while_every_compute_slot_is_busy(self, service):
-        """A running compute's counter deltas must not absorb warm replays."""
-        day = service.scenario_config.takedown_day - 1
-        date = str(date_of(day))
-        service.day_payload(date, None)
-        assert service.resident([day])
-
-        async def run() -> bytes:
-            ctx = ServeContext(service=service, compute_semaphore=asyncio.Semaphore(1))
-            await ctx.compute_semaphore.acquire()  # a compute holds the only slot
-            warm = asyncio.ensure_future(
-                cached_payload_bytes(ctx, ("day", date), lambda: service.day_payload(date, None), [day])
-            )
-            await asyncio.sleep(0.05)
-            assert not warm.done(), "a warm request ran beside a compute"
-            ctx.compute_semaphore.release()
-            return await asyncio.wait_for(warm, 30)
-
-        assert json.loads(asyncio.run(run()))["date"] == date
+        with use_metrics(registry):
+            service.victims_payload(date, "tier2", None)
+        assert _span_calls(registry, "scenario.day_traffic") == 2
+        assert _span_calls(registry, "scenario.observe_day") == 2
+        assert registry.counter("serve.cache_tier.compute") == 2
 
 
 class TestConcurrentDistinctDates:
