@@ -614,7 +614,10 @@ async def _run_server(args: argparse.Namespace, config: ExperimentConfig) -> int
     try:
         await serving
     except asyncio.CancelledError:
-        pass
+        # Ctrl-C cancels this task itself (asyncio.run turns that into
+        # KeyboardInterrupt for main); SIGTERM cancels only the loop.
+        if asyncio.current_task().cancelling():
+            raise
     finally:
         loop.remove_signal_handler(signal.SIGTERM)
         await server.aclose()
