@@ -353,8 +353,10 @@ def _legacy_day_traffic(scenario, day, bin_seconds=60.0):
 
 
 def _legacy_observe_all(scenario, traffic):
-    """The pre-matrix observation: cold per-pair oracle, per-vantage concat."""
+    """The pre-matrix observation: cold per-pair oracle, per-vantage concat,
+    and a whole table per stage (:mod:`tests.reference.observe`)."""
     from repro.flows.records import FlowTable
+    from tests.reference.observe import observe
     from tests.reference.visibility import VisibilityOracle
 
     oracle = VisibilityOracle(scenario.topology)  # cold caches, as in a fresh worker
@@ -367,7 +369,7 @@ def _legacy_observe_all(scenario, traffic):
                 [traffic.attack, traffic.trigger, traffic.scan, traffic.benign]
             )
             rng = scenario.seeds.child("observe", name, traffic.day).rng()
-            observed[name] = vp.observe(table, rng)
+            observed[name] = observe(vp, table, rng)
     finally:
         for name, vp in scenario.vantage_points.items():
             vp.visibility = saved[name]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flows.records import FlowTable
-from repro.flows.timeseries import DestinationStats, per_destination_stats
+from repro.flows.timeseries import DestinationStats, SourcePeaks, per_destination_stats
 from repro.protocols.amplification import UDP
 
 __all__ = ["ClassifierThresholds", "OptimisticClassifier", "ConservativeClassifier"]
@@ -108,8 +108,9 @@ class ConservativeClassifier:
         self.thresholds = thresholds
 
     def destination_mask(
-        self, stats: DestinationStats, sampling_factor: float = 1.0
+        self, stats: DestinationStats | SourcePeaks, sampling_factor: float = 1.0
     ) -> np.ndarray:
+        """Destinations (or (hour, destination) groups) passing both rules."""
         if sampling_factor <= 0:
             raise ValueError("sampling_factor must be positive")
         peak_gbps = stats.peak_bps * sampling_factor / 1e9

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.classify import ClassifierThresholds, ConservativeClassifier, OptimisticClassifier
 from repro.flows.records import FlowTable
-from repro.flows.timeseries import DestinationStats, per_destination_stats
+from repro.flows.timeseries import DestinationStats, per_destination_stats, source_peaks
 from repro.netmodel.asn import ASRegistry
 
 __all__ = ["VictimReport", "victim_report", "attacks_per_hour", "victim_asn_breakdown"]
@@ -119,18 +119,35 @@ def attacks_per_hour(
     """
     if t1 <= t0:
         raise ValueError("t1 must be after t0")
+    if bin_seconds <= 0:
+        raise ValueError("bin_seconds must be positive")
     n_hours = int(np.ceil((t1 - t0) / SECONDS_PER_HOUR))
     counts = np.zeros(n_hours, dtype=np.int64)
     amplified = OptimisticClassifier(thresholds).amplification_flows(table)
-    if len(amplified) == 0:
-        return counts
-    conservative = ConservativeClassifier(thresholds)
     times = amplified["time"]
-    hour_idx = ((times - t0) / SECONDS_PER_HOUR).astype(np.int64)
     inside = (times >= t0) & (times < t1)
-    for hour in np.unique(hour_idx[inside]):
-        hour_table = amplified.filter(inside & (hour_idx == hour))
-        stats = per_destination_stats(hour_table, bin_seconds=bin_seconds)
-        mask = conservative.destination_mask(stats, sampling_factor)
-        counts[hour] = int(mask.sum())
+    if not inside.any():
+        return counts
+    times = times[inside]
+    dsts = amplified["dst_ip"][inside]
+    hours = ((times - t0) / SECONDS_PER_HOUR).astype(np.int64)
+    # Each hour's bins start at its earliest flow, floored to a bin
+    # boundary: per_destination_stats over that hour's flows alone bins
+    # them so, and anchoring alike keeps the float bin indices identical.
+    first = np.full(n_hours, np.inf)
+    np.minimum.at(first, hours, times)
+    anchors = np.floor(first / bin_seconds) * bin_seconds
+    bins = ((times - anchors[hours]) / bin_seconds).astype(np.int64)
+    keys = hours.astype(np.uint64) << np.uint64(32) | dsts.astype(np.uint64)
+    groups, group_idx = np.unique(keys, return_inverse=True)
+    peaks = source_peaks(
+        group_idx,
+        groups.size,
+        amplified["src_ip"][inside],
+        bins,
+        amplified["bytes"][inside].astype(np.float64),
+        bin_seconds,
+    )
+    attacked = ConservativeClassifier(thresholds).destination_mask(peaks, sampling_factor)
+    np.add.at(counts, (groups[attacked] >> np.uint64(32)).astype(np.int64), 1)
     return counts

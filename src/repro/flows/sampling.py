@@ -40,26 +40,35 @@ class PacketSampler:
     def probability(self) -> float:
         return 1.0 / self.rate_denominator
 
-    def apply(self, table: FlowTable, rng: np.random.Generator) -> FlowTable:
-        """Sample ``table``; returns surviving flows with thinned counters.
+    def thin(
+        self, packets: np.ndarray, nbytes: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample flows given by their counters: the one thinning rule.
 
-        Byte counts are thinned proportionally to the per-flow mean packet
-        size, which is exact for flows of uniform packet size (our
-        synthesized flows) and a standard estimator otherwise.
+        Draws every flow's sampled packet count with one
+        ``rng.binomial(packets, 1/N)`` call, in the order given, and
+        returns ``(survivors, packets, bytes)``: the mask of flows that
+        keep at least one packet and those flows' thinned counters. Bytes
+        are thinned proportionally to the per-flow mean packet size,
+        ``round(sampled * (bytes / packets))``, which is exact for flows
+        of uniform packet size (our synthesized flows) and a standard
+        estimator otherwise.
         """
-        if self.rate_denominator == 1 or len(table) == 0:
-            return table
-        packets = table["packets"]
         sampled = rng.binomial(packets, self.probability)
         survivors = sampled > 0
+        kept = sampled[survivors].astype(np.int64, copy=False)
+        mean_size = nbytes[survivors] / packets[survivors]
+        return survivors, kept, np.round(kept * mean_size).astype(np.int64)
+
+    def apply(self, table: FlowTable, rng: np.random.Generator) -> FlowTable:
+        """Sample ``table``; returns surviving flows with thinned counters
+        (see :meth:`thin`)."""
+        if self.rate_denominator == 1 or len(table) == 0:
+            return table
+        survivors, packets, nbytes = self.thin(table["packets"], table["bytes"], rng)
         if not survivors.any():
             return FlowTable.empty()
-        mean_size = table.mean_packet_sizes()
-        new_bytes = np.round(sampled * mean_size).astype(np.int64)
-        thinned = table.with_columns(
-            packets=sampled.astype(np.int64), bytes=new_bytes
-        )
-        return thinned.filter(survivors)
+        return table.filter(survivors).with_columns(packets=packets, bytes=nbytes)
 
     def renormalize(self, table: FlowTable) -> FlowTable:
         """Scale sampled counters back to population estimates (xN)."""

@@ -11,6 +11,7 @@ These are the workhorse aggregations behind the paper's figures:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "DestinationStats",
     "per_destination_stats",
     "per_destination_timebinned",
+    "SourcePeaks",
+    "source_peaks",
 ]
 
 SECONDS_PER_DAY = 86_400.0
@@ -103,6 +106,43 @@ class DestinationStats:
         )
 
 
+class SourcePeaks(NamedTuple):
+    """Distinct sources and peak rate per flow group: what the
+    conservative rules read (see :func:`source_peaks`)."""
+
+    unique_sources: np.ndarray
+    peak_bps: np.ndarray
+
+
+def source_peaks(
+    group: np.ndarray,
+    n_groups: int,
+    srcs: np.ndarray,
+    bin_idx: np.ndarray,
+    nbytes: np.ndarray,
+    bin_seconds: float,
+) -> SourcePeaks:
+    """Distinct sources and peak ``bin_seconds`` rate of each flow group.
+
+    ``group`` assigns every flow to one of ``n_groups`` groups (a
+    destination, or an (hour, destination) pair), ``bin_idx`` to its
+    time bin. Bytes are summed per (group, bin) in row order; a group's
+    peak is its largest bin, in bits per second.
+    """
+    pair_keys = group.astype(np.uint64) << np.uint64(32) | srcs.astype(np.uint64)
+    pair_group = (np.unique(pair_keys) >> np.uint64(32)).astype(np.int64)
+    unique_sources = np.bincount(pair_group, minlength=n_groups).astype(np.int64)
+
+    n_bins = int(bin_idx.max()) + 1
+    gb_keys = group.astype(np.int64) * n_bins + bin_idx
+    uniq_gb, gb_inverse = np.unique(gb_keys, return_inverse=True)
+    bytes_per_gb = np.zeros(uniq_gb.size)
+    np.add.at(bytes_per_gb, gb_inverse, nbytes)
+    peak_bytes = np.zeros(n_groups)
+    np.maximum.at(peak_bytes, uniq_gb // n_bins, bytes_per_gb)
+    return SourcePeaks(unique_sources, peak_bytes * 8.0 / bin_seconds)
+
+
 def per_destination_stats(table: FlowTable, bin_seconds: float = 60.0) -> DestinationStats:
     """Aggregate a trace per destination IP with ``bin_seconds`` time bins.
 
@@ -133,31 +173,17 @@ def per_destination_stats(table: FlowTable, bin_seconds: float = 60.0) -> Destin
     np.add.at(total_packets, dst_idx, packets)
     np.add.at(total_bytes, dst_idx, nbytes)
 
-    # Unique sources per destination: count unique (dst, src) pairs.
-    pair_keys = dst_idx.astype(np.uint64) << np.uint64(32) | srcs.astype(np.uint64)
-    unique_pairs = np.unique(pair_keys)
-    pair_dst = (unique_pairs >> np.uint64(32)).astype(np.int64)
-    unique_sources = np.bincount(pair_dst, minlength=n_dst).astype(np.int64)
-
     # Time-binned aggregates: bins aligned to absolute bin_seconds
     # boundaries, so results don't depend on the first flow's timestamp
     # and per-day passes compose with whole-trace passes.
     t0 = np.floor(float(times.min()) / bin_seconds) * bin_seconds
     bin_idx = ((times - t0) / bin_seconds).astype(np.int64)
-    n_bins = int(bin_idx.max()) + 1
-
-    # Peak bps per destination: bytes per (dst, bin), then max over bins.
-    db_keys = dst_idx.astype(np.int64) * n_bins + bin_idx
-    uniq_db, db_inverse = np.unique(db_keys, return_inverse=True)
-    bytes_per_db = np.zeros(uniq_db.size)
-    np.add.at(bytes_per_db, db_inverse, nbytes)
-    db_dst = uniq_db // n_bins
-    peak_bytes = np.zeros(n_dst)
-    np.maximum.at(peak_bytes, db_dst, bytes_per_db)
-    peak_bps = peak_bytes * 8.0 / bin_seconds
+    peaks = source_peaks(dst_idx, n_dst, srcs, bin_idx, nbytes, bin_seconds)
 
     # Max distinct sources within one bin: unique (dst, bin, src) triples,
     # counted per (dst, bin), then max over bins.
+    n_bins = int(bin_idx.max()) + 1
+    db_keys = dst_idx.astype(np.int64) * n_bins + bin_idx
     triple_keys = (db_keys.astype(np.uint64) << np.uint64(32)) | srcs.astype(np.uint64)
     uniq_triples = np.unique(triple_keys)
     triple_db = (uniq_triples >> np.uint64(32)).astype(np.int64)
@@ -167,9 +193,9 @@ def per_destination_stats(table: FlowTable, bin_seconds: float = 60.0) -> Destin
 
     return DestinationStats(
         destinations=destinations,
-        unique_sources=unique_sources,
+        unique_sources=peaks.unique_sources,
         max_sources_per_bin=max_sources,
-        peak_bps=peak_bps,
+        peak_bps=peaks.peak_bps,
         total_packets=total_packets.astype(np.int64),
         total_bytes=total_bytes.astype(np.int64),
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import re
 from dataclasses import dataclass, field
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import parse_qsl, unquote
 
 __all__ = [
     "STATUS_REASONS",
@@ -54,7 +54,16 @@ STATUS_REASONS = {
 }
 
 #: RFC 9110 token characters (method names are tokens).
-_TOKEN_RE = re.compile(r"^[!#$%&'*+\-.^_`|~0-9A-Za-z]+$")
+_TOKEN_RE = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+#: Origin-form targets (RFC 9112 §3.2.1): an absolute path whose first
+#: segment is not empty, so it cannot read as ``//authority``, and an
+#: optional query, both in RFC 3986 path/query characters.
+_ORIGIN_FORM_RE = re.compile(r"/(?!/)[!$&'()*+,;=:@/?%\-._~0-9A-Za-z]*")
+
+#: Characters RFC 9110 §5.5 forbids in field values; no decoded path may
+#: carry them either.
+_FORBIDDEN_CHARS = re.compile("[\r\n\x00]")
 
 #: Methods the server understands at all; anything else that is still a
 #: valid token is 501, a non-token is 400.
@@ -156,7 +165,7 @@ def parse_request_head(head: bytes, limits: HttpLimits = HttpLimits()) -> Reques
     if len(parts) != 3 or not all(parts):
         raise HttpError(400, f"malformed request line: {request_line!r}")
     method, target, version = parts
-    if not _TOKEN_RE.match(method):
+    if not _TOKEN_RE.fullmatch(method):
         raise HttpError(400, f"method is not a valid token: {method!r}")
     if method not in KNOWN_METHODS:
         raise HttpError(501, f"method not implemented: {method!r}")
@@ -164,8 +173,12 @@ def parse_request_head(head: bytes, limits: HttpLimits = HttpLimits()) -> Reques
         raise HttpError(400, f"malformed HTTP version: {version!r}")
     if version not in ("HTTP/1.0", "HTTP/1.1"):
         raise HttpError(505, f"unsupported HTTP version: {version!r}")
-    if target != "*" and not target.startswith("/"):
+    if target != "*" and not _ORIGIN_FORM_RE.fullmatch(target):
         raise HttpError(400, f"request target must be origin-form: {target!r}")
+    raw_path, _, raw_query = target.partition("?")
+    path = unquote(raw_path)
+    if _FORBIDDEN_CHARS.search(path):
+        raise HttpError(400, f"request path decodes to CR, LF or NUL: {target!r}")
 
     headers: dict[str, str] = {}
     for line in lines[1:]:
@@ -176,8 +189,10 @@ def parse_request_head(head: bytes, limits: HttpLimits = HttpLimits()) -> Reques
             # smuggling vector; reject rather than guess.
             raise HttpError(400, "obsolete header line folding")
         name, sep, value = line.partition(":")
-        if not sep or not _TOKEN_RE.match(name):
+        if not sep or not _TOKEN_RE.fullmatch(name):
             raise HttpError(400, f"malformed header field: {line!r}")
+        if _FORBIDDEN_CHARS.search(value):
+            raise HttpError(400, f"CR, LF or NUL in header field value: {line!r}")
         key = name.lower()
         if key in headers:
             headers[key] = f"{headers[key]}, {value.strip()}"
@@ -191,15 +206,13 @@ def parse_request_head(head: bytes, limits: HttpLimits = HttpLimits()) -> Reques
         # declining is safer than half-implementing the framing.
         raise HttpError(501, "transfer-encoding is not supported")
 
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query, keep_blank_values=True))
     return Request(
         method=method,
         target=target,
         version=version,
         headers=headers,
-        path=unquote(split.path),
-        query=query,
+        path=path,
+        query=dict(parse_qsl(raw_query, keep_blank_values=True)),
     )
 
 
@@ -207,12 +220,13 @@ def _content_length(request: Request, limits: HttpLimits) -> int:
     raw = request.headers.get("content-length")
     if raw is None:
         return 0
+    # RFC 9110 §8.6: 1*DIGIT. int() alone would also take "+1_0" or " 7".
+    if not raw.isascii() or not raw.isdigit():
+        raise HttpError(400, f"malformed Content-Length: {raw!r}")
     try:
         length = int(raw)
-    except ValueError:
+    except ValueError:  # more digits than int() parses
         raise HttpError(400, f"malformed Content-Length: {raw!r}") from None
-    if length < 0:
-        raise HttpError(400, f"negative Content-Length: {length}")
     if length > limits.max_body_bytes:
         raise HttpError(413, f"body of {length} bytes exceeds {limits.max_body_bytes}")
     return length

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.flows.records import FlowTable
 from repro.flows.sampling import PacketSampler
 from repro.netmodel.addressing import PrefixAnonymizer
@@ -44,14 +46,13 @@ class ISPVantagePoint(VantagePoint):
         self.ingress_only = ingress_only
         self.visibility = visibility
 
-    def visibility_filter(self, table: FlowTable, pair_index=None) -> FlowTable:
-        if len(table) == 0:
-            return table
-        mask, peers = self.visibility.isp_mask(
+    def visibility_filter(
+        self, table: FlowTable, pair_index=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self.visibility.isp_mask(
             self.asn,
             table["src_asn"],
             table["dst_asn"],
             self.ingress_only,
             pair_index=pair_index,
         )
-        return table.with_columns(peer_asn=peers).filter(mask)

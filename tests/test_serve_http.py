@@ -17,12 +17,16 @@ import asyncio
 from contextlib import asynccontextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import metrics
 from repro.serve.http import (
     HttpError,
     HttpLimits,
     Request,
     Response,
+    _content_length,
     parse_request_head,
 )
 from repro.serve.ratelimit import RateLimiter, TokenBucket
@@ -126,6 +130,84 @@ class TestParseRequestHead:
         assert not http10.keep_alive
         http10_ka = parse_request_head(b"GET / HTTP/1.0\r\nConnection: keep-alive")
         assert http10_ka.keep_alive
+
+
+    @pytest.mark.parametrize(
+        "target",
+        [b"//[::1/x", b"//v1/health", b"/v1/\x00health", b"/v1/%00", b"/a%0d%0ab", b"/a\nb", b"/\xff"],
+    )
+    def test_authority_like_or_control_character_target_is_400(self, target):
+        assert _status_of(b"GET " + target + b" HTTP/1.1") == 400
+
+    def test_query_split_at_first_question_mark(self):
+        request = parse_request_head(b"GET /v1/x?a=1?b&c=%20 HTTP/1.1")
+        assert request.path == "/v1/x"
+        assert request.query == {"a": "1?b", "c": " "}
+
+    @pytest.mark.parametrize("value", [b"a\nInjected: b", b"a\rb", b"a\x00b"])
+    def test_cr_lf_or_nul_in_header_value_is_400(self, value):
+        assert _status_of(b"GET / HTTP/1.1\r\nX: " + value + b"\r\nHost: h") == 400
+
+    def test_lf_after_header_name_is_400(self):
+        assert _status_of(b"GET / HTTP/1.1\r\nX\n: v") == 400
+
+    @pytest.mark.parametrize("raw", ["+1_0", "1_0", "-1", "0x10", "1e3", "", "\xb2", "5, 5"])
+    def test_content_length_is_digits_only(self, raw):
+        request = parse_request_head(f"POST / HTTP/1.1\r\nContent-Length: {raw}".encode("latin-1"))
+        with pytest.raises(HttpError) as excinfo:
+            _content_length(request, HttpLimits())
+        assert excinfo.value.status == 400
+
+    def test_content_length_digits_are_read(self):
+        request = parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: 0010")
+        assert _content_length(request, HttpLimits()) == 10
+
+
+#: Pieces request heads are fuzzed from: request-line and header syntax,
+#: target delimiters, percent escapes, and bytes a parser must refuse.
+_HEAD_PIECES = [
+    "GET", "POST", "BREW", " ", "/", "//", "[", "]", "::1", "%", "%00", "%0a", "%2F", "?", "&",
+    "=", ":", "@", "#", "v1", "health", "HTTP/1.1", "HTTP/1.0", "HTTP/2", "\r", "\n", "\r\n",
+    "\x00", "\xff", "\t", "Host", "Content-Length", "Transfer-Encoding", "+1_0", "7", "-1",
+]
+_fragments = st.lists(
+    st.one_of(st.sampled_from(_HEAD_PIECES), st.text(st.characters(max_codepoint=255), max_size=3)),
+    max_size=8,
+).map("".join)
+
+
+@st.composite
+def _request_heads(draw) -> bytes:
+    """Heads shaped like requests, so most reach the target and header rules."""
+    method = draw(st.one_of(st.sampled_from(["GET", "POST", "HEAD"]), _fragments))
+    target = draw(st.one_of(_fragments.map(lambda f: "/" + f), _fragments))
+    version = draw(st.one_of(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]), _fragments))
+    fields = draw(
+        st.lists(
+            st.tuples(st.one_of(st.sampled_from(["Host", "Content-Length", "X"]), _fragments), _fragments),
+            max_size=4,
+        )
+    )
+    lines = [f"{method} {target} {version}"] + [f"{name}:{value}" for name, value in fields]
+    return "\r\n".join(lines).encode("latin-1")
+
+
+class TestHeadFuzz:
+    @settings(max_examples=1000, deadline=None)
+    @given(head=st.one_of(_request_heads(), _fragments.map(lambda f: f.encode("latin-1"))))
+    def test_head_parses_or_raises_http_error(self, head):
+        try:
+            request = parse_request_head(head)
+            length = _content_length(request, HttpLimits())
+        except HttpError as exc:
+            assert exc.status in (400, 413, 431, 501, 505)
+            return
+        forbidden = ("\r", "\n", "\x00")
+        for name, value in request.headers.items():
+            assert not any(c in name or c in value for c in forbidden), (name, value)
+        assert not any(c in request.path for c in forbidden), request.path
+        assert request.path == "*" or request.path.startswith("/")
+        assert length >= 0
 
 
 # -- rate limiter units --------------------------------------------------------
@@ -457,6 +539,17 @@ class TestServerProtocol:
                 assert (await _read_response(reader))[0] == 200
                 writer.close()
                 assert limiter.rejected == 1
+
+        asyncio.run(run())
+
+    def test_unsplittable_target_is_400_without_a_server_error(self):
+        async def run():
+            async with _server() as server:
+                before = metrics().counters.get("serve.errors", 0)
+                status, headers, _ = await _one_shot(server.port, b"GET //[::1/x HTTP/1.1\r\n\r\n")
+                assert status == 400
+                assert headers["connection"] == "close"
+                assert metrics().counters.get("serve.errors", 0) == before
 
         asyncio.run(run())
 
