@@ -276,39 +276,6 @@ def test_perf_disabled_metrics_overhead(scenario):
     )
 
 
-def test_perf_builder_append(benchmark):
-    """Throughput of FlowTableBuilder block appends (the synthesizer path)."""
-    from repro.flows.builder import FlowTableBuilder
-
-    rng = np.random.default_rng(7)
-    blocks = []
-    for _ in range(200):
-        n = int(rng.integers(50, 400))
-        blocks.append(
-            {
-                "time": rng.uniform(0.0, 86_400.0, n),
-                "src_ip": rng.integers(0, 1 << 32, n, dtype=np.uint32),
-                "dst_ip": rng.integers(0, 1 << 32, n, dtype=np.uint32),
-                "proto": np.full(n, 17, dtype=np.uint8),
-                "src_port": np.full(n, 123, dtype=np.uint16),
-                "dst_port": rng.integers(0, 1 << 16, n, dtype=np.uint16),
-                "packets": rng.integers(1, 1000, n),
-                "bytes": rng.integers(64, 1_000_000, n),
-                "src_asn": rng.integers(-1, 300, n),
-                "dst_asn": rng.integers(-1, 300, n),
-            }
-        )
-
-    def build():
-        builder = FlowTableBuilder()
-        for block in blocks:
-            builder.add_block(block)
-        return builder.build()
-
-    table = benchmark(build)
-    assert len(table) == sum(len(b["time"]) for b in blocks)
-
-
 def test_perf_visibility_matrix_mask(benchmark, scenario, day_traffic):
     """Warm-matrix mask resolution over a full day table."""
     table = day_traffic.all_flows()
@@ -320,7 +287,7 @@ def test_perf_visibility_matrix_mask(benchmark, scenario, day_traffic):
 
 
 def _legacy_day_traffic(scenario, day, bin_seconds=60.0):
-    """The pre-builder day synthesis: one table per event, concat at the end."""
+    """The legacy day synthesis shape: one table per event, concat at the end."""
     from repro.booter.attack import synthesize_trigger_flows
     from repro.flows.records import FlowTable
     from repro.scenario.scenario import DayTraffic
@@ -377,12 +344,13 @@ def _legacy_observe_all(scenario, traffic):
 
 
 def test_perf_flowplane_fastpath(scenario):
-    """Legacy flow plane vs builder + visibility matrix: timed and bit-checked.
+    """Legacy flow plane vs one-pass synthesis + visibility matrix: timed and bit-checked.
 
     Compares a full day's generate-and-observe under the old shape
     (per-event tables + concat; fresh lazy visibility oracle, per-vantage
-    re-concat) against the current fast path (FlowTableBuilder synthesis;
-    dense precomputed matrix with fused per-day pair resolution). The
+    re-concat) against the current fast path (draw-only synthesis loops
+    assembled once per column; dense precomputed matrix with fused
+    per-day pair resolution). The
     observed exports must be bit-identical; timings append to
     ``benchmarks/BENCH_flowplane.json`` (a JSON list, oldest first) with
     the matrix build time recorded separately. The >= 2x speedup

@@ -22,7 +22,6 @@ from repro.booter.reflectors import (
     ReflectorSetProcess,
 )
 from repro.booter.service import BooterService, ServicePlan
-from repro.flows.builder import FlowTableBuilder
 from repro.flows.records import FlowTable
 from repro.netmodel.asn import ASRegistry, ASRole
 from repro.netmodel.addressing import random_ips_in_prefix
@@ -403,44 +402,65 @@ class BooterMarket:
         working set.
         """
         rng = self.seeds.child("scans", day).rng()
-        builder = FlowTableBuilder()
         n_bins = int(SECONDS_PER_DAY / bin_seconds)
+        # One part per live (service, protocol), service by service. Each
+        # spreads a bin's probes over a sample of its pool's reflectors:
+        # n_bins x n_targets cells, some of which get no probe.
+        parts: list[tuple[BooterService, str, float]] = []
         for name in self.service_names():
             service = self.services[name]
             mult = 1.0 if activity is None else activity.get(name, 1.0)
-            if mult <= 0:
-                continue
-            for protocol, pps in service.scan_pps_per_protocol.items():
-                pool = self.pools[protocol]
-                vector = vector_by_name(protocol)
-                probe_size = self.config.scan_probe_size
-                daily_jitter = rng.lognormal(0.0, 0.1)
-                packets_per_bin = pps * mult * daily_jitter * bin_seconds
-                # Aggregate each bin's scanning into flows towards a sample
-                # of targets (flow records, not per-probe packets).
-                n_targets = min(50, len(pool))
-                target_idx = rng.choice(len(pool), size=(n_bins, n_targets))
-                per_flow = rng.multinomial(
-                    int(packets_per_bin), np.full(n_targets, 1.0 / n_targets), size=n_bins
+            if mult > 0:
+                parts.extend(
+                    (service, protocol, pps * mult)
+                    for protocol, pps in service.scan_pps_per_protocol.items()
                 )
-                bins_idx, tgt_idx = np.nonzero(per_flow)
-                if bins_idx.size == 0:
-                    continue
-                flow_packets = per_flow[bins_idx, tgt_idx].astype(np.int64)
-                chosen = target_idx[bins_idx, tgt_idx]
-                n_flows = flow_packets.size
-                builder.add_block(
-                    {
-                        "time": day * SECONDS_PER_DAY + bins_idx * bin_seconds,
-                        "src_ip": np.full(n_flows, service.backend_ip, dtype=np.uint32),
-                        "dst_ip": pool.ips[chosen],
-                        "proto": np.full(n_flows, UDP, dtype=np.uint8),
-                        "src_port": rng.integers(1024, 65535, n_flows).astype(np.uint16),
-                        "dst_port": np.full(n_flows, vector.port, dtype=np.uint16),
-                        "packets": flow_packets,
-                        "bytes": np.round(flow_packets * probe_size).astype(np.int64),
-                        "src_asn": np.full(n_flows, service.backend_asn, dtype=np.int64),
-                        "dst_asn": pool.asns[chosen],
-                    }
-                )
-        return builder.build()
+        protocols = list(self.pools)
+        part_pool = np.array([protocols.index(p) for _, p, _ in parts], dtype=np.int64)
+        n_targets = np.array([min(50, len(self.pools[p])) for p in protocols])[part_pool]
+        cell_start = np.concatenate(([0], np.cumsum(n_bins * n_targets)))
+        targets = np.empty(cell_start[-1], dtype=np.int64)
+        packets = np.empty(cell_start[-1], dtype=np.int64)
+        ports = np.empty(cell_start[-1], dtype=np.uint16)
+        flows = np.zeros(len(parts), dtype=np.int64)
+        n_flows = 0
+        for i, (_, protocol, rate) in enumerate(parts):
+            daily_jitter = rng.lognormal(0.0, 0.1)
+            packets_per_bin = rate * daily_jitter * bin_seconds
+            # Aggregate each bin's scanning into flows towards a sample
+            # of targets (flow records, not per-probe packets).
+            width = int(n_targets[i])
+            cells = slice(cell_start[i], cell_start[i + 1])
+            targets[cells] = rng.choice(len(self.pools[protocol]), size=(n_bins, width)).ravel()
+            packets[cells] = rng.multinomial(
+                int(packets_per_bin), np.full(width, 1.0 / width), size=n_bins
+            ).ravel()
+            n = int(np.count_nonzero(packets[cells]))
+            if n:
+                ports[n_flows : n_flows + n] = rng.integers(1024, 65535, n)
+                flows[i] = n
+                n_flows += n
+
+        # The flows are the probed cells, part by part.
+        flat = np.flatnonzero(packets)
+        part = np.repeat(np.arange(len(parts)), flows)
+        bins = (flat - cell_start[part]) // n_targets[part]
+        pool_sizes = [len(self.pools[p]) for p in protocols]
+        chosen = (np.cumsum(pool_sizes) - pool_sizes)[part_pool[part]] + targets[flat]
+        pool_ips = np.concatenate([self.pools[p].ips for p in protocols])
+        pool_asns = np.concatenate([self.pools[p].asns for p in protocols])
+        flow_packets = packets[flat]
+        return FlowTable(
+            {
+                "time": day * SECONDS_PER_DAY + bins * bin_seconds,
+                "src_ip": np.repeat([s.backend_ip for s, _, _ in parts], flows),
+                "dst_ip": pool_ips[chosen],
+                "proto": np.full(n_flows, UDP, dtype=np.uint8),
+                "src_port": ports[:n_flows],
+                "dst_port": np.repeat([vector_by_name(p).port for _, p, _ in parts], flows),
+                "packets": flow_packets,
+                "bytes": np.round(flow_packets * self.config.scan_probe_size).astype(np.int64),
+                "src_asn": np.repeat([s.backend_asn for s, _, _ in parts], flows),
+                "dst_asn": pool_asns[chosen],
+            }
+        )

@@ -185,15 +185,34 @@ class ReflectorSetProcess:
             source.child("drawable").rng().choice(len(pool), size=n_drawable, replace=False)
         )
         self._days: list[np.ndarray] = []
+        # The latest day's set as sorted positions into ``_drawable`` (the
+        # pool indices are ``_drawable[positions]``, in the same order,
+        # because ``_drawable`` is sorted): the walk draws positions, and
+        # ``rng.choice(n, ...)`` consumes the stream exactly as
+        # ``rng.choice(array_of_n, ...)`` does.
+        self._positions = np.empty(0, dtype=np.int64)
         # Materialization consumes self._rng sequentially, day by day.
         # Concurrent day tasks (the thread executor) must extend the
         # sequence one holder at a time or the draws interleave and the
         # day sets stop being reproducible.
         self._lock = threading.Lock()
 
-    def _draw_fresh_set(self, rng: np.random.Generator) -> np.ndarray:
-        picks = rng.choice(self._drawable, size=self.config.set_size, replace=False)
-        return np.sort(picks)
+    def _draw_fresh_set(self) -> np.ndarray:
+        return np.sort(
+            self._rng.choice(self._drawable.size, size=self.config.set_size, replace=False)
+        )
+
+    def _churned_set(self, n_churn: int) -> np.ndarray:
+        """The current set with ``n_churn`` members swapped for drawable non-members."""
+        set_size = self.config.set_size
+        keep = self._rng.choice(set_size, size=set_size - n_churn, replace=False)
+        # Order does not matter here: the day's set is sorted below.
+        kept = self._positions[keep]
+        free = np.ones(self._drawable.size, dtype=bool)
+        free[kept] = False
+        candidates = np.flatnonzero(free)
+        fresh = candidates[self._rng.choice(candidates.size, size=n_churn, replace=False)]
+        return np.sort(np.concatenate([kept, fresh]))
 
     def set_for_day(self, day: int) -> np.ndarray:
         """Sorted pool indices in use on ``day`` (day 0 = process epoch)."""
@@ -205,24 +224,15 @@ class ReflectorSetProcess:
             return self._days[day]
         with self._lock:
             while len(self._days) <= day:
-                if not self._days:
-                    self._days.append(self._draw_fresh_set(self._rng))
-                    continue
-                prev = self._days[-1]
-                if self._rng.random() < self.config.replacement_prob:
-                    self._days.append(self._draw_fresh_set(self._rng))
-                    continue
-                n_churn = self._rng.binomial(self.config.set_size, self.config.daily_churn)
-                if n_churn == 0:
-                    self._days.append(prev)
-                    continue
-                keep = self._rng.choice(
-                    self.config.set_size, size=self.config.set_size - n_churn, replace=False
-                )
-                kept = prev[np.sort(keep)]
-                candidates = np.setdiff1d(self._drawable, kept, assume_unique=True)
-                fresh = self._rng.choice(candidates, size=n_churn, replace=False)
-                self._days.append(np.sort(np.concatenate([kept, fresh])))
+                if not self._days or self._rng.random() < self.config.replacement_prob:
+                    self._positions = self._draw_fresh_set()
+                else:
+                    n_churn = self._rng.binomial(self.config.set_size, self.config.daily_churn)
+                    if n_churn == 0:
+                        self._days.append(self._days[-1])
+                        continue
+                    self._positions = self._churned_set(n_churn)
+                self._days.append(self._drawable[self._positions])
             return self._days[day]
 
     def ips_for_day(self, day: int) -> np.ndarray:

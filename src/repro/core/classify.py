@@ -62,13 +62,17 @@ class OptimisticClassifier:
     def __init__(self, thresholds: ClassifierThresholds = ClassifierThresholds()) -> None:
         self.thresholds = thresholds
 
+    def amplification_mask(self, table: FlowTable) -> np.ndarray:
+        """Rows of ``table`` that :meth:`amplification_flows` keeps."""
+        return (
+            (table["proto"] == UDP)
+            & (table["src_port"] == self.thresholds.port)
+            & (table.mean_packet_sizes() > self.thresholds.min_mean_packet_size)
+        )
+
     def amplification_flows(self, table: FlowTable) -> FlowTable:
         """Flows from reflectors to victims that look amplified."""
-        return table.select(
-            proto=UDP,
-            src_port=self.thresholds.port,
-            min_packet_size=self.thresholds.min_mean_packet_size,
-        )
+        return table.filter(self.amplification_mask(table))
 
     def benign_flows(self, table: FlowTable) -> FlowTable:
         """The complement on the same port (likely-benign NTP)."""

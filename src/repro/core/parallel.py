@@ -41,6 +41,7 @@ per-day reductions at one vantage point, never for tables.
 
 from __future__ import annotations
 
+import copy
 import os
 import sys
 import threading
@@ -223,10 +224,18 @@ class DayShardSpec:
 
 
 def _materialize(spec: DaySpec | DayShardSpec) -> Scenario:
+    """The process's world, under the takedown ``spec`` carries.
+
+    The memoized world is shared by every experiment of the run (and, in
+    the thread executor, by the caller), so a custom takedown never lands
+    on it: the task gets a shallow copy that carries it instead.
+    """
     scenario = scenario_for(spec.config)
-    if spec.takedown is not None and scenario.takedown != spec.takedown:
-        scenario.takedown = spec.takedown
-    return scenario
+    if spec.takedown is None or scenario.takedown == spec.takedown:
+        return scenario
+    view = copy.copy(scenario)
+    view.takedown = spec.takedown
+    return view
 
 
 # -- the day task ---------------------------------------------------------------

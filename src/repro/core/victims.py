@@ -123,13 +123,15 @@ def attacks_per_hour(
         raise ValueError("bin_seconds must be positive")
     n_hours = int(np.ceil((t1 - t0) / SECONDS_PER_HOUR))
     counts = np.zeros(n_hours, dtype=np.int64)
-    amplified = OptimisticClassifier(thresholds).amplification_flows(table)
-    times = amplified["time"]
-    inside = (times >= t0) & (times < t1)
-    if not inside.any():
+    # The four columns this pass reads, under the amplification mask,
+    # without copying the table's other columns.
+    times = table["time"]
+    rows = OptimisticClassifier(thresholds).amplification_mask(table)
+    rows &= (times >= t0) & (times < t1)
+    if not rows.any():
         return counts
-    times = times[inside]
-    dsts = amplified["dst_ip"][inside]
+    times = times[rows]
+    dsts = table["dst_ip"][rows]
     hours = ((times - t0) / SECONDS_PER_HOUR).astype(np.int64)
     # Each hour's bins start at its earliest flow, floored to a bin
     # boundary: per_destination_stats over that hour's flows alone bins
@@ -143,9 +145,9 @@ def attacks_per_hour(
     peaks = source_peaks(
         group_idx,
         groups.size,
-        amplified["src_ip"][inside],
+        table["src_ip"][rows],
         bins,
-        amplified["bytes"][inside].astype(np.float64),
+        table["bytes"][rows].astype(np.float64),
         bin_seconds,
     )
     attacked = ConservativeClassifier(thresholds).destination_mask(peaks, sampling_factor)

@@ -7,8 +7,9 @@ pool spin-up, fork, and (under ``spawn``) scenario re-materialization
 again. This module owns the executor instead:
 
 * :class:`WorkerPool` spawns its workers **once** with an initializer
-  that preloads the registered scenario (under the Linux-default
-  ``fork`` start method the built world is inherited for free), warms
+  that preloads the process's memoized world (:func:`scenario_for`;
+  under the Linux-default ``fork`` start method the built world is
+  inherited for free), warms
   its :class:`~repro.vantage.matrix.VisibilityMatrix` tables, and
   installs the shm transport threshold. :func:`get_pool` hands the same
   live pool back to every subsequent call site with a matching
@@ -126,10 +127,11 @@ def set_execution_policy(policy: ExecutionPolicy | None = None, **changes: Any) 
 
 # -- per-process scenario memo -------------------------------------------------
 
-#: Scenario memo keyed by config content hash. Under the (Linux-default)
-#: fork start method, registering the parent's scenario before the pool
-#: spawns lets every worker inherit the built world for free instead of
-#: re-running topology/pool/market construction.
+#: The process's world, keyed by config content hash: a single slot, so a
+#: process holds one world however many configs it meets in turn. Under
+#: the (Linux-default) fork start method, memoizing the world before the
+#: pool spawns lets every worker inherit it built (and its reflector lists
+#: walked) instead of re-running topology/pool/market construction.
 _WORKER_SCENARIOS: dict[str, Scenario] = {}
 
 #: How many times the process-pool initializer ran in *this* process.
@@ -139,26 +141,31 @@ _WORKER_INITS = 0
 
 
 def register_scenario(scenario: Scenario) -> str:
-    """Memoize a built scenario for day executors in this process.
+    """Make a built scenario the process's world, replacing the memoized one.
 
-    Returns the config content hash used as the memo key. Called in the
-    parent right before work is dispatched so fork-children inherit the
-    constructed world; under spawn, workers rebuild from the config.
-    Registering a scenario whose config hash differs from the active
-    pool's shuts that pool down first (its workers hold the old world).
+    Returns the config content hash used as the memo key. Pools spawned
+    afterwards for that config fork from it; under spawn, workers rebuild
+    from the config. Registering a scenario whose config hash differs
+    from the active pool's shuts that pool down first (its workers hold
+    the old world).
     """
     key = scenario.config.content_hash()
     if _ACTIVE_POOL is not None and _ACTIVE_POOL.config_hash != key:
         shutdown_pool()
+    _WORKER_SCENARIOS.clear()
     _WORKER_SCENARIOS[key] = scenario
     return key
 
 
 def scenario_for(config: ScenarioConfig) -> Scenario:
-    """The memoized scenario for ``config``, building it on first use."""
+    """The memoized scenario for ``config``, building it on first use.
+
+    The memo keeps one world: building one for another config replaces it.
+    """
     key = config.content_hash()
     scenario = _WORKER_SCENARIOS.get(key)
     if scenario is None:
+        _WORKER_SCENARIOS.clear()
         scenario = _WORKER_SCENARIOS[key] = Scenario(config)
     return scenario
 
@@ -437,8 +444,11 @@ def get_pool(scenario: Scenario, jobs: int, mode: str | None = None) -> WorkerPo
 
     The active pool is a process-wide singleton: when its key matches it
     is handed straight back (``pool.reuses``); otherwise the old pool
-    shuts down and a fresh one spawns (``pool.spawns``) with the
-    scenario registered so fork children inherit the built world.
+    shuts down and a fresh one spawns (``pool.spawns``) after the world
+    for ``scenario``'s config is memoized, so fork children inherit it
+    built. That is the shared world of :func:`scenario_for`, never the
+    caller's object: a caller's own scenario may carry a custom
+    takedown, which day tasks carry themselves.
     """
     global _ACTIVE_POOL
     if mode is None:
@@ -453,7 +463,7 @@ def get_pool(scenario: Scenario, jobs: int, mode: str | None = None) -> WorkerPo
         return pool
     if pool is not None:
         pool.shutdown()
-    register_scenario(scenario)
+    scenario_for(scenario.config)
     pool = _ACTIVE_POOL = WorkerPool(mode, jobs, scenario.config)
     metrics().inc("pool.spawns")
     return pool

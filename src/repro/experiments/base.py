@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.booter.market import MarketConfig
-from repro.core.workerpool import EXECUTORS
+from repro.core.workerpool import EXECUTORS, scenario_for
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
 
@@ -112,8 +112,15 @@ class ExperimentConfig:
 
 
 def build_scenario(config: ExperimentConfig) -> Scenario:
-    """Build the scenario for an experiment config."""
-    return Scenario(config.scenario_config())
+    """The scenario for an experiment config: one shared world per process.
+
+    Returns the process's memoized world
+    (:func:`repro.core.workerpool.scenario_for`), so every experiment of
+    a run, the worker pool and the serve plane read one world, built and
+    its reflector lists walked once. Callers must not mutate it; a
+    custom takedown travels with each day task instead.
+    """
+    return scenario_for(config.scenario_config())
 
 
 def format_table(headers: list[str], rows: list[list[Any]]) -> str:

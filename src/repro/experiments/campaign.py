@@ -121,6 +121,10 @@ class SelfAttackCampaign:
         self.scenario = scenario
         self.seeds = scenario.seeds.child("selfattack-campaign")
         self._services: dict[tuple[str, str, str], BooterService] = {}
+        # The campaign numbers its own measurement addresses: the world,
+        # and with it the observatory, is shared by every experiment of a
+        # run, so a counter there would leak from one campaign into the next.
+        self._next_host = 1
 
     def _draw_fraction(self, vector: str) -> float:
         return self.DRAW_POOL_FRACTIONS.get(vector, 0.25)
@@ -191,7 +195,8 @@ class SelfAttackCampaign:
         """Purchase and measure one attack per ``spec``."""
         observatory = self.scenario.observatory
         service = self._service(spec.booter, spec.vector, spec.list_epoch)
-        victim = observatory.fresh_victim_ip()
+        victim = observatory.measurement_ip(self._next_host)
+        self._next_host += 1
         event = service.launch_attack(
             victim_ip=victim,
             victim_asn=observatory.asn,

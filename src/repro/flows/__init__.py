@@ -7,7 +7,6 @@ columnar in-memory form of such a trace; samplers, time binning, and
 per-destination aggregation all operate on it.
 """
 
-from repro.flows.builder import FlowTableBuilder
 from repro.flows.io import read_flows_csv, write_flows_csv
 from repro.flows.records import FlowRecord, FlowTable
 from repro.flows.sampling import PacketSampler
@@ -21,7 +20,6 @@ from repro.flows.timeseries import (
 __all__ = [
     "FlowRecord",
     "FlowTable",
-    "FlowTableBuilder",
     "PacketSampler",
     "bin_timeseries",
     "daily_packet_sums",

@@ -165,8 +165,8 @@ class FlowTable:
     def _from_validated(cls, columns: dict[str, np.ndarray]) -> "FlowTable":
         """Trusted constructor: skip per-column casting and default filling.
 
-        Only for call sites that guarantee schema-exact columns (the
-        builder, ``concat``, ``filter``, ...). Misuse is still rejected —
+        Only for call sites that guarantee schema-exact columns
+        (``concat``, ``filter``, ...). Misuse is still rejected —
         the guards below are O(#columns) identity checks, not copies.
         """
         length = -1

@@ -11,15 +11,15 @@ public NTP server serves both its legitimate clients and the booters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.booter.reflectors import ReflectorPool
-from repro.flows.builder import FlowTableBuilder
 from repro.flows.records import FlowTable
 from repro.netmodel.asn import ASRegistry, ASRole
 from repro.netmodel.addressing import random_ips_in_prefix
-from repro.protocols.amplification import UDP
+from repro.protocols.amplification import UDP, vector_by_name
 from repro.protocols.benign import BENIGN_MIXES
 from repro.stats.rng import SeedSequenceTree
 
@@ -69,6 +69,33 @@ class BackgroundConfig:
             raise ValueError("response_fraction must be in [0, 1]")
 
 
+class _Block(NamedTuple):
+    """One block of background flows, as drawn.
+
+    Each field is a per-flow array or a scalar the block's flows share.
+    Endpoints are indices into the background's host table.
+    """
+
+    n: int
+    src: np.ndarray | int
+    dst: np.ndarray | int
+    time: np.ndarray
+    src_port: np.ndarray | int
+    dst_port: np.ndarray | int
+    packets: np.ndarray
+    sizes: np.ndarray | float
+
+
+def _column(blocks: list[_Block], field: str, dtype: type) -> np.ndarray:
+    """One day column: every block's arrays and scalars, in block order."""
+    out = np.empty(sum(block.n for block in blocks), dtype=dtype)
+    start = 0
+    for block in blocks:
+        out[start : start + block.n] = getattr(block, field)
+        start += block.n
+    return out
+
+
 class BenignBackground:
     """Per-day benign flow generation over the modeled ports."""
 
@@ -101,84 +128,69 @@ class BenignBackground:
         self.client_asns = np.concatenate(asns)
         # Server banks per port: the reflector pool of that port's protocol
         # (public NTP/DNS/... servers serve legitimate clients and booters
-        # alike).
-        from repro.protocols.amplification import vector_by_name
-
-        self._servers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # alike). The host table lists every endpoint a flow can have: the
+        # clients, then each port's servers (first host index, count).
+        self._servers: dict[int, tuple[int, int]] = {}
+        start = self.client_ips.size
         for name, pool in pools.items():
-            port = vector_by_name(name).port
-            self._servers[port] = (pool.ips, pool.asns)
+            self._servers[vector_by_name(name).port] = (start, len(pool))
+            start += len(pool)
+        self._host_ips = np.concatenate([self.client_ips, *(p.ips for p in pools.values())])
+        self._host_asns = np.concatenate([self.client_asns, *(p.asns for p in pools.values())])
 
-    def _ntp_noise_flows(
-        self, day: int, rng: np.random.Generator, intensity_scale: float, out: FlowTableBuilder
-    ) -> None:
+    def _ntp_noise_blocks(
+        self, day: int, rng: np.random.Generator, intensity_scale: float
+    ) -> list[_Block]:
         """Large-packet NTP noise: custom apps and monlist monitoring."""
         config = self.config
-        ntp_ips, ntp_asns = self._servers.get(123, (None, None))
+        n_clients = self.client_ips.size
+        blocks = []
 
         # Custom applications on port 123: pairwise flows with >200-byte
         # packets, one source per destination, low rate.
         n_noise = rng.poisson(config.ntp_noise_flows_per_day * intensity_scale)
         if n_noise:
-            a = rng.integers(0, self.client_ips.size, n_noise)
-            b = rng.integers(0, self.client_ips.size, n_noise)
+            a = rng.integers(0, n_clients, n_noise)
+            b = rng.integers(0, n_clients, n_noise)
             packets = 1 + rng.geometric(1.0 / config.ntp_noise_packets_mean, n_noise)
             sizes = rng.uniform(250.0, 1200.0, n_noise)
             times = day * SECONDS_PER_DAY + rng.uniform(0, SECONDS_PER_DAY, n_noise)
-            out.add_block(
-                {
-                    "time": times,
-                    "src_ip": self.client_ips[a],
-                    "dst_ip": self.client_ips[b],
-                    "proto": np.full(n_noise, UDP, dtype=np.uint8),
-                    "src_port": np.full(n_noise, 123, dtype=np.uint16),
-                    "dst_port": rng.integers(1024, 65535, n_noise).astype(np.uint16),
-                    "packets": packets.astype(np.int64),
-                    "bytes": np.round(packets * sizes).astype(np.int64),
-                    "src_asn": self.client_asns[a],
-                    "dst_asn": self.client_asns[b],
-                }
-            )
+            ports = rng.integers(1024, 65535, n_noise)
+            blocks.append(_Block(n_noise, a, b, times, 123, ports, packets, sizes))
 
         # Monlist monitoring: each scanner address receives 486-byte
         # responses from a few dozen reflectors.
-        if ntp_ips is None:
-            return
+        if 123 not in self._servers:
+            return blocks
+        ntp_start, n_ntp = self._servers[123]
         n_scanners = rng.poisson(config.monitor_scanners_per_day * intensity_scale)
         for _ in range(n_scanners):
-            scanner_idx = int(rng.integers(0, self.client_ips.size))
+            scanner_idx = int(rng.integers(0, n_clients))
             k = max(1, int(rng.lognormal(np.log(config.monitor_reflectors_median), 0.8)))
-            k = min(k, ntp_ips.size)
-            refl = rng.choice(ntp_ips.size, size=k, replace=False)
+            k = min(k, n_ntp)
+            refl = rng.choice(n_ntp, size=k, replace=False)
             packets = rng.poisson(config.monitor_packets_per_reflector, k) + 1
             times = day * SECONDS_PER_DAY + rng.uniform(0, SECONDS_PER_DAY, k)
-            out.add_block(
-                {
-                    "time": times,
-                    "src_ip": ntp_ips[refl],
-                    "dst_ip": np.full(k, self.client_ips[scanner_idx], dtype=np.uint32),
-                    "proto": np.full(k, UDP, dtype=np.uint8),
-                    "src_port": np.full(k, 123, dtype=np.uint16),
-                    "dst_port": rng.integers(1024, 65535, k).astype(np.uint16),
-                    "packets": packets.astype(np.int64),
-                    "bytes": np.round(packets * 486.0).astype(np.int64),
-                    "src_asn": ntp_asns[refl],
-                    "dst_asn": np.full(k, self.client_asns[scanner_idx], dtype=np.int64),
-                }
-            )
+            ports = rng.integers(1024, 65535, k)
+            scanner = _Block(k, ntp_start + refl, scanner_idx, times, 123, ports, packets, 486.0)
+            blocks.append(scanner)
+        return blocks
 
     def flows_for_day(self, day: int, intensity_scale: float = 1.0) -> FlowTable:
-        """All benign flows for ``day`` across modeled ports."""
+        """All benign flows for ``day`` across modeled ports.
+
+        The loops only draw: each block keeps its draws, and the day's
+        table is assembled once per column at the end.
+        """
         if intensity_scale < 0:
             raise ValueError("intensity_scale cannot be negative")
         rng = self.seeds.child("background", day).rng()
         config = self.config
-        builder = FlowTableBuilder()
-        self._ntp_noise_flows(day, rng, intensity_scale, builder)
+        blocks = self._ntp_noise_blocks(day, rng, intensity_scale)
         for port, mix in BENIGN_MIXES.items():
             if port not in self._servers:
                 continue
-            server_ips, server_asns = self._servers[port]
+            server_start, n_servers = self._servers[port]
             packet_budget = (
                 config.daily_packets_unit
                 * mix.relative_intensity
@@ -189,7 +201,7 @@ class BenignBackground:
                 continue
             n_flows = config.daily_flows_per_port
             client_idx = rng.integers(0, self.client_ips.size, n_flows)
-            server_idx = rng.integers(0, server_ips.size, n_flows)
+            server_idx = server_start + rng.integers(0, n_servers, n_flows)
             times = day * SECONDS_PER_DAY + (
                 rng.integers(0, int(SECONDS_PER_DAY / config.bin_seconds), n_flows)
                 * config.bin_seconds
@@ -197,38 +209,42 @@ class BenignBackground:
             mean_per_flow = max(packet_budget / n_flows, 1.0)
             packets = 1 + rng.geometric(1.0 / mean_per_flow, n_flows)
             sizes = mix.sample_sizes(rng, n_flows)
-            builder.add_block(
-                {
-                    "time": times.astype(float),
-                    "src_ip": self.client_ips[client_idx],
-                    "dst_ip": server_ips[server_idx],
-                    "proto": np.full(n_flows, UDP, dtype=np.uint8),
-                    "src_port": rng.integers(1024, 65535, n_flows).astype(np.uint16),
-                    "dst_port": np.full(n_flows, port, dtype=np.uint16),
-                    "packets": packets.astype(np.int64),
-                    "bytes": np.round(packets * sizes).astype(np.int64),
-                    "src_asn": self.client_asns[client_idx],
-                    "dst_asn": server_asns[server_idx],
-                }
-            )
+            ports = rng.integers(1024, 65535, n_flows)
+            query = _Block(n_flows, client_idx, server_idx, times, ports, port, packets, sizes)
+            blocks.append(query)
             # Matching benign responses (server -> client, small packets).
             n_resp = int(n_flows * config.response_fraction)
             if n_resp:
                 keep = rng.choice(n_flows, size=n_resp, replace=False)
                 resp_sizes = mix.sample_sizes(rng, n_resp)
-                resp_packets = packets[keep]
-                builder.add_block(
-                    {
-                        "time": times[keep].astype(float),
-                        "src_ip": server_ips[server_idx[keep]],
-                        "dst_ip": self.client_ips[client_idx[keep]],
-                        "proto": np.full(n_resp, UDP, dtype=np.uint8),
-                        "src_port": np.full(n_resp, port, dtype=np.uint16),
-                        "dst_port": rng.integers(1024, 65535, n_resp).astype(np.uint16),
-                        "packets": resp_packets.astype(np.int64),
-                        "bytes": np.round(resp_packets * resp_sizes).astype(np.int64),
-                        "src_asn": server_asns[server_idx[keep]],
-                        "dst_asn": self.client_asns[client_idx[keep]],
-                    }
+                resp_ports = rng.integers(1024, 65535, n_resp)
+                blocks.append(
+                    _Block(
+                        n_resp,
+                        server_idx[keep],
+                        client_idx[keep],
+                        times[keep],
+                        port,
+                        resp_ports,
+                        packets[keep],
+                        resp_sizes,
+                    )
                 )
-        return builder.take()
+
+        src = _column(blocks, "src", np.int64)
+        dst = _column(blocks, "dst", np.int64)
+        packets = _column(blocks, "packets", np.int64)
+        return FlowTable(
+            {
+                "time": _column(blocks, "time", np.float64),
+                "src_ip": self._host_ips[src],
+                "dst_ip": self._host_ips[dst],
+                "proto": np.full(packets.size, UDP, dtype=np.uint8),
+                "src_port": _column(blocks, "src_port", np.uint16),
+                "dst_port": _column(blocks, "dst_port", np.uint16),
+                "packets": packets,
+                "bytes": np.round(packets * _column(blocks, "sizes", np.float64)).astype(np.int64),
+                "src_asn": self._host_asns[src],
+                "dst_asn": self._host_asns[dst],
+            }
+        )

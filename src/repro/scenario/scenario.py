@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.booter.attack import AttackEvent, synthesize_attack_flows, synthesize_trigger_flows
+from repro.booter.attack import (
+    AttackEvent,
+    EventDraws,
+    synthesize_attack_flows,
+    synthesize_trigger_flows,
+)
 from repro.booter.market import BooterMarket
 from repro.booter.reflectors import ReflectorPool
 from repro.booter.takedown import TakedownScenario
-from repro.flows.builder import FlowTableBuilder
 from repro.flows.records import FlowTable
 from repro.netmodel.addressing import Prefix
 from repro.netmodel.asn import ASRole, AutonomousSystem
@@ -272,12 +276,8 @@ class Scenario:
             events = self.market.attacks_for_day(
                 day, demand_weights=weights, demand_scale=self.config.scale * demand_level
             )
-            attack_builder = FlowTableBuilder()
-            trigger_builder = FlowTableBuilder()
             with registry.span("scenario.synthesize_flows"):
-                self._synthesize_events(
-                    day, events, 0, len(events), bin_seconds, attack_builder, trigger_builder
-                )
+                attack, trigger = self._synthesize_events(day, events, 0, len(events), bin_seconds)
                 # Scan volume scales with the simulated world size like
                 # everything else.
                 if activity is None:
@@ -286,12 +286,7 @@ class Scenario:
                 scan = self.market.scan_flows_for_day(day, activity=scaled_activity)
                 benign = self.background.flows_for_day(day, intensity_scale=self.config.scale)
             traffic = DayTraffic(
-                day=day,
-                events=events,
-                attack=attack_builder.take(),
-                trigger=trigger_builder.take(),
-                scan=scan,
-                benign=benign,
+                day=day, events=events, attack=attack, trigger=trigger, scan=scan, benign=benign
             )
             if registry.enabled:
                 registry.inc("scenario.days_generated")
@@ -309,10 +304,8 @@ class Scenario:
         start: int,
         stop: int,
         bin_seconds: float,
-        attack_builder: FlowTableBuilder,
-        trigger_builder: FlowTableBuilder,
-    ) -> None:
-        """Expand events ``[start, stop)`` of ``day`` into the builders.
+    ) -> tuple[FlowTable, FlowTable]:
+        """Attack and trigger flows of events ``[start, stop)`` of ``day``.
 
         Seeding follows ``config.per_event_seeds``: the legacy mode
         draws every event from one sequential ``("traffic", day)``
@@ -323,19 +316,20 @@ class Scenario:
         """
         per_event = self.config.per_event_seeds
         rng = None if per_event else self.seeds.child("traffic", day).rng()
-        for i in range(start, stop):
-            event = events[i]
+        draws = EventDraws(events[start:stop], bin_seconds)
+        for i, event in enumerate(draws.events, start):
             if per_event:
                 rng = self.seeds.child("traffic", day, "event", i).rng()
-            synthesize_attack_flows(event, rng, bin_seconds=bin_seconds, out=attack_builder)
+            synthesize_attack_flows(event, rng, bin_seconds=bin_seconds, out=draws)
             backend = self.market.services[event.booter]
             synthesize_trigger_flows(
                 event,
                 rng,
                 bin_seconds=bin_seconds,
                 origin_asn=backend.backend_asn,
-                out=trigger_builder,
+                out=draws,
             )
+        return draws.attack_table(), draws.trigger_table()
 
     def day_traffic_shard(
         self,
@@ -371,9 +365,7 @@ class Scenario:
             day, demand_weights=weights, demand_scale=self.config.scale * demand_level
         )
         lo, hi = _shard_bounds(len(events), shard, n_shards)
-        attack_builder = FlowTableBuilder()
-        trigger_builder = FlowTableBuilder()
-        self._synthesize_events(day, events, lo, hi, bin_seconds, attack_builder, trigger_builder)
+        attack, trigger = self._synthesize_events(day, events, lo, hi, bin_seconds)
         scan = benign = None
         if shard == 0:
             if activity is None:
@@ -387,8 +379,8 @@ class Scenario:
             shard=shard,
             n_shards=n_shards,
             events=events[lo:hi],
-            attack=attack_builder.take(),
-            trigger=trigger_builder.take(),
+            attack=attack,
+            trigger=trigger,
             scan=scan,
             benign=benign,
         )

@@ -6,11 +6,12 @@ multilaterally via the route server and buying transit over the same
 physical interface. Attacks are captured unsampled at the AS; the IXP's
 sampled view covers what exceeds the interface.
 
-:class:`IXPObservatory` drives that setup: it provisions a fresh victim IP
-per attack (the paper isolates every measurement on a new address from
-the /24), expands the attack into per-second flows, applies reachability
-(transit on/off), ingress labeling, interface capacity, and BGP-flap
-dynamics, and reports the per-second series the paper plots.
+:class:`IXPObservatory` drives that setup: it hands out an address of the
+/24 per attack (the paper isolates every measurement on a new address;
+the campaign running them numbers the hosts), expands the attack into
+per-second flows, applies reachability (transit on/off), ingress
+labeling, interface capacity, and BGP-flap dynamics, and reports the
+per-second series the paper plots.
 """
 
 from __future__ import annotations
@@ -127,15 +128,16 @@ class IXPObservatory:
         self.decision_seed = decision_seed
         self.flap_trigger_seconds = flap_trigger_seconds
         self.flap_holddown_seconds = flap_holddown_seconds
-        self._next_host = 1  # .0 is the network address
 
-    def fresh_victim_ip(self) -> int:
-        """A previously unused address from the /24 (one per measurement)."""
-        if self._next_host >= self.prefix.size - 1:
+    def measurement_ip(self, host: int) -> int:
+        """Address ``host`` of the /24 (1-254: not the network or broadcast address).
+
+        The observatory keeps no state between measurements: whoever runs
+        them numbers the hosts, one fresh address per measurement.
+        """
+        if not 1 <= host < self.prefix.size - 1:
             raise RuntimeError("the /24 ran out of fresh measurement addresses")
-        ip = self.prefix.address_at(self._next_host)
-        self._next_host += 1
-        return ip
+        return self.prefix.address_at(host)
 
     def capture_attack(
         self,

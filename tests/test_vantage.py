@@ -255,7 +255,7 @@ def observatory_env():
 
 class TestObservatory:
     def launch(self, obs, service, plan="non-vip", duration=60.0):
-        victim = obs.fresh_victim_ip()
+        victim = obs.measurement_ip(1)
         return service.launch_attack(
             victim_ip=victim,
             victim_asn=obs.asn,
@@ -269,9 +269,13 @@ class TestObservatory:
 
     def test_fresh_victims_distinct(self, observatory_env):
         obs, _ = observatory_env
-        a, b = obs.fresh_victim_ip(), obs.fresh_victim_ip()
+        a, b = obs.measurement_ip(1), obs.measurement_ip(2)
         assert a != b
         assert obs.prefix.contains(a) and obs.prefix.contains(b)
+        # .0 and .255 are the network and broadcast addresses.
+        for host in (0, 255):
+            with pytest.raises(RuntimeError, match="ran out"):
+                obs.measurement_ip(host)
 
     def test_non_vip_measurement(self, observatory_env):
         obs, service = observatory_env
