@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.ablation_common import tiny_scenario
+from benchmarks.ablation_common import tiny_scenario_config
 from repro.booter.attack import synthesize_attack_flows
 from repro.core.classify import ConservativeClassifier
 from repro.flows.sampling import PacketSampler
@@ -25,7 +25,12 @@ from repro.flows.timeseries import per_destination_stats
 
 @pytest.fixture(scope="module")
 def scenario():
-    return tiny_scenario()
+    # The process's memoized world, as ``build_scenario`` hands it to
+    # ``repro-experiments``: a pool forks from this very object, so its
+    # workers inherit the world built and its reflector lists walked.
+    from repro.core.workerpool import scenario_for
+
+    return scenario_for(tiny_scenario_config())
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +111,14 @@ def _append_bench_parallel(payload):
 
 
 def test_perf_parallel_collect(scenario):
-    """jobs=1 vs warm-pool jobs=2 (process and thread): bit-identical, timed.
+    """jobs=1 vs the warm process pool at jobs=2: bit-identical, timed.
 
-    The campaign is a multi-call day collection, so the jobs=2 legs pay
-    one pool spawn and then reuse it — exactly what ``repro-experiments
-    --jobs 2`` does across experiments. Appends one entry to
+    The campaign is a multi-call day collection, so the jobs=2 leg pays
+    one pool spawn and then reuses it — exactly what ``repro-experiments
+    --jobs 2`` does across experiments, whose world is this same
+    memoized one (the fixture's). Appends one entry to
     ``benchmarks/BENCH_parallel.json`` (a JSON list, oldest first) with
-    all wall-clock times and speedups, so the perf trajectory
+    both wall-clock times and the speedup, so the perf trajectory
     accumulates run over run instead of overwriting. The >= 1.7x floor
     only applies with >= 2 CPU cores: on a single-core machine a worker
     pool cannot beat the serial loop (it adds dispatch + pickle
@@ -133,56 +139,46 @@ def test_perf_parallel_collect(scenario):
     serial = collect_daily_port_series(scenario, "ixp", selectors, day_range=day_range)
     jobs1_s = time.perf_counter() - start
 
-    timings = {}
-    for mode in ("process", "thread"):
-        shutdown_pool()
-        start = time.perf_counter()
-        result = collect_daily_port_series(
-            scenario, "ixp", selectors, day_range=day_range, jobs=2, executor=mode
-        )
-        timings[mode] = time.perf_counter() - start
-        for selector in selectors:
-            np.testing.assert_array_equal(
-                serial.get(selector.name), result.get(selector.name)
-            )
     shutdown_pool()
+    start = time.perf_counter()
+    try:
+        result = collect_daily_port_series(scenario, "ixp", selectors, day_range=day_range, jobs=2)
+        jobs2_s = time.perf_counter() - start
+    finally:
+        shutdown_pool()
+    for selector in selectors:
+        np.testing.assert_array_equal(serial.get(selector.name), result.get(selector.name))
 
     cores = os.cpu_count() or 1
-    speedup = jobs1_s / timings["process"] if timings["process"] > 0 else float("inf")
-    thread_speedup = jobs1_s / timings["thread"] if timings["thread"] > 0 else float("inf")
+    speedup = jobs1_s / jobs2_s if jobs2_s > 0 else float("inf")
     payload = {
         "benchmark": "parallel_collect_daily_port_series",
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "day_range": list(day_range),
         "cpu_count": cores,
         "jobs1_s": round(jobs1_s, 4),
-        "jobs2_s": round(timings["process"], 4),
-        "thread2_s": round(timings["thread"], 4),
+        "jobs2_s": round(jobs2_s, 4),
         "speedup_jobs2": round(speedup, 3),
-        "speedup_thread2": round(thread_speedup, 3),
         "bit_identical": True,
     }
-    if cores < 2 and max(speedup, thread_speedup) < 1.7:
+    if cores < 2 and speedup < 1.7:
         payload["warning"] = (
-            f"best speedup {max(speedup, thread_speedup):.2f}x below the 1.7x "
-            f"floor; assertion skipped on {cores} core(s)"
+            f"speedup {speedup:.2f}x below the 1.7x floor; assertion "
+            f"skipped on {cores} core(s)"
         )
     _append_bench_parallel(payload)
     print(
         f"\nparallel collect: jobs=1 {jobs1_s:.2f}s, "
-        f"jobs=2 process {timings['process']:.2f}s ({speedup:.2f}x), "
-        f"thread {timings['thread']:.2f}s ({thread_speedup:.2f}x) "
-        f"on {cores} core(s)"
+        f"jobs=2 {jobs2_s:.2f}s ({speedup:.2f}x) on {cores} core(s)"
     )
     if cores >= 2:
-        assert max(speedup, thread_speedup) >= 1.7, payload
+        assert speedup >= 1.7, payload
 
 
 def test_perf_warm_pool_dispatch(scenario):
     """Warm-pool reuse vs a cold pool per call — measurable on one core.
 
-    The tentpole's claim is that pool spin-up dominated the old per-call
-    executors. Timing is machine-independent in *shape*: a warm dispatch
+    Pool spin-up dominated the old per-call executors. Timing is machine-independent in *shape*: a warm dispatch
     (submit to live workers) must be far cheaper than cold spawn +
     dispatch + shutdown, regardless of core count. Uses the no-op probe
     task so only pool mechanics are measured; appends the overhead entry
@@ -196,13 +192,13 @@ def test_perf_warm_pool_dispatch(scenario):
     cold_s = 0.0
     for _ in range(reps):
         start = time.perf_counter()
-        pool = WorkerPool("process", 2, scenario.config)
+        pool = WorkerPool(2, scenario.config)
         pool.map_with_deltas(_probe_task, [0, 1], batch=1)
         pool.shutdown()
         cold_s += time.perf_counter() - start
     cold_s /= reps
 
-    pool = WorkerPool("process", 2, scenario.config)
+    pool = WorkerPool(2, scenario.config)
     try:
         pool.map_with_deltas(_probe_task, [0, 1], batch=1)  # warm spawn lazily
         warm_s = 0.0

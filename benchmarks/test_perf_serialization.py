@@ -64,10 +64,9 @@ def test_perf_structured_vs_pickle():
     protocol-default pickle of the eleven-column dict (stream copies on
     both sides) and a validating reconstruction. The fast path is what
     ``FlowTable.__reduce__`` packs now — the single contiguous column
-    plane, copied once (the transport copy a pipe or block transfer
-    pays) and rebuilt through zero-copy views. The structured
-    RECORD_DTYPE round-trip the shm transport and disk cache move is
-    timed alongside and recorded in the history entry. Both directions
+    plane, copied once (the transport copy the result pipe pays) and
+    rebuilt through zero-copy views. The structured RECORD_DTYPE
+    round-trip the disk cache moves is timed alongside and recorded in the history entry. Both directions
     are timed together (a transport pays both ends), best-of-reps; the
     >= 3x assertion only applies with >= 2 CPU cores — below that the
     entry records a warning field instead of failing.

@@ -112,7 +112,7 @@ def test_perf_serve_cold_vs_warm():
     day_cache().attach_disk(None)
     registry = MetricsRegistry(enabled=True)
     service = ObservatoryService(
-        ExperimentConfig(preset="small", seed=2018, jobs=1, executor="inline")
+        ExperimentConfig(preset="small", seed=2018, jobs=1)
     )
     takedown = service.scenario_config.takedown_day
     dates = [str(date_of(takedown - 2 + i)) for i in range(N_DAYS)]
@@ -213,7 +213,7 @@ def test_perf_serve_telemetry_overhead(tmp_path):
     day_cache().clear()
     day_cache().attach_disk(None)
     service = ObservatoryService(
-        ExperimentConfig(preset="small", seed=2018, jobs=1, executor="inline")
+        ExperimentConfig(preset="small", seed=2018, jobs=1)
     )
     takedown = service.scenario_config.takedown_day
     dates = [str(date_of(takedown - 1 + i)) for i in range(2)]

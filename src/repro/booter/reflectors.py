@@ -192,9 +192,10 @@ class ReflectorSetProcess:
         # ``rng.choice(array_of_n, ...)`` does.
         self._positions = np.empty(0, dtype=np.int64)
         # Materialization consumes self._rng sequentially, day by day.
-        # Concurrent day tasks (the thread executor) must extend the
-        # sequence one holder at a time or the draws interleave and the
-        # day sets stop being reproducible.
+        # Concurrent computations in one process (repro-serve runs them
+        # in asyncio.to_thread workers, several with --compute-slots
+        # above 1) must extend the sequence one holder at a time or the
+        # draws interleave and the day sets stop being reproducible.
         self._lock = threading.Lock()
 
     def _draw_fresh_set(self) -> np.ndarray:

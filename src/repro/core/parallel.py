@@ -17,11 +17,11 @@ engine, :func:`day_reductions`:
   the ground truth once, observes it once per vantage still needed and
   applies every requested reduction, so consumers of the same days
   (fig4 and fig5) share one synthesis instead of one each;
-* tasks run inline or on the **persistent warm pool** owned by
-  :mod:`repro.core.workerpool` (spawned once per (executor, jobs,
-  config) and reused across call sites, with day batching and, for
-  per-event-seeded scenarios, intra-day event-range sharding), so
-  ``jobs=1`` and ``jobs=N`` are **bit-identical** for every executor.
+* tasks run inline (``jobs=1``, or a single task) or on the
+  **persistent warm process pool** owned by :mod:`repro.core.workerpool`
+  (spawned once per (jobs, config) and reused across call sites, with
+  automatic day batching), so ``jobs=1`` and ``jobs=N`` are
+  **bit-identical**.
 
 :func:`observed_days`, :func:`daily_port_counts` and
 :func:`day_attack_tables` are thin wrappers that name their reduction;
@@ -58,11 +58,8 @@ from repro.core.classify import ClassifierThresholds
 from repro.core.victims import attacks_per_hour
 from repro.core.workerpool import (
     REPLAY_PREFIX as _REPLAY_PREFIX,
-    WorkerPool,
-    execution_policy,
     get_pool,
     record_inline_pool,
-    register_scenario,
     scenario_for,
 )
 from repro.flows.records import FlowTable, SCHEMA
@@ -78,7 +75,6 @@ __all__ = [
     "Reduction",
     "day_cache",
     "resolve_jobs",
-    "register_scenario",
     "day_reductions",
     "port_counts",
     "hourly_attacks",
@@ -207,28 +203,12 @@ class DaySpec:
     takedown: TakedownScenario | None = None
 
 
-@dataclass(frozen=True)
-class DayShardSpec:
-    """Picklable recipe for one event-range shard of one scenario-day.
-
-    Only valid for scenarios built with ``per_event_seeds=True`` —
-    see :meth:`repro.scenario.scenario.Scenario.day_traffic_shard`.
-    """
-
-    config: ScenarioConfig
-    day: int
-    with_takedown: bool
-    takedown: TakedownScenario | None
-    shard: int
-    n_shards: int
-
-
-def _materialize(spec: DaySpec | DayShardSpec) -> Scenario:
+def _materialize(spec: DaySpec) -> Scenario:
     """The process's world, under the takedown ``spec`` carries.
 
-    The memoized world is shared by every experiment of the run (and, in
-    the thread executor, by the caller), so a custom takedown never lands
-    on it: the task gets a shallow copy that carries it instead.
+    The memoized world is shared by every experiment of the run, so a
+    custom takedown never lands on it: the task gets a shallow copy that
+    carries it instead.
     """
     scenario = scenario_for(spec.config)
     if spec.takedown is None or scenario.takedown == spec.takedown:
@@ -245,19 +225,20 @@ def _materialize(spec: DaySpec | DayShardSpec) -> Scenario:
 _Need = tuple[tuple[str | None, tuple[Reduction, ...]], ...]
 
 
-def _reduce_traffic(
-    scenario: Scenario, traffic: DayTraffic, need: _Need, truth: dict[str, float] | None
-) -> list[tuple[list[Any], dict[str, dict[str, float]] | None]]:
-    """Observe ``traffic`` once per vantage of ``need`` and reduce it.
+def _reduce_day(scenario: Scenario, day: int, with_takedown: bool, need: _Need) -> list:
+    """Synthesize ``day`` once, then observe it once per vantage of ``need``.
 
     Returns one ``(values, deltas)`` pair per vantage, aligned with
-    ``need``. ``deltas`` keeps the day's ground-truth counters
-    (``truth``, what synthesizing the day recorded) apart from the
-    counters of this vantage's observation, so a later replay can count
-    the ground truth once per day however many vantages it serves.
-    ``None`` when the registry is off.
+    ``need``. ``deltas`` keeps the day's ground-truth counters (what
+    synthesizing the day recorded) apart from the counters of this
+    vantage's observation, so a later replay can count the ground truth
+    once per day however many vantages it serves. ``None`` when the
+    registry is off.
     """
     registry = metrics()
+    before = _counters_snapshot(registry)
+    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
+    truth = _counters_delta(registry, before)
     out = []
     for vantage, reductions in need:
         observed: dict[str, float] | None = {}
@@ -268,16 +249,8 @@ def _reduce_traffic(
             data = scenario.observe_day(vantage, traffic)
             observed = _counters_delta(registry, before)
         deltas = None if truth is None else {"truth": truth, "vantage": observed}
-        out.append(([reduction(traffic.day, data) for reduction in reductions], deltas))
+        out.append(([reduction(day, data) for reduction in reductions], deltas))
     return out
-
-
-def _reduce_day(scenario: Scenario, day: int, with_takedown: bool, need: _Need) -> list:
-    """Synthesize ``day`` once, then :func:`_reduce_traffic` it."""
-    registry = metrics()
-    before = _counters_snapshot(registry)
-    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-    return _reduce_traffic(scenario, traffic, need, _counters_delta(registry, before))
 
 
 def _day_task(item: tuple[DaySpec, _Need]) -> list:
@@ -293,13 +266,6 @@ def _ingest_chunk_task(chunk: tuple[tuple[DaySpec, ...], Any]) -> Any:
         traffic = scenario.day_traffic(spec.day, with_takedown=spec.with_takedown)
         analyzer.ingest_day(spec.day, scenario.observe_day(spec.vantage, traffic))
     return analyzer
-
-
-def _day_shard_task(spec: DayShardSpec):
-    scenario = _materialize(spec)
-    return scenario.day_traffic_shard(
-        spec.day, spec.shard, spec.n_shards, with_takedown=spec.with_takedown
-    )
 
 
 # -- the executor -------------------------------------------------------------
@@ -323,57 +289,14 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _resolve_executor(executor: str | None) -> str:
-    return executor if executor is not None else execution_policy().executor
-
-
-def _use_pool(mode: str, n_jobs: int, n_items: int) -> bool:
+def _use_pool(n_jobs: int, n_items: int) -> bool:
     """Whether this fan goes to the warm pool or runs inline.
 
     Single items stay inline even with ``jobs > 1`` — a warm dispatch
     is cheap, but the serial path skips pickling entirely and single
     one-shot lookups should not spawn a pool at all.
     """
-    return mode != "inline" and n_jobs > 1 and n_items > 1
-
-
-def _effective_shards(scenario: Scenario, n_jobs: int, mode: str) -> int:
-    """Intra-day fan-out for expensive days (1 = sharding off).
-
-    Sharding needs the per-event seeding mode (the legacy sequential
-    stream cannot be split bit-identically) and a pool to fan over; the
-    shard count comes from the execution policy, defaulting to the
-    worker count.
-    """
-    if mode == "inline" or n_jobs <= 1 or not scenario.config.per_event_seeds:
-        return 1
-    policy_shards = execution_policy().day_shards
-    return policy_shards if policy_shards > 0 else n_jobs
-
-
-def _sharded_day_traffic(
-    scenario: Scenario,
-    pool: WorkerPool,
-    day: int,
-    with_takedown: bool,
-    takedown: TakedownScenario,
-    n_shards: int,
-) -> DayTraffic:
-    """Generate one expensive day by fanning its event range over the pool.
-
-    Shard tasks return partial tables (no ``scenario.*`` counters); the
-    parent reassembles them via ``Scenario.combine_day_shards``, which
-    records the day's work counters exactly once — so digests match the
-    unsharded per-event-seeded generation bit for bit, for any shard
-    count.
-    """
-    specs = [
-        DayShardSpec(scenario.config, day, with_takedown, takedown, shard, n_shards)
-        for shard in range(n_shards)
-    ]
-    metrics().inc("pool.shard_tasks", n_shards)
-    parts = [part for part, _ in pool.map_with_deltas(_day_shard_task, specs, batch=1)]
-    return scenario.combine_day_shards(parts)
+    return n_jobs > 1 and n_items > 1
 
 
 # -- the day-result cache ------------------------------------------------------
@@ -383,7 +306,7 @@ def _sharded_day_traffic(
 # logical work counters describe the dataset an experiment processed, not
 # the physical generations the strategy happened to run, so serving a day
 # from the cache must count the same as regenerating it. That is what
-# keeps them identical across ``jobs``/``cache``/executor strategies.
+# keeps them identical across ``jobs`` and ``cache`` settings.
 
 
 def _counters_snapshot(registry: MetricsRegistry) -> dict[str, float] | None:
@@ -472,12 +395,13 @@ class DayResultCache:
     from the memory LRU remain reachable on disk.
 
     The cache is thread-safe: the serving plane resolves requests from
-    ``asyncio.to_thread`` workers while thread-pool day tasks and pool
-    result callbacks insert concurrently, so every mutation of the LRU
-    (and the paired size/counter bookkeeping) happens under one re-entrant
-    lock. OrderedDict mutation is *not* atomic under concurrent
-    ``move_to_end``/``popitem`` — unlocked, a race corrupts the linked
-    list or loses ``resident_bytes`` accounting.
+    ``asyncio.to_thread`` workers (several at once with
+    ``--compute-slots`` above 1) that look up and insert concurrently,
+    so every mutation of the LRU (and the paired size/counter
+    bookkeeping) happens under one re-entrant lock. OrderedDict
+    mutation is *not* atomic under concurrent ``move_to_end``/``popitem``
+    — unlocked, a race corrupts the linked list or loses
+    ``resident_bytes`` accounting.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -644,8 +568,6 @@ def _reduce_days(
     with_takedown: bool,
     jobs: int,
     cache: bool,
-    executor: str | None,
-    batch_days: int | None,
 ) -> dict[tuple[str | None, Reduction], list[Any]]:
     """The engine behind :func:`day_reductions` and its wrappers.
 
@@ -716,33 +638,18 @@ def _reduce_days(
     if todo:
         registry.inc("parallel.days_dispatched", len(todo))
         n_jobs = resolve_jobs(jobs)
-        mode = _resolve_executor(executor)
-        n_shards = _effective_shards(scenario, n_jobs, mode)
-        sharded = n_shards > 1 and len(todo) < n_jobs
-        if not sharded and _use_pool(mode, n_jobs, len(todo)):
-            if batch_days is None:
-                batch_days = execution_policy().batch_days
+        if _use_pool(n_jobs, len(todo)):
             items = [(DaySpec(scenario.config, day, None, with_takedown, scenario.takedown), need) for day, need in todo]
-            pairs = get_pool(scenario, n_jobs, mode).map_with_deltas(
-                _day_task, items, batch=batch_days or None
-            )
+            pairs = get_pool(scenario, n_jobs).map_with_deltas(_day_task, items)
             for (day, need), (result, deltas) in zip(todo, pairs):
                 if deltas is None:  # unmetered workers: nothing to replay later
                     result = [(values, None) for values, _ in result]
                 store(day, need, result)
         else:
             start = time.perf_counter()
-            pool = get_pool(scenario, n_jobs, mode) if sharded else None
             for day, need in todo:
-                if pool is None:
-                    result = _reduce_day(scenario, day, with_takedown, need)
-                else:
-                    before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(scenario, pool, day, with_takedown, scenario.takedown, n_shards)
-                    result = _reduce_traffic(scenario, traffic, need, _counters_delta(registry, before))
-                store(day, need, result)
-            if pool is None:
-                record_inline_pool(registry, len(todo), time.perf_counter() - start)
+                store(day, need, _reduce_day(scenario, day, with_takedown, need))
+            record_inline_pool(registry, len(todo), time.perf_counter() - start)
     return {request: [values[day] for day in days] for request, values in found.items()}
 
 
@@ -753,8 +660,6 @@ def day_reductions(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
 ) -> dict[tuple[str | None, Reduction], list[Any]]:
     """Apply every requested reduction to every day, synthesizing each day once.
 
@@ -766,16 +671,15 @@ def day_reductions(
     With ``cache``, each value is cached per (reduction, day) and only
     the requested values are kept. A (day, vantage) whose observed table
     is already cached is reduced from that table in this process. Each
-    remaining day is one task — inline, or on the warm pool (``jobs``,
-    ``executor``, ``batch_days`` per dispatch), or with its event range
-    sharded over the pool for per-event-seeded scenarios — that
-    synthesizes the ground truth once and observes it once per vantage
-    still needed. Results and the ``scenario.*`` counters are the same
-    for every strategy and cache state: per day, the ground truth counts
-    once and each requested vantage's observation once.
+    remaining day is one task — inline, or on the warm pool with
+    ``jobs > 1`` — that synthesizes the ground truth once and observes
+    it once per vantage still needed. Results and the ``scenario.*``
+    counters are the same for every ``jobs`` and cache state: per day,
+    the ground truth counts once and each requested vantage's
+    observation once.
     """
     with metrics().span("parallel.day_reductions"):
-        return _reduce_days(scenario, days, requests, with_takedown, jobs, cache, executor, batch_days)
+        return _reduce_days(scenario, days, requests, with_takedown, jobs, cache)
 
 
 # -- wrappers ---------------------------------------------------------------------
@@ -788,8 +692,6 @@ def observed_days(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
 ) -> list[FlowTable]:
     """One observed flow table per day, in ``days`` order.
 
@@ -799,7 +701,7 @@ def observed_days(
     """
     with metrics().span("parallel.observed_days"):
         return _reduce_days(
-            scenario, days, {vantage: (OBSERVED,)}, with_takedown, jobs, cache, executor, batch_days
+            scenario, days, {vantage: (OBSERVED,)}, with_takedown, jobs, cache
         )[vantage, OBSERVED]
 
 
@@ -811,8 +713,6 @@ def daily_port_counts(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
 ) -> dict[int, dict[str, int]]:
     """Per-day packet counts per selector, keyed by day.
 
@@ -824,7 +724,7 @@ def daily_port_counts(
         days = [int(d) for d in days]
         reduction = port_counts(selectors)
         counts = _reduce_days(
-            scenario, days, {vantage: (reduction,)}, with_takedown, jobs, cache, executor, batch_days
+            scenario, days, {vantage: (reduction,)}, with_takedown, jobs, cache
         )[vantage, reduction]
         return dict(zip(days, counts))
 
@@ -837,8 +737,6 @@ def streaming_ingest(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
 ) -> Any:
     """Feed ``days`` through ``analyzer``, optionally over the pool.
 
@@ -846,18 +744,16 @@ def streaming_ingest(
     value (cached under the engine's key), one day at a time. With ``jobs > 1``
     the analyzer must implement the merge protocol (``clone_empty()`` +
     ``merge(other)``): cached observed days are ingested in the parent,
-    and the rest are pre-chunked to ``batch_days`` per clone (auto-sized
-    by default), one pool task per chunk, whose clones fold back
-    order-independently.
+    and the rest are pre-chunked at the pool's automatic batch size, one
+    pool task per chunk, whose clones fold back order-independently.
     """
     with metrics().span("parallel.streaming_ingest"):
         days = [int(d) for d in days]
         n_jobs = resolve_jobs(jobs)
-        mode = _resolve_executor(executor)
-        if not _use_pool(mode, n_jobs, len(days)):
+        if not _use_pool(n_jobs, len(days)):
             for day in days:
                 observed = _reduce_days(
-                    scenario, [day], {vantage: (OBSERVED,)}, with_takedown, 1, cache, mode, batch_days
+                    scenario, [day], {vantage: (OBSERVED,)}, with_takedown, 1, cache
                 )[vantage, OBSERVED][0]
                 analyzer.ingest_day(day, observed)
             return analyzer
@@ -879,10 +775,8 @@ def streaming_ingest(
         if not pending:
             return analyzer
         metrics().inc("parallel.days_dispatched", len(pending))
-        pool = get_pool(scenario, n_jobs, mode)
-        if batch_days is None:
-            batch_days = execution_policy().batch_days
-        chunk_size = pool.resolve_batch(len(pending), batch_days or None)
+        pool = get_pool(scenario, n_jobs)
+        chunk_size = pool.resolve_batch(len(pending), None)
         tasks = [
             (
                 tuple(
@@ -932,8 +826,6 @@ def day_attack_tables(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
 ) -> list[FlowTable]:
     """Ground-truth attack flow tables per day, in ``days`` order.
 
@@ -941,5 +833,5 @@ def day_attack_tables(
     """
     with metrics().span("parallel.day_attack_tables"):
         return _reduce_days(
-            scenario, days, {None: (ATTACK_TABLE,)}, with_takedown, jobs, cache, executor, batch_days
+            scenario, days, {None: (ATTACK_TABLE,)}, with_takedown, jobs, cache
         )[None, ATTACK_TABLE]

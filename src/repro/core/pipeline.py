@@ -79,8 +79,6 @@ def collect_daily_port_series(
     per_day_hook: Callable[[int, FlowTable], None] | None = None,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
 ) -> DailyPortSeries:
     """Generate, observe, and reduce traffic day by day.
 
@@ -99,11 +97,6 @@ def collect_daily_port_series(
             results bit-identical to ``jobs=1``.
         cache: consult/populate the process-wide day-result cache
             (:func:`repro.core.parallel.day_cache`).
-        executor: pool mode ('process' | 'thread' | 'inline'); ``None``
-            follows the ambient execution policy
-            (:func:`repro.core.workerpool.execution_policy`).
-        batch_days: day tasks per pool dispatch (``None`` follows the
-            policy, 0 = auto-size); transport detail, results unchanged.
 
     Returns:
         Daily packet counts per selector. Days outside the vantage
@@ -152,8 +145,6 @@ def collect_daily_port_series(
             with_takedown,
             jobs=jobs,
             cache=cache,
-            executor=executor,
-            batch_days=batch_days,
         )
         for i, day in enumerate(days):
             for selector in selectors:
@@ -169,8 +160,6 @@ def collect_streaming(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
 ):
     """Feed a day range through a one-pass accumulator.
 
@@ -180,9 +169,7 @@ def collect_streaming(
     protocol (``clone_empty()`` + ``merge(other)``): worker chunks
     ingest into clones, and the clones fold back order-independently,
     bit-identical to the serial pass. ``cache`` consults/populates the
-    process-wide day-result cache. ``executor``/``batch_days`` pick the
-    pool mode and dispatch batching (``None`` follows the ambient
-    execution policy). Returns the analyzer for chaining.
+    process-wide day-result cache. Returns the analyzer for chaining.
     """
     start, end = day_range if day_range is not None else (0, scenario.config.n_days)
     if end <= start:
@@ -202,6 +189,4 @@ def collect_streaming(
             with_takedown,
             jobs=jobs,
             cache=cache,
-            executor=executor,
-            batch_days=batch_days,
         )

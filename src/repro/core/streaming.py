@@ -143,7 +143,7 @@ class StreamingAnalyzer:
     def clone_empty(self) -> "StreamingAnalyzer":
         """A fresh analyzer with identical parameters and no ingested days.
 
-        The parallel executor (:mod:`repro.core.parallel`) hands each
+        The day engine (:mod:`repro.core.parallel`) hands each pool
         worker chunk its own clone; chunk results fold back with
         :meth:`merge`.
         """

@@ -32,7 +32,7 @@ dedicated :class:`~repro.stats.rng.SeedSequenceTree` child streams in
 booter-then-sequence order, and the path choice depends only on the
 day's parameters — never on chunking — so the same seed yields
 bit-identical ledgers (same :meth:`CustomerLedger.digest`) for every
-chunk size and executor.
+chunk size and ``jobs`` value.
 
 Displaced churners re-sign at surviving booters through a single
 inverse-CDF draw (``v < migration_fraction`` gates the re-sign and ``v /
@@ -664,7 +664,7 @@ class CustomerLedger:
         Covers every per-customer column (spend with open stints
         materialized) plus the derived accumulators, so two ledgers
         agree on the digest iff they agree on every customer — the
-        determinism pin for chunk-size and executor parity tests.
+        determinism pin for chunk-size and ``jobs`` parity tests.
         """
         h = hashlib.sha256()
         h.update(int(self._n).to_bytes(8, "little"))

@@ -7,11 +7,12 @@ This module fans those ``strategy x replica`` runs across the persistent
 :mod:`repro.core.workerpool` exactly like the day pipeline fans days:
 
 * every replica is an independent :class:`ReplicaTask` carrying the
-  scenario config and a frozen intervention — workers rebuild (or, under
-  fork, inherit) the market via :func:`repro.core.workerpool.scenario_for`
-  and seed the run from the scenario seed tree, so results are
-  bit-identical across the ``inline`` / ``thread`` / ``process``
-  executors (pinned by the ledger digests in each result);
+  scenario config and a frozen intervention — pool workers rebuild (or,
+  under fork, inherit) the market via
+  :func:`repro.core.workerpool.scenario_for`, the inline path reads the
+  caller's scenario, and both seed the run from the scenario seed tree,
+  so results are bit-identical for any ``jobs`` (pinned by the ledger
+  digests in each result);
 * worker-side ``econ.*`` counters merge back into the parent registry
   through the pool's standard metering path, so a replica study shows up
   in ``--profile`` / ``--metrics-out`` like any other fan-out.
@@ -26,13 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.parallel import resolve_jobs
-from repro.core.workerpool import (
-    execution_policy,
-    get_pool,
-    record_inline_pool,
-    register_scenario,
-    scenario_for,
-)
+from repro.core.workerpool import get_pool, record_inline_pool, scenario_for
 from repro.economics.customers import CustomerDynamics
 from repro.economics.interventions import Intervention
 from repro.economics.simulate import EconomySimulation, LedgerEconomyReport
@@ -76,14 +71,12 @@ class ReplicaResult:
 def _replica_seeds(scenario: Scenario, task: ReplicaTask):
     # Child path includes strategy name and replica index, so every
     # (strategy, replica) pair owns an independent stream derived only
-    # from the scenario seed — identical in any executor or order.
+    # from the scenario seed — identical in any process or order.
     return scenario.seeds.child("econ-replica", task.intervention.name, task.replica)
 
 
-def _run_replica_task(task: ReplicaTask) -> ReplicaResult:
-    """Pool worker: run one ledger replica and summarize it (module-level
-    so process executors can pickle the callable)."""
-    scenario = scenario_for(task.config)
+def _run_replica(scenario: Scenario, task: ReplicaTask) -> ReplicaResult:
+    """Run one ledger replica on ``scenario``'s market and summarize it."""
     sim = EconomySimulation(
         scenario.market,
         _replica_seeds(scenario, task),
@@ -108,6 +101,12 @@ def _run_replica_task(task: ReplicaTask) -> ReplicaResult:
         ledger_digest=report.ledger_digest,
         total_customers=report.total_customers().astype(np.float64),
     )
+
+
+def _run_replica_task(task: ReplicaTask) -> ReplicaResult:
+    """Pool task: one replica on the worker's world (module-level so the
+    process pool can pickle the callable)."""
+    return _run_replica(scenario_for(task.config), task)
 
 
 @dataclass
@@ -160,26 +159,22 @@ def run_intervention_replicas(
     *,
     n_customers: int = 100_000,
     jobs: int | None = 1,
-    executor: str | None = None,
-    batch: int | None = None,
     dynamics: CustomerDynamics = CustomerDynamics(),
     paying_fraction: float = 0.12,
     chunk_bytes: int = 32 << 20,
 ) -> ReplicaStudy:
     """Fan ``len(interventions) x n_replicas`` ledger runs over the pool.
 
-    ``jobs``/``executor``/``batch`` follow the day-pipeline conventions
-    (``jobs=None``/``0`` = all cores; executor ``None`` defers to the
-    process-wide :func:`~repro.core.workerpool.execution_policy`). The
-    fan is a pure execution strategy: results — including every ledger
-    digest — are identical across inline, thread, and process executors.
+    ``jobs`` follows the day-pipeline conventions (``jobs=None``/``0`` =
+    all cores; ``jobs=1`` runs inline on ``scenario``). The fan is a pure
+    execution strategy: results — including every ledger digest — are
+    identical for any ``jobs``.
     """
     if n_replicas <= 0:
         raise ValueError("n_replicas must be positive")
     if not interventions:
         raise ValueError("need at least one intervention to study")
     n_jobs = resolve_jobs(jobs)
-    mode = executor if executor is not None else execution_policy().executor
     tasks = [
         ReplicaTask(
             config=scenario.config,
@@ -196,14 +191,13 @@ def run_intervention_replicas(
     ]
     registry = metrics()
     results: list[Any]
-    if mode == "inline" or n_jobs <= 1 or len(tasks) <= 1:
-        register_scenario(scenario)
+    if n_jobs <= 1 or len(tasks) <= 1:
         start = time.perf_counter()
-        results = [_run_replica_task(task) for task in tasks]
+        results = [_run_replica(scenario, task) for task in tasks]
         record_inline_pool(registry, len(tasks), time.perf_counter() - start)
     else:
-        pool = get_pool(scenario, n_jobs, mode)
-        results = [r for r, _ in pool.map_with_deltas(_run_replica_task, tasks, batch=batch)]
+        pool = get_pool(scenario, n_jobs)
+        results = [r for r, _ in pool.map_with_deltas(_run_replica_task, tasks)]
     study = ReplicaStudy(
         n_replicas=n_replicas,
         n_days=n_days,

@@ -114,7 +114,7 @@ class LedgerEconomyReport(EconomyReport):
         displaced: total intervention-displacement events.
         n_customer_rows: customer rows materialized (active + churned).
         ledger_digest: SHA-256 of the final ledger state — the
-            determinism pin for chunk-size / executor parity.
+            determinism pin for chunk-size / ``jobs`` parity.
     """
 
     migration_matrix: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))

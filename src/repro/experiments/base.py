@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.booter.market import MarketConfig
-from repro.core.workerpool import EXECUTORS, scenario_for
+from repro.core.workerpool import scenario_for
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
 
@@ -25,8 +25,9 @@ class ExperimentConfig:
     * ``"paper"`` — the full default :class:`ScenarioConfig` (10x larger;
       minutes instead of seconds for the takedown experiments).
 
-    ``jobs`` sets the worker processes for day-parallel experiments
-    (0 = all cores; day results are bit-identical for any ``jobs``).
+    ``jobs`` sets the worker processes of the warm pool that runs
+    day-parallel experiments (1 = serial in-process, 0 = all cores; day
+    results are bit-identical for any ``jobs``).
     ``cache`` enables the process-wide day-result cache so experiments
     sharing day ranges reuse each other's per-day work.
     ``cache_dir`` attaches the persistent on-disk tier
@@ -34,23 +35,9 @@ class ExperimentConfig:
     setting it implies day-caching even without ``cache`` — see the
     :attr:`use_cache` property, which experiments consult instead of
     reading ``cache`` directly.
-    ``shm_threshold`` overrides the byte threshold above which pool
-    results travel via shared memory (``None`` keeps the module
-    default; negative disables the shm lane).
     ``metrics_out`` asks the runner to record pipeline metrics and write
     them to this path as stable-schema JSON (``--metrics-out``); it does
     not change any result, only observability.
-    ``executor`` picks how day tasks run under ``jobs > 1``: ``process``
-    (warm worker pool, the default), ``thread`` (no pickling; wins when
-    NumPy releases the GIL), or ``inline`` (serial in-process, for
-    debugging). ``batch_days`` groups that many day tasks per pool
-    dispatch (0 = auto-size from the worker count); both are pure
-    transport details and leave results bit-identical.
-    ``day_shards`` splits each expensive day into that many event-range
-    shards (1 = off). Sharding requires per-event seeding, so any value
-    > 1 switches the scenario to ``per_event_seeds=True`` — results are
-    then identical across shard counts and executors but differ from
-    the default sequential seeding (a different, equally valid world).
     """
 
     preset: str = "small"
@@ -58,25 +45,13 @@ class ExperimentConfig:
     jobs: int = 1
     cache: bool = False
     cache_dir: str | None = None
-    shm_threshold: int | None = None
     metrics_out: str | None = None
-    executor: str = "process"
-    batch_days: int = 0
-    day_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.preset not in ("small", "paper"):
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0 (0 = all cores), got {self.jobs}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.batch_days < 0:
-            raise ValueError(f"batch_days must be >= 0 (0 = auto), got {self.batch_days}")
-        if self.day_shards < 1:
-            raise ValueError(f"day_shards must be >= 1, got {self.day_shards}")
 
     @property
     def use_cache(self) -> bool:
@@ -89,16 +64,11 @@ class ExperimentConfig:
         return self.cache or self.cache_dir is not None
 
     def scenario_config(self) -> ScenarioConfig:
-        # Sharding needs decomposable per-event seeding; flipping it is a
-        # content-hash change, so sharded and unsharded runs never share
-        # cache entries or drift baselines.
-        per_event = self.day_shards > 1
         if self.preset == "paper":
-            return ScenarioConfig(seed=self.seed, scale=1.0, per_event_seeds=per_event)
+            return ScenarioConfig(seed=self.seed, scale=1.0)
         return ScenarioConfig(
             seed=self.seed,
             scale=0.1,
-            per_event_seeds=per_event,
             topology=TopologyConfig(n_tier1=3, n_tier2=12, n_stub=80),
             market=MarketConfig(daily_attacks=120.0, n_victims=600),
             pool_sizes=(

@@ -125,7 +125,6 @@ def run_market(config: ExperimentConfig) -> ExperimentResult:
         n_days=_MARKET_DAYS,
         n_customers=_MARKET_CUSTOMERS,
         jobs=config.jobs,
-        executor=config.executor,
     )
     summary = study.summary()
     rows = []

@@ -41,8 +41,6 @@ def _observed_window(scenario: Scenario, vantage: str, config: ExperimentConfig)
         range(start, end),
         jobs=config.jobs,
         cache=config.use_cache,
-        executor=config.executor,
-        batch_days=config.batch_days,
     )
     return FlowTable.concat(tables)
 
@@ -57,8 +55,6 @@ def run_fig2a(config: ExperimentConfig) -> ExperimentResult:
         [day],
         jobs=config.jobs,
         cache=config.use_cache,
-        executor=config.executor,
-        batch_days=config.batch_days,
     )[0]
     # All NTP packets at the IXP, both directions.
     ntp = observed.filter(
@@ -123,8 +119,6 @@ def _per_vp_reports(scenario: Scenario, config: ExperimentConfig) -> dict[str, o
             {vantage: (OBSERVED,) for vantage in vantages},
             jobs=config.jobs,
             cache=config.use_cache,
-            executor=config.executor,
-            batch_days=config.batch_days,
         )
         for vantage in vantages:
             # Concatenate one vantage's window at a time and drop it

@@ -60,8 +60,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         {"ixp": (ports, hourly_attack_counts(scenario)), "tier2": (ports,)},
         jobs=config.jobs,
         cache=config.use_cache,
-        executor=config.executor,
-        batch_days=config.batch_days,
     )
     reports: dict[str, TakedownReport] = {}
     for vantage in ("ixp", "tier2"):

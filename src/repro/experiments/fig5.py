@@ -48,8 +48,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         {"ixp": (reduction,)},
         jobs=config.jobs,
         cache=config.use_cache,
-        executor=config.executor,
-        batch_days=config.batch_days,
     )["ixp", reduction]
     hourly_series = np.array(per_day, dtype=np.int64).reshape(-1)
     daily = hourly_series.reshape(-1, 24).sum(axis=1).astype(float)

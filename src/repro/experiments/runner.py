@@ -4,9 +4,7 @@ Usage::
 
     repro-experiments fig4                 # one experiment, small preset
     repro-experiments all --preset paper   # everything at paper scale
-    repro-experiments all --jobs 4         # day-parallel (bit-identical)
-    repro-experiments all --jobs 4 --executor thread   # no-pickling pool
-    repro-experiments all --jobs 4 --batch-days 3      # batched dispatch
+    repro-experiments all --jobs 4         # warm process pool (bit-identical)
     repro-experiments fig1a fig1b --seed 7
     repro-experiments fig4 fig5 --no-cache # disable the day-result cache
     repro-experiments all --cache-dir .day-cache   # persistent disk tier
@@ -31,9 +29,8 @@ import time
 
 from repro.core.diskcache import DEFAULT_MAX_BYTES, DiskDayCache
 from repro.core.parallel import day_cache
-from repro.core.workerpool import EXECUTORS, set_execution_policy, shutdown_pool
+from repro.core.workerpool import shutdown_pool
 from repro.experiments.base import ExperimentConfig
-from repro.flows.shm import set_transport_threshold
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.logutil import LOG_LEVELS, configure_cli_logging
 from repro.obs import (
@@ -70,8 +67,8 @@ def _parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for day-parallel experiments "
-        "(0 = all cores; results are bit-identical for any --jobs)",
+        help="worker processes of the warm pool that runs day tasks "
+        "(1 = serial, 0 = all cores; results are bit-identical for any --jobs)",
     )
     parser.add_argument(
         "--cache",
@@ -95,47 +92,6 @@ def _parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_BYTES,
         help="byte budget for --cache-dir before least-recently-used "
         "entries are evicted (default: 2 GiB)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="process",
-        help="how day tasks run under --jobs N: 'process' (warm worker "
-        "pool, default), 'thread' (no pickling; wins when NumPy "
-        "releases the GIL), or 'inline' (serial, for debugging); "
-        "results are bit-identical across modes",
-    )
-    parser.add_argument(
-        "--batch-days",
-        dest="batch_days",
-        type=int,
-        default=0,
-        metavar="N",
-        help="group N day tasks per pool dispatch to amortize transport "
-        "(0 = auto-size from the worker count; pure transport detail, "
-        "results and cache keys unchanged)",
-    )
-    parser.add_argument(
-        "--day-shards",
-        dest="day_shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="split each expensive day into N event-range shards so a "
-        "short day list still fills the pool (1 = off); N > 1 switches "
-        "the scenario to per-event seeding: results are identical "
-        "across shard counts and executors, but NOT comparable with "
-        "the default seeding (or the committed drift baseline)",
-    )
-    parser.add_argument(
-        "--shm-threshold",
-        dest="shm_threshold",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="pool results at least this many payload bytes travel via "
-        "shared memory instead of the result pipe (default: 1 MiB; "
-        "negative disables the shm lane)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -197,11 +153,7 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             cache=args.cache,
             cache_dir=args.cache_dir,
-            shm_threshold=args.shm_threshold,
             metrics_out=args.metrics_out,
-            executor=args.executor,
-            batch_days=args.batch_days,
-            day_shards=args.day_shards,
         )
         disk = None
         if args.cache_dir:
@@ -216,24 +168,13 @@ def main(argv: list[str] | None = None) -> int:
             len(disk),
             disk.resident_bytes / 1e6,
         )
-    previous_threshold = set_transport_threshold(args.shm_threshold)
-    if args.shm_threshold is None:
-        set_transport_threshold(previous_threshold)
-    previous_policy = set_execution_policy(
-        executor=args.executor,
-        batch_days=args.batch_days,
-        day_shards=args.day_shards,
-    )
     try:
         return _run(args, config, ids, disk)
     finally:
         # main() is called in-process by tests and notebooks: restore the
         # global singleton state so one invocation cannot leak its disk
-        # tier, shm threshold, execution policy, or warm pool into the
-        # next.
-        set_execution_policy(previous_policy)
+        # tier or warm pool into the next.
         shutdown_pool()
-        set_transport_threshold(previous_threshold)
         if disk is not None:
             day_cache().attach_disk(None)
 
@@ -244,7 +185,7 @@ def _run(
     ids: list[str],
     disk: DiskDayCache | None,
 ) -> int:
-    """Execute the experiments with globals (disk tier, threshold) attached."""
+    """Execute the experiments with the disk tier (if any) attached."""
     # Tracing and the ledger both need the registry recording; profile
     # tables print only when explicitly asked for (or exported).
     record = bool(args.metrics_out or args.profile or args.trace_out or args.ledger)
@@ -316,10 +257,6 @@ def _run(
         "jobs": args.jobs,
         "cache": args.cache,
         "cache_dir": args.cache_dir,
-        "shm_threshold": args.shm_threshold,
-        "executor": args.executor,
-        "batch_days": args.batch_days,
-        "day_shards": args.day_shards,
         "experiments": ids,
         "wall_s": round(wall_s, 4),
     }

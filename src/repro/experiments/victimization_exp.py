@@ -60,8 +60,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             list(_DAYS)[:3],
             jobs=config.jobs,
             cache=config.use_cache,
-            executor=config.executor,
-            batch_days=config.batch_days,
         )
     )
     report = victim_report(ground_truth)

@@ -16,9 +16,8 @@ Reading validates the magic, the declared record count, and truncation.
 Round-trips are exact for all values within field ranges (the FlowTable
 schema guarantees IPs/ports/proto fit; AS numbers are stored as i32).
 The same header + records framing backs the on-disk day cache
-(:mod:`repro.core.diskcache`) and the shared-memory transport
-(:mod:`repro.flows.shm`), so a flow file is literally a dump of the
-zero-copy result plane.
+(:mod:`repro.core.diskcache`), so a flow file is literally a dump of a
+cached day table.
 """
 
 from __future__ import annotations

@@ -28,13 +28,13 @@ Besides the columnar dict, a table has two single-buffer serializations
 
 * a contiguous structured array of :data:`RECORD_DTYPE`, the same
   50-byte packed record the binary file format
-  (:mod:`repro.flows.binio`) writes to disk; the shared-memory
-  transport (:mod:`repro.flows.shm`) and the persistent day cache
-  (:mod:`repro.core.diskcache`) move tables in this interchange layout;
+  (:mod:`repro.flows.binio`) writes to disk; the persistent day cache
+  (:mod:`repro.core.diskcache`) moves tables in this interchange layout;
 * a *column plane* (:meth:`FlowTable.to_plane`): the full-width columns
   laid slab after slab in one byte buffer, exact for every value, which
-  is what pool pickling (:meth:`FlowTable.__reduce__`) ships instead of
-  eleven separately pickled column arrays.
+  is what pickling (:meth:`FlowTable.__reduce__`) ships instead of
+  eleven separately pickled column arrays — every flow table a pool
+  worker returns crosses the result pipe this way.
 """
 
 from __future__ import annotations

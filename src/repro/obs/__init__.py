@@ -30,7 +30,7 @@ The live telemetry plane (PR 8) adds two more:
 
 Request-scoped tracing lives in :mod:`repro.obs.trace`: the serving
 plane binds a request id per exchange (:func:`request_scope`), the
-worker pool forwards it across executor boundaries, and every trace
+worker pool forwards it across the process boundary, and every trace
 event stamps it into its args — so one id connects an access-log line
 to its pool-worker spans in the Perfetto export.
 """
@@ -51,7 +51,6 @@ from repro.obs.metrics import (
     SpanStats,
     metrics,
     set_metrics,
-    set_thread_metrics,
     use_metrics,
 )
 from repro.obs.profile import (
@@ -124,7 +123,6 @@ __all__ = [
     "sanitize_metric_name",
     "set_metrics",
     "set_request_id",
-    "set_thread_metrics",
     "use_metrics",
     "validate_exposition",
     "write_chrome_trace",

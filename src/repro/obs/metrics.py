@@ -24,8 +24,8 @@ Naming conventions (relied on by tests and the profile report):
   day cache stores each day's ``scenario.*`` deltas and replays them on
   hits, so these counters measure logical rather than physical work);
 * timing counters end in ``_s`` (seconds) and execution-strategy
-  metrics live under the ``cache.`` / ``pool.`` / ``serve.`` / ``shm.``
-  / ``visibility.`` / ``parallel.`` families — all of these are
+  metrics live under the ``cache.`` / ``pool.`` / ``serve.`` /
+  ``visibility.`` / ``parallel.`` families — all of these are
   strategy- or load-dependent and excluded from determinism comparisons
   (the authoritative prefix lists are
   :data:`repro.obs.runledger.DETERMINISTIC_PREFIXES` and
@@ -36,7 +36,6 @@ Naming conventions (relied on by tests and the profile report):
 
 from __future__ import annotations
 
-import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -53,7 +52,6 @@ __all__ = [
     "MetricsRegistry",
     "metrics",
     "set_metrics",
-    "set_thread_metrics",
     "use_metrics",
 ]
 
@@ -351,28 +349,10 @@ class MetricsRegistry:
 #: unconditionally; runs opt in by installing an enabled registry.
 _ACTIVE = MetricsRegistry(enabled=False)
 
-class _ThreadOverride(threading.local):
-    #: The class-level default makes a thread without an override read
-    #: ``None`` directly: ``getattr`` with a default would raise and
-    #: catch an ``AttributeError`` on every :func:`metrics` call.
-    registry: MetricsRegistry | None = None
-
-
-#: Per-thread registry override, installed by the thread-pool executor so
-#: concurrent day tasks record into isolated registries (the process
-#: global is shared by all threads and would interleave their counters).
-_THREAD_LOCAL = _ThreadOverride()
-
 
 def metrics() -> MetricsRegistry:
-    """The active registry: the thread's override, else the process one.
-
-    The override only exists inside thread-pool worker tasks (see
-    :func:`set_thread_metrics`); every other caller gets the process-wide
-    registry, disabled by default.
-    """
-    override = _THREAD_LOCAL.registry
-    return _ACTIVE if override is None else override
+    """The active registry: the process-wide one, disabled by default."""
+    return _ACTIVE
 
 
 def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
@@ -380,19 +360,6 @@ def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = registry
-    return previous
-
-
-def set_thread_metrics(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Install a registry for the *calling thread only*; returns the previous.
-
-    Pass ``None`` to clear the override. Thread-pool day tasks wrap each
-    item in install/restore so their ``scenario.*`` deltas ship back
-    per item, exactly like process workers do with :func:`set_metrics`
-    (which is process-global and single-threaded in a pool worker).
-    """
-    previous = _THREAD_LOCAL.registry
-    _THREAD_LOCAL.registry = registry
     return previous
 
 

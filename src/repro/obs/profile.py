@@ -116,14 +116,6 @@ def render_profile(registry: MetricsRegistry, title: str | None = None) -> str:
             f"{registry.counter('cache.disk_hits') + registry.counter('cache.disk_misses'):.0f}"
             f"{corrupt_note})"
         )
-    shm_bytes = registry.counter("shm.bytes")
-    pipe_bytes = registry.counter("pool.pipe_bytes")
-    if shm_bytes or pipe_bytes:
-        summary.append(
-            f"result transport: {shm_bytes / 1e6:.1f} MB shm "
-            f"({registry.counter('shm.blocks'):.0f} blocks) / "
-            f"{pipe_bytes / 1e6:.1f} MB pipe"
-        )
     utilization = pool_utilization(registry)
     if utilization is not None:
         summary.append(
@@ -142,13 +134,10 @@ def render_profile(registry: MetricsRegistry, title: str | None = None) -> str:
         )
     batches = registry.counter("pool.batches")
     if batches:
-        shard_tasks = registry.counter("pool.shard_tasks")
-        shard_note = f", {shard_tasks:.0f} shard tasks" if shard_tasks else ""
         summary.append(
             f"pool batching: {registry.counter('pool.tasks'):.0f} tasks in "
             f"{batches:.0f} dispatch(es) "
-            f"(batch size {registry.gauges.get('pool.batch_size', 0):.0f}"
-            f"{shard_note})"
+            f"(batch size {registry.gauges.get('pool.batch_size', 0):.0f})"
         )
     requests = registry.counter("serve.requests")
     if requests:

@@ -46,7 +46,7 @@ RUN_SCHEMA = "repro.obs.run/1"
 #: execution strategy (see :mod:`repro.obs.metrics` naming conventions).
 #: ``econ.`` counts simulated market events (customer-days, signups,
 #: churns, migrations, replicas) — identical for every ledger chunk size
-#: and replica executor, so it belongs in the drift digest.
+#: and ``jobs`` value, so it belongs in the drift digest.
 DETERMINISTIC_PREFIXES: tuple[str, ...] = (
     "scenario.",
     "streaming.",
@@ -63,7 +63,6 @@ EXCLUDED_PREFIXES: tuple[str, ...] = (
     "cache.",
     "pool.",
     "serve.",
-    "shm.",
     "parallel.",
     "matrix.",
     # Market-plane execution strategy: ledger chunk fan-out and replica

@@ -22,7 +22,7 @@ timestamps to the earliest event.
 an id and installs it in the :data:`current_request_id` context variable
 (:func:`request_scope`). :meth:`TraceRecorder.record` stamps the current
 id into every event's args, and the worker pool forwards the id across
-the process/thread-pool boundary, so a pool-worker span stitches back to
+the process boundary, so a pool-worker span stitches back to
 the HTTP request that caused it: filtering the Perfetto export on
 ``args.request_id`` shows one request's full serve → pool timeline.
 """

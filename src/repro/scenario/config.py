@@ -38,16 +38,6 @@ class ScenarioConfig:
     n_days: int = _SCENARIO_DAYS
     takedown_day: int = day_index(TAKEDOWN_DATE)
 
-    # Per-event traffic seeding: with False (the default, matching every
-    # historical run) a day's attack/trigger flows consume one sequential
-    # stream seeded by ("traffic", day); with True each event draws from
-    # its own ("traffic", day, "event", i) stream, which makes the day's
-    # synthesis decomposable into event-range shards that merge back
-    # bit-identically (see Scenario.day_traffic_shard). The two modes
-    # produce *different* (equally valid) flow values, so the flag is
-    # part of the content hash and cache keys never collide.
-    per_event_seeds: bool = False
-
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     market: MarketConfig = field(default_factory=MarketConfig)
     background: BackgroundConfig = field(default_factory=BackgroundConfig)
@@ -126,16 +116,12 @@ class ScenarioConfig:
         from repro.scenario.serialize import config_to_dict
 
         content = config_to_dict(self)
-        # At the default (False) this field is absent from the payload, so
-        # hashes — and therefore day caches, goldens, and the drift
-        # baseline — from before the field existed remain valid. True
-        # changes the hash: per-event seeding draws a different world.
-        if not content.get("per_event_seeds"):
-            content.pop("per_event_seeds", None)
         # topology.sampler was added after the hash was pinned; at its
         # default ("legacy", the exact historical RNG stream) it is
-        # stripped for the same reason. "vectorized" DOES hash: it draws
-        # a different world.
+        # stripped from the payload, so hashes — and therefore day
+        # caches, goldens, and the drift baseline — from before the field
+        # existed remain valid. "vectorized" DOES hash: it draws a
+        # different world.
         if content.get("topology", {}).get("sampler") == "legacy":
             content["topology"].pop("sampler", None)
         payload = json.dumps(content, sort_keys=True, separators=(",", ":"))

@@ -33,35 +33,7 @@ from repro.vantage.ixp import IXPVantagePoint
 from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.observatory import IXPObservatory
 
-__all__ = ["DayTraffic", "DayShardPart", "Scenario"]
-
-
-def _shard_bounds(n_events: int, shard: int, n_shards: int) -> tuple[int, int]:
-    """Half-open event-index range of ``shard`` in a balanced contiguous split."""
-    base, extra = divmod(n_events, n_shards)
-    lo = shard * base + min(shard, extra)
-    return lo, lo + base + (1 if shard < extra else 0)
-
-
-@dataclass
-class DayShardPart:
-    """One shard's slice of a day's ground-truth traffic.
-
-    Produced by :meth:`Scenario.day_traffic_shard` (event-range shard of
-    attack/trigger synthesis, with the day's scan flows on shard 0 and
-    benign background on the last shard) and reassembled by
-    :meth:`Scenario.combine_day_shards` into a :class:`DayTraffic` that
-    is bit-identical to the unsharded generation.
-    """
-
-    day: int
-    shard: int
-    n_shards: int
-    events: list[AttackEvent]
-    attack: FlowTable
-    trigger: FlowTable
-    scan: FlowTable | None
-    benign: FlowTable | None
+__all__ = ["DayTraffic", "Scenario"]
 
 
 @dataclass
@@ -277,7 +249,7 @@ class Scenario:
                 day, demand_weights=weights, demand_scale=self.config.scale * demand_level
             )
             with registry.span("scenario.synthesize_flows"):
-                attack, trigger = self._synthesize_events(day, events, 0, len(events), bin_seconds)
+                attack, trigger = self._synthesize_events(day, events, bin_seconds)
                 # Scan volume scales with the simulated world size like
                 # everything else.
                 if activity is None:
@@ -298,28 +270,16 @@ class Scenario:
         return traffic
 
     def _synthesize_events(
-        self,
-        day: int,
-        events: list[AttackEvent],
-        start: int,
-        stop: int,
-        bin_seconds: float,
+        self, day: int, events: list[AttackEvent], bin_seconds: float
     ) -> tuple[FlowTable, FlowTable]:
-        """Attack and trigger flows of events ``[start, stop)`` of ``day``.
+        """Attack and trigger flows of ``day``'s events.
 
-        Seeding follows ``config.per_event_seeds``: the legacy mode
-        draws every event from one sequential ``("traffic", day)``
-        stream (so the full range must be synthesized in order, in one
-        place), while per-event mode gives event ``i`` its own
-        ``("traffic", day, "event", i)`` stream — the property that
-        makes event-range sharding reassemble bit-identically.
+        Every event draws, in order, from the day's one sequential
+        ``("traffic", day)`` stream.
         """
-        per_event = self.config.per_event_seeds
-        rng = None if per_event else self.seeds.child("traffic", day).rng()
-        draws = EventDraws(events[start:stop], bin_seconds)
-        for i, event in enumerate(draws.events, start):
-            if per_event:
-                rng = self.seeds.child("traffic", day, "event", i).rng()
+        rng = self.seeds.child("traffic", day).rng()
+        draws = EventDraws(events, bin_seconds)
+        for event in draws.events:
             synthesize_attack_flows(event, rng, bin_seconds=bin_seconds, out=draws)
             backend = self.market.services[event.booter]
             synthesize_trigger_flows(
@@ -330,100 +290,6 @@ class Scenario:
                 out=draws,
             )
         return draws.attack_table(), draws.trigger_table()
-
-    def day_traffic_shard(
-        self,
-        day: int,
-        shard: int,
-        n_shards: int,
-        with_takedown: bool = True,
-        bin_seconds: float = 60.0,
-    ) -> DayShardPart:
-        """Generate one event-range shard of ``day``'s traffic.
-
-        Requires ``config.per_event_seeds`` (the legacy sequential
-        stream cannot be split without changing every draw after the
-        split point). Events are cut into ``n_shards`` balanced
-        contiguous ranges; scan flows ride on shard 0 and benign
-        background on the last shard (their streams are path-seeded
-        independently of the attack synthesis, so placement is free).
-        Records no ``scenario.*`` counters — the combiner does, once,
-        so sharded and unsharded generation count identically.
-        """
-        if not self.config.per_event_seeds:
-            raise ValueError(
-                "day_traffic_shard needs a scenario built with "
-                "per_event_seeds=True; the default sequential per-day "
-                "stream cannot be sharded bit-identically"
-            )
-        if not 0 <= day < self.config.n_days:
-            raise ValueError(f"day {day} outside scenario [0, {self.config.n_days})")
-        if not 0 <= shard < n_shards:
-            raise ValueError(f"shard {shard} outside [0, {n_shards})")
-        weights, activity, demand_level = self._day_demand(day, with_takedown)
-        events = self.market.attacks_for_day(
-            day, demand_weights=weights, demand_scale=self.config.scale * demand_level
-        )
-        lo, hi = _shard_bounds(len(events), shard, n_shards)
-        attack, trigger = self._synthesize_events(day, events, lo, hi, bin_seconds)
-        scan = benign = None
-        if shard == 0:
-            if activity is None:
-                activity = {name: 1.0 for name in self.market.services}
-            scaled_activity = {n: a * self.config.scale for n, a in activity.items()}
-            scan = self.market.scan_flows_for_day(day, activity=scaled_activity)
-        if shard == n_shards - 1:
-            benign = self.background.flows_for_day(day, intensity_scale=self.config.scale)
-        return DayShardPart(
-            day=day,
-            shard=shard,
-            n_shards=n_shards,
-            events=events[lo:hi],
-            attack=attack,
-            trigger=trigger,
-            scan=scan,
-            benign=benign,
-        )
-
-    def combine_day_shards(self, parts: list[DayShardPart]) -> DayTraffic:
-        """Reassemble a complete shard set into the day's :class:`DayTraffic`.
-
-        Event order is restored by shard index (shards are contiguous
-        ranges), partial tables merge via ``FlowTable.concat``, and the
-        day's ``scenario.*`` work counters are recorded here exactly as
-        an unsharded :meth:`day_traffic` call would record them.
-        """
-        if not parts:
-            raise ValueError("combine_day_shards needs at least one shard part")
-        parts = sorted(parts, key=lambda p: p.shard)
-        day, n_shards = parts[0].day, parts[0].n_shards
-        if [(p.day, p.n_shards, p.shard) for p in parts] != [
-            (day, n_shards, s) for s in range(n_shards)
-        ]:
-            raise ValueError(
-                f"incomplete or mismatched shard set for day {day}: "
-                f"{[(p.day, p.shard, p.n_shards) for p in parts]}"
-            )
-        events = [event for part in parts for event in part.events]
-        scan = next(p.scan for p in parts if p.scan is not None)
-        benign = next(p.benign for p in parts if p.benign is not None)
-        traffic = DayTraffic(
-            day=day,
-            events=events,
-            attack=FlowTable.concat([p.attack for p in parts]),
-            trigger=FlowTable.concat([p.trigger for p in parts]),
-            scan=scan,
-            benign=benign,
-        )
-        registry = metrics()
-        if registry.enabled:
-            registry.inc("scenario.days_generated")
-            registry.inc("scenario.attacks_generated", len(events))
-            registry.inc(
-                "scenario.flows_synthesized",
-                len(traffic.attack) + len(traffic.trigger) + len(scan) + len(benign),
-            )
-        return traffic
 
     def observe_day(
         self,

@@ -24,11 +24,11 @@ concurrent clients. This package is that service:
 * :mod:`repro.serve.sse` — Server-Sent Events framing for the live
   attack-map-style event replay;
 * :mod:`repro.serve.server` — the ``repro-serve`` console entry point
-  tying it together (``--host/--port/--cache-dir/--jobs/--executor``).
+  tying it together (``--host/--port/--cache-dir/--jobs``).
 
 Everything the service returns is derived from the same deterministic
 day pipeline the experiments use, so responses are byte-identical across
-executors, cold vs warm caches, and server restarts.
+``--jobs`` values, cold vs warm caches, and server restarts.
 """
 
 from repro.serve.http import (

@@ -241,7 +241,7 @@ async def handle_metrics(request: Request, params: dict[str, str], ctx: ServeCon
 
 
 async def handle_config(request: Request, params: dict[str, str], ctx: ServeContext) -> Response:
-    """``GET /v1/config`` — scenario hash, executor policy, cache stats."""
+    """``GET /v1/config`` — scenario hash, worker count, cache stats."""
     return Response(body=canonical_json(ctx.service.config_payload()))
 
 

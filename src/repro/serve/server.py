@@ -6,7 +6,9 @@
 dispatch → response write. Handler work that touches the pipeline runs
 in worker threads behind a bounded semaphore, coalesced per key by the
 single-flight table, so the event loop never blocks and N identical
-concurrent misses cost one compute.
+concurrent misses cost one compute. With ``--jobs N`` above 1 the days a
+compute needs run on the warm process pool of
+:mod:`repro.core.workerpool`, forked before the first connection.
 
 Failure containment is the point of the loop structure: a crashed
 handler answers 500 and the connection (and accept loop) live on; a
@@ -42,7 +44,7 @@ from pathlib import Path
 
 from repro.core.diskcache import DEFAULT_MAX_BYTES, DiskDayCache
 from repro.core.parallel import day_cache
-from repro.core.workerpool import EXECUTORS, set_execution_policy, shutdown_pool
+from repro.core.workerpool import shutdown_pool
 from repro.experiments.base import ExperimentConfig
 from repro.logutil import LOG_LEVELS, configure_cli_logging
 from repro.obs import MetricsRegistry, TraceRecorder, metrics, set_metrics, write_chrome_trace
@@ -490,17 +492,10 @@ def _parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for day computation (0 = all cores)",
+        help="worker processes of the warm pool that computes cache "
+        "misses (1 = in the server process, 0 = all cores; payloads are "
+        "byte-identical for any --jobs)",
     )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="process",
-        help="how cache misses compute: warm process pool, thread pool, "
-        "or inline (payloads are byte-identical across modes)",
-    )
-    parser.add_argument("--batch-days", dest="batch_days", type=int, default=0)
-    parser.add_argument("--day-shards", dest="day_shards", type=int, default=1)
     parser.add_argument(
         "--cache-dir",
         dest="cache_dir",
@@ -597,12 +592,11 @@ async def _run_server(args: argparse.Namespace, config: ExperimentConfig) -> int
     # anything else scripting an ephemeral-port server) parses this.
     print(f"SERVE_READY http://{args.host}:{server.port}", flush=True)
     _log.info(
-        "observatory serving on http://%s:%d (preset=%s seed=%d executor=%s jobs=%d)",
+        "observatory serving on http://%s:%d (preset=%s seed=%d jobs=%d)",
         args.host,
         server.port,
         config.preset,
         config.seed,
-        config.executor,
         config.jobs,
     )
     # SIGTERM (how process managers and CI stop a server) ends the serve
@@ -639,9 +633,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             cache=True,
             cache_dir=args.cache_dir,
-            executor=args.executor,
-            batch_days=args.batch_days,
-            day_shards=args.day_shards,
         )
         disk = None
         if args.cache_dir:
@@ -656,18 +647,12 @@ def main(argv: list[str] | None = None) -> int:
         _log.info(
             "disk cache attached at %s (%d entries)", disk.root, len(disk)
         )
-    previous_policy = set_execution_policy(
-        executor=args.executor,
-        batch_days=args.batch_days,
-        day_shards=args.day_shards,
-    )
     try:
         return asyncio.run(_run_server(args, config))
     except KeyboardInterrupt:
         _log.info("interrupted; shutting down")
         return 0
     finally:
-        set_execution_policy(previous_policy)
         shutdown_pool()
         if disk is not None:
             day_cache().attach_disk(None)

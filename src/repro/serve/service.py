@@ -13,8 +13,9 @@ summary. A request resolves through the tiers in order:
 2. the attached :class:`~repro.core.diskcache.DiskDayCache` (when the
    server runs with ``--cache-dir``) — the reductions are small
    JSON-exact values, one sidecar file each;
-3. warm-pool compute via :mod:`repro.core.workerpool` under the server's
-   configured ``--jobs/--executor`` — the expensive path, coalesced by
+3. compute, on the warm process pool of :mod:`repro.core.workerpool`
+   under the server's ``--jobs`` (in-process at ``--jobs 1``) — the
+   expensive path, coalesced by
    the single-flight layer so concurrent misses run it once. A cold
    (day, vantage) is synthesized and observed once and every reduction
    of it is cached, so a later request of any endpoint for that day and
@@ -29,7 +30,7 @@ All payload builders are synchronous — the server runs them in worker
 threads via ``asyncio.to_thread`` behind a bounded semaphore — and end
 in :func:`canonical_json`: sorted keys, no whitespace, ``allow_nan``
 off. Determinism of the upstream day engine (bit-identical across
-``jobs``, executors, and cache temperature) therefore lifts to
+``jobs`` and cache temperature) therefore lifts to
 byte-identical HTTP payloads, which ``tests/test_serve_routes.py`` pins.
 """
 
@@ -244,13 +245,13 @@ class ObservatoryService:
         inherits every open file descriptor — including live client
         connections, which then never see EOF when the server closes
         them. The server calls this before it starts accepting, so the
-        long-lived workers hold no connection fds. ``inline`` and
-        single-job configs have no pool and return immediately.
+        long-lived workers hold no connection fds. Single-job configs
+        have no pool and return immediately.
         """
         n_jobs = resolve_jobs(self.config.jobs)
-        if self.config.executor == "inline" or n_jobs <= 1:
+        if n_jobs <= 1:
             return
-        pool = get_pool(self.scenario, n_jobs, self.config.executor)
+        pool = get_pool(self.scenario, n_jobs)
         pool.map_with_deltas(_warm_probe, list(range(pool.workers)))
 
     # -- request-facing parsing helpers --------------------------------------
@@ -322,8 +323,6 @@ class ObservatoryService:
             SERVE_DAY[vantage],
             jobs=self.config.jobs,
             cache=True,
-            executor=self.config.executor,
-            batch_days=self.config.batch_days,
         )
 
     # -- endpoint payloads ----------------------------------------------------
@@ -342,7 +341,7 @@ class ObservatoryService:
         }
 
     def config_payload(self) -> dict[str, Any]:
-        """Scenario identity, executor policy, and live cache statistics."""
+        """Scenario identity, worker count, and live cache statistics."""
         cache = day_cache()
         return {
             "scenario": {
@@ -353,14 +352,8 @@ class ObservatoryService:
                 "n_days": self.scenario_config.n_days,
                 "takedown_day": self.scenario_config.takedown_day,
                 "takedown_date": str(date_of(self.scenario_config.takedown_day)),
-                "per_event_seeds": self.scenario_config.per_event_seeds,
             },
-            "executor": {
-                "mode": self.config.executor,
-                "jobs": self.config.jobs,
-                "batch_days": self.config.batch_days,
-                "day_shards": self.config.day_shards,
-            },
+            "executor": {"jobs": self.config.jobs},
             "cache": cache.stats(),
             "vantages": list(VANTAGES),
         }

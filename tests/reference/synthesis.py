@@ -294,19 +294,15 @@ def day_traffic(
     """``scenario``'s ground truth for ``day``, synthesized table by table.
 
     Events come from the market unchanged; each event's attack and
-    trigger flows are drawn from the day's sequential stream, or from the
-    event's own stream under ``per_event_seeds``.
+    trigger flows are drawn, in order, from the day's sequential stream.
     """
     weights, activity, demand_level = scenario._day_demand(day, with_takedown)
     events = scenario.market.attacks_for_day(
         day, demand_weights=weights, demand_scale=scenario.config.scale * demand_level
     )
-    per_event = scenario.config.per_event_seeds
-    rng = None if per_event else scenario.seeds.child("traffic", day).rng()
+    rng = scenario.seeds.child("traffic", day).rng()
     attack, trigger = [], []
-    for i, event in enumerate(events):
-        if per_event:
-            rng = scenario.seeds.child("traffic", day, "event", i).rng()
+    for event in events:
         attack.append(attack_flows(event, rng, bin_seconds=bin_seconds))
         trigger.append(
             trigger_flows(

@@ -461,56 +461,6 @@ class TestJobsValidation:
             ExperimentConfig(jobs=-1)
 
 
-class TestShmTransportIntegration:
-    def test_pool_results_via_shm_bit_identical(self, scenario):
-        from repro.flows.shm import set_transport_threshold, shm_available
-
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        serial = observed_days(scenario, "ixp", [40, 41, 42], jobs=1)
-        previous = set_transport_threshold(1)  # force every table through shm
-        try:
-            via_shm = observed_days(scenario, "ixp", [40, 41, 42], jobs=2)
-        finally:
-            set_transport_threshold(previous)
-        from repro.flows.records import SCHEMA
-
-        for a, b in zip(serial, via_shm):
-            assert len(a) == len(b)
-            for name in SCHEMA:
-                np.testing.assert_array_equal(a[name], b[name], err_msg=name)
-
-    def test_shm_counters_recorded_under_enabled_registry(self, scenario):
-        from repro.flows.shm import set_transport_threshold, shm_available
-        from repro.obs import MetricsRegistry, use_metrics
-
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        registry = MetricsRegistry(enabled=True)
-        previous = set_transport_threshold(1)
-        try:
-            with use_metrics(registry):
-                observed_days(scenario, "ixp", [40, 41], jobs=2)
-        finally:
-            set_transport_threshold(previous)
-        assert registry.counter("shm.blocks") == 2
-        assert registry.counter("shm.bytes") > 0
-
-    def test_disabled_lane_uses_pipe(self, scenario):
-        from repro.flows.shm import set_transport_threshold
-        from repro.obs import MetricsRegistry, use_metrics
-
-        registry = MetricsRegistry(enabled=True)
-        previous = set_transport_threshold(-1)
-        try:
-            with use_metrics(registry):
-                observed_days(scenario, "ixp", [40, 41], jobs=2)
-        finally:
-            set_transport_threshold(previous)
-        assert registry.counter("shm.blocks") == 0
-        assert registry.counter("pool.pipe_bytes") > 0
-
-
 class TestDiskTierIntegration:
     def test_disk_warm_run_bit_identical_with_equal_counters(self, scenario, tmp_path):
         from repro.core.diskcache import DiskDayCache

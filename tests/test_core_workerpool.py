@@ -1,27 +1,26 @@
-"""Warm worker pool: reuse semantics, executor-mode parity, batching, sharding."""
+"""Warm worker pool: reuse semantics, jobs parity, batching, worker death."""
+
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.booter.market import MarketConfig
-from repro.core.parallel import daily_port_counts, day_attack_tables, observed_days
+from repro.core.parallel import daily_port_counts, day_attack_tables, day_cache, observed_days
 from repro.core.pipeline import TrafficSelector
 from repro.core.workerpool import (
-    EXECUTORS,
-    ExecutionPolicy,
     WorkerPool,
-    execution_policy,
     get_pool,
     record_inline_pool,
-    register_scenario,
-    set_execution_policy,
+    scenario_for,
     shutdown_pool,
     worker_init_count,
 )
 from repro.netmodel.topology import TopologyConfig
-from repro.obs.metrics import MetricsRegistry, metrics, set_metrics, set_thread_metrics
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.runledger import counter_digest
 from repro.scenario import Scenario, ScenarioConfig
 
@@ -50,16 +49,15 @@ def _config(**overrides) -> ScenarioConfig:
 
 @pytest.fixture(scope="module")
 def scenario():
-    return Scenario(_config())
+    # The memoized world: pools fork from it instead of building another.
+    return scenario_for(_config())
 
 
 @pytest.fixture(autouse=True)
 def _clean_pool():
-    """Every test starts and ends without a live pool or policy override."""
+    """Every test starts and ends without a live pool."""
     shutdown_pool()
-    previous = set_execution_policy(ExecutionPolicy())
     yield
-    set_execution_policy(previous)
     shutdown_pool()
 
 
@@ -67,46 +65,53 @@ def _tables_equal(a, b) -> bool:
     return np.array_equal(a.to_structured(), b.to_structured())
 
 
-class TestExecutionPolicy:
-    def test_defaults(self):
-        policy = ExecutionPolicy()
-        assert policy.executor == "process"
-        assert policy.batch_days == 0
-        assert policy.day_shards == 0
+def _recorded(fn):
+    """Run ``fn()`` under a fresh enabled registry; return both."""
+    registry = MetricsRegistry(enabled=True)
+    previous = set_metrics(registry)
+    try:
+        return fn(), registry
+    finally:
+        set_metrics(previous)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ExecutionPolicy(executor="gpu")
-        with pytest.raises(ValueError, match="batch_days"):
-            ExecutionPolicy(batch_days=-1)
-        with pytest.raises(ValueError, match="day_shards"):
-            ExecutionPolicy(day_shards=-2)
 
-    def test_set_and_restore(self):
-        previous = set_execution_policy(executor="thread", batch_days=3)
-        assert execution_policy().executor == "thread"
-        assert execution_policy().batch_days == 3
-        set_execution_policy(previous)
-        assert execution_policy() == previous
+def _square(item: int) -> int:
+    return item * item
+
+
+def _kill_first_call(item: tuple[str, int]) -> int:
+    """SIGKILL the calling worker the first time any worker runs this.
+
+    The marker file is created atomically (``O_EXCL``), so exactly one
+    call — in whichever worker gets there first — kills its process.
+    """
+    marker_dir, value = item
+    try:
+        os.close(os.open(Path(marker_dir) / "killed", os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return value * value
+    os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("unreachable: the worker was killed")
+
+
+def _kill_every_call(item: int) -> int:
+    os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("unreachable: the worker was killed")
 
 
 class TestWarmPoolReuse:
     def test_pool_survives_consecutive_fans(self, scenario):
-        registry = MetricsRegistry(enabled=True)
-        previous = set_metrics(registry)
-        try:
-            observed_days(scenario, "ixp", [40, 41], jobs=2, executor="process")
-            observed_days(scenario, "ixp", [42, 43], jobs=2, executor="process")
-            daily_port_counts(
-                scenario, "ixp", SELECTORS, [44, 45], jobs=2, executor="process"
-            )
-        finally:
-            set_metrics(previous)
+        def fans():
+            observed_days(scenario, "ixp", [40, 41], jobs=2)
+            observed_days(scenario, "ixp", [42, 43], jobs=2)
+            daily_port_counts(scenario, "ixp", SELECTORS, [44, 45], jobs=2)
+
+        _, registry = _recorded(fans)
         assert registry.counter("pool.spawns") == 1
         assert registry.counter("pool.reuses") >= 2
 
     def test_initializer_runs_once_per_worker(self, scenario):
-        pool = get_pool(scenario, 2, "process")
+        pool = get_pool(scenario, 2)
         reports = pool.probe()
         # The parent never runs the initializer itself.
         assert worker_init_count() == 0
@@ -117,98 +122,80 @@ class TestWarmPoolReuse:
             assert scenario.config.content_hash() in report["scenarios"]
 
     def test_reregistration_shuts_down_stale_pool(self, scenario):
-        pool = get_pool(scenario, 2, "process")
+        pool = get_pool(scenario, 2)
         assert not pool.closed
-        other = Scenario(_config(seed=7))
-        register_scenario(other)
+        other = scenario_for(_config(seed=7))
+        fresh = get_pool(other, 2)
         assert pool.closed
-        fresh = get_pool(other, 2, "process")
         assert fresh is not pool
-        assert fresh.key[2] == other.config.content_hash()
+        assert fresh.key == (2, other.config.content_hash())
 
     def test_same_key_returns_same_pool(self, scenario):
-        a = get_pool(scenario, 2, "process")
-        b = get_pool(scenario, 2, "process")
+        a = get_pool(scenario, 2)
+        b = get_pool(scenario, 2)
         assert a is b
         assert b.reuses == 1
-        c = get_pool(scenario, 2, "thread")
+        c = get_pool(scenario, 3)
         assert c is not a
         assert a.closed  # differing key replaced the singleton
 
     def test_closed_pool_refuses_work(self, scenario):
-        pool = get_pool(scenario, 2, "thread")
+        pool = get_pool(scenario, 2)
         pool.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
             pool.map_with_deltas(len, [[1]])
 
     def test_inline_mode_never_builds_a_pool(self, scenario):
-        with pytest.raises(ValueError, match="inline"):
-            get_pool(scenario, 2, "inline")
-        with pytest.raises(ValueError):
-            WorkerPool("inline", 2, scenario.config)
+        """jobs=1, or a single day at any jobs, runs inline: no pool."""
+
+        def inline():
+            observed_days(scenario, "ixp", [40, 41], jobs=1)
+            observed_days(scenario, "ixp", [42], jobs=2)
+
+        _, registry = _recorded(inline)
+        assert registry.counter("pool.spawns") == 0
+        assert registry.counter("pool.tasks") == 3
+        with pytest.raises(ValueError, match="worker"):
+            WorkerPool(0, scenario.config)
 
 
 class TestExecutorParity:
     def test_results_and_digest_identical_across_modes(self, scenario):
+        """Serial and pooled runs return the same tables (which cross the
+        result pipe as pickles) and the same deterministic counters."""
         days = [40, 41, 42, 43]
         tables = {}
         digests = {}
-        for mode in EXECUTORS:
-            registry = MetricsRegistry(enabled=True)
-            previous = set_metrics(registry)
-            try:
-                tables[mode] = observed_days(
-                    scenario, "ixp", days, jobs=2, executor=mode
-                )
-            finally:
-                set_metrics(previous)
+        for jobs in (1, 2, 3):
+            tables[jobs], registry = _recorded(
+                lambda: observed_days(scenario, "ixp", days, jobs=jobs)
+            )
             shutdown_pool()
-            digests[mode] = counter_digest(registry.counters)
+            digests[jobs] = counter_digest(registry.counters)
         assert len(set(digests.values())) == 1, digests
-        for mode in ("process", "thread"):
-            for a, b in zip(tables["inline"], tables[mode]):
-                assert _tables_equal(a, b), mode
+        for jobs in (2, 3):
+            for a, b in zip(tables[1], tables[jobs]):
+                assert _tables_equal(a, b), jobs
 
     def test_digest_identical_across_batch_sizes(self, scenario):
-        days = list(range(40, 46))
+        """12 days auto-batch 2 per task at jobs=2 and 1 at jobs=3."""
+        days = list(range(34, 46))
+        counts = {}
         digests = {}
-        baseline = None
-        for batch in (1, 2, 6):
-            registry = MetricsRegistry(enabled=True)
-            previous = set_metrics(registry)
-            try:
-                counts = daily_port_counts(
-                    scenario, "ixp", SELECTORS, days,
-                    jobs=2, executor="process", batch_days=batch,
-                )
-            finally:
-                set_metrics(previous)
+        batch_sizes = {}
+        for jobs in (1, 2, 3):
+            counts[jobs], registry = _recorded(
+                lambda: daily_port_counts(scenario, "ixp", SELECTORS, days, jobs=jobs)
+            )
             shutdown_pool()
-            digests[batch] = counter_digest(registry.counters)
-            if baseline is None:
-                baseline = counts
-            else:
-                assert counts == baseline
+            digests[jobs] = counter_digest(registry.counters)
+            batch_sizes[jobs] = registry.gauges.get("pool.batch_size")
+        assert batch_sizes == {1: None, 2: 2, 3: 1}
+        assert counts[1] == counts[2] == counts[3]
         assert len(set(digests.values())) == 1, digests
 
-    def test_thread_mode_records_no_transport_bytes(self, scenario):
-        registry = MetricsRegistry(enabled=True)
-        previous = set_metrics(registry)
-        try:
-            observed_days(scenario, "ixp", [40, 41, 42], jobs=2, executor="thread")
-        finally:
-            set_metrics(previous)
-        assert registry.counter("pool.pipe_bytes") == 0
-        assert registry.counter("shm.bytes") == 0
-        assert registry.counter("pool.tasks") == 3
-
     def test_inline_records_pool_counter_family(self, scenario):
-        registry = MetricsRegistry(enabled=True)
-        previous = set_metrics(registry)
-        try:
-            observed_days(scenario, "ixp", [40, 41], jobs=2, executor="inline")
-        finally:
-            set_metrics(previous)
+        _, registry = _recorded(lambda: observed_days(scenario, "ixp", [40, 41], jobs=1))
         assert registry.counter("pool.tasks") == 2
         assert registry.counter("pool.wall_s") > 0
         assert registry.counter("pool.capacity_s") == registry.counter("pool.wall_s")
@@ -224,7 +211,7 @@ class TestExecutorParity:
 
 class TestDayBatching:
     def test_resolve_batch_auto_and_explicit(self, scenario):
-        pool = get_pool(scenario, 2, "thread")
+        pool = get_pool(scenario, 2)
         # Auto: about _OVERSUBSCRIBE batches per worker.
         assert pool.resolve_batch(16, None) == 2
         assert pool.resolve_batch(16, 0) == 2
@@ -235,161 +222,67 @@ class TestDayBatching:
         assert pool.resolve_batch(1, 0) == 1
 
     def test_batching_collapses_dispatches(self, scenario):
-        days = list(range(40, 46))
-        registry = MetricsRegistry(enabled=True)
-        previous = set_metrics(registry)
-        try:
-            observed_days(
-                scenario, "ixp", days, jobs=2, executor="process", batch_days=3
-            )
-        finally:
-            set_metrics(previous)
-        assert registry.counter("pool.tasks") == 6
+        pool = get_pool(scenario, 2)
+        pairs, registry = _recorded(lambda: pool.map_with_deltas(_square, range(16)))
+        assert [result for result, _ in pairs] == [i * i for i in range(16)]
+        assert registry.counter("pool.tasks") == 16
+        assert registry.counter("pool.batches") == 8
+        assert registry.gauges["pool.batch_size"] == 2
+        _, registry = _recorded(lambda: pool.map_with_deltas(_square, range(6), batch=3))
         assert registry.counter("pool.batches") == 2
         assert registry.gauges["pool.batch_size"] == 3
 
     def test_per_day_deltas_survive_batching(self, scenario):
-        days = [40, 41, 42, 43]
-        per_batch = {}
-        for batch in (1, 4):
-            registry = MetricsRegistry(enabled=True)
-            previous = set_metrics(registry)
-            try:
-                day_attack_tables(
-                    scenario, days, jobs=2, executor="process",
-                    batch_days=batch, cache=True,
-                )
-            finally:
-                set_metrics(previous)
+        days = list(range(34, 46))
+        generated = {}
+        for jobs in (2, 3):  # auto batches of 2 and of 1 day
+            _, registry = _recorded(lambda: day_attack_tables(scenario, days, jobs=jobs, cache=True))
             shutdown_pool()
-            from repro.core.parallel import day_cache
-
-            per_batch[batch] = registry.counter("scenario.days_generated")
+            generated[jobs] = registry.counter("scenario.days_generated")
             day_cache().clear()
         # The logical work counters are batch-size invariant.
-        assert per_batch[1] == per_batch[4] == len(days)
+        assert generated[2] == generated[3] == len(days)
 
 
-class TestIntraDaySharding:
-    def test_shard_path_matches_unsharded_per_event_world(self):
-        config = _config(per_event_seeds=True)
-        whole = Scenario(config)
-        days = [40, 41]
-        expected = observed_days(whole, "ixp", days, jobs=1)
+class TestTransportInvariance:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_jobs_never_change_results(self, jobs):
+        """Worker count and its automatic batch size (3 days per task at
+        jobs=2, 2 at jobs=3) are invisible in results and in the
+        scenario.* replay deltas."""
+        config = _config(n_days=46, takedown_day=43)
+        days = list(range(26, 46))
+        reference = Scenario(config)
+        expected = [reference.observe_day("ixp", reference.day_traffic(day)) for day in days]
 
-        sharded_scenario = Scenario(config)
-        previous = set_execution_policy(day_shards=2)
-        registry = MetricsRegistry(enabled=True)
-        previous_reg = set_metrics(registry)
-        try:
-            # One missing day at a time (< jobs) engages the shard path.
-            got = [
-                observed_days(sharded_scenario, "ixp", [day], jobs=2)[0]
-                for day in days
-            ]
-        finally:
-            set_metrics(previous_reg)
-            set_execution_policy(previous)
-        assert registry.counter("pool.shard_tasks") == 2 * len(days)
-        for a, b in zip(expected, got):
-            assert _tables_equal(a, b)
-
-    def test_shard_digest_matches_unsharded(self):
-        config = _config(per_event_seeds=True)
-        digests = {}
-        for shards in (1, 3):
-            registry = MetricsRegistry(enabled=True)
-            previous_reg = set_metrics(registry)
-            previous = set_execution_policy(day_shards=shards)
-            try:
-                scenario = Scenario(config)
-                observed_days(scenario, "ixp", [40], jobs=2 if shards > 1 else 1)
-            finally:
-                set_execution_policy(previous)
-                set_metrics(previous_reg)
-            shutdown_pool()
-            digests[shards] = counter_digest(registry.counters)
-        assert digests[1] == digests[3]
-
-    def test_sharding_requires_per_event_seeds(self, scenario):
-        # Legacy seeding: the shard path never engages even when enabled.
-        previous = set_execution_policy(day_shards=4)
-        registry = MetricsRegistry(enabled=True)
-        previous_reg = set_metrics(registry)
-        try:
-            observed_days(scenario, "ixp", [40], jobs=2)
-        finally:
-            set_metrics(previous_reg)
-            set_execution_policy(previous)
-        assert registry.counter("pool.shard_tasks") == 0
-        with pytest.raises(ValueError, match="per_event_seeds"):
-            scenario.day_traffic_shard(40, 0, 2)
-
-    def test_per_event_seeds_changes_content_hash(self):
-        legacy = _config()
-        per_event = _config(per_event_seeds=True)
-        assert legacy.content_hash() != per_event.content_hash()
-
-
-class TestHypothesisTransportInvariance:
-    @settings(
-        max_examples=6, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        batch=st.integers(min_value=1, max_value=5),
-        shards=st.integers(min_value=1, max_value=4),
-    )
-    def test_batch_and_shard_counts_never_change_results(self, batch, shards):
-        """Transport knobs (batch size, shard count) are invisible in results
-        and in the scenario.* replay deltas."""
-        config = _config(per_event_seeds=True, n_days=46, takedown_day=43)
-        expected = Scenario(config).day_traffic(41)
-
-        shutdown_pool()
-        previous = set_execution_policy(
-            executor="thread", batch_days=batch, day_shards=shards
+        tables, registry = _recorded(
+            lambda: observed_days(scenario_for(config), "ixp", days, jobs=jobs)
         )
-        registry = MetricsRegistry(enabled=True)
-        previous_reg = set_metrics(registry)
-        try:
-            scenario = Scenario(config)
-            tables = observed_days(scenario, "ixp", [41], jobs=2)
-            reference = scenario.observe_day("ixp", expected)
-        finally:
-            set_metrics(previous_reg)
-            set_execution_policy(previous)
-            shutdown_pool()
-        assert _tables_equal(tables[0], reference)
-        assert registry.counter("scenario.days_generated") == 1.0
+        for a, b in zip(tables, expected):
+            assert _tables_equal(a, b)
+        assert registry.counter("scenario.days_generated") == len(days)
         assert registry.counter("scenario.flows_synthesized") >= 1.0
+        if jobs > 1:
+            assert registry.gauges["pool.batch_size"] == {2: 3, 3: 2}[jobs]
 
 
-class TestThreadMetricsIsolation:
-    def test_thread_local_override_shadows_global(self):
-        base = MetricsRegistry(enabled=True)
-        previous = set_metrics(base)
-        try:
-            local = MetricsRegistry(enabled=True)
-            before = set_thread_metrics(local)
-            try:
-                metrics().inc("test.counter")
-            finally:
-                set_thread_metrics(before)
-            metrics().inc("test.other")
-        finally:
-            set_metrics(previous)
-        assert local.counter("test.counter") == 1
-        assert base.counter("test.counter") == 0
-        assert base.counter("test.other") == 1
+class TestWorkerDeath:
+    def test_killed_worker_is_respawned_once(self, scenario, tmp_path):
+        pool = get_pool(scenario, 2)
+        items = [(str(tmp_path), value) for value in range(8)]
+        pairs, registry = _recorded(lambda: pool.map_with_deltas(_kill_first_call, items))
+        assert (tmp_path / "killed").exists()
+        assert [result for result, _ in pairs] == [_square(value) for _, value in items]
+        assert registry.counter("pool.respawns") == 1
+        assert registry.counter("pool.tasks") == len(items)
 
-    def test_worker_threads_do_not_interleave_counters(self, scenario):
+    def test_worker_that_always_dies_fails_after_one_respawn(self, scenario):
+        pool = get_pool(scenario, 2)
         registry = MetricsRegistry(enabled=True)
         previous = set_metrics(registry)
         try:
-            pairs = observed_days(scenario, "ixp", [40, 41, 42, 43], jobs=2, executor="thread")
+            with pytest.raises(BrokenProcessPool):
+                pool.map_with_deltas(_kill_every_call, [0, 1])
         finally:
             set_metrics(previous)
-        assert len(pairs) == 4
-        # Four days of logical work, attributed exactly once each.
-        assert registry.counter("scenario.days_generated") == 4
+        assert registry.counter("pool.respawns") == 1

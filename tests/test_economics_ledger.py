@@ -368,19 +368,19 @@ class TestReplicaStudy:
         )
 
     def test_executor_parity(self, scenario):
-        """Same digests from inline, thread, and process executors."""
+        """Same digests inline (jobs=1) and on the process pool (jobs=2)."""
         digests = {}
         try:
-            for mode in ("inline", "thread", "process"):
+            for jobs in (1, 2):
                 shutdown_pool()
-                study = self._study(scenario, jobs=2, executor=mode)
-                digests[mode] = {
+                study = self._study(scenario, jobs=jobs)
+                digests[jobs] = {
                     s: study.digests(s) for s in study.strategies()
                 }
         finally:
             shutdown_pool()
-        assert digests["inline"] == digests["thread"] == digests["process"]
-        assert all(d for d in digests["inline"].values())
+        assert digests[1] == digests[2]
+        assert all(d for d in digests[1].values())
 
     def test_replicas_are_independent(self, scenario):
         study = self._study(scenario)

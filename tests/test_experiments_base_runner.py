@@ -94,8 +94,6 @@ class TestRunnerCli:
         "flags, message",
         [
             (["--jobs", "-1"], "jobs must be >= 0"),
-            (["--batch-days", "-1"], "batch_days must be >= 0"),
-            (["--day-shards", "0"], "day_shards must be >= 1"),
             (["--cache-max-bytes", "0"], "max_bytes must be positive"),
         ],
     )

@@ -3,9 +3,10 @@
 Three pillars:
 
 * **Byte determinism** — ``/v1/series/takedown``, ``/v1/days/{date}``
-  and ``/v1/victims/top`` answer with identical bytes whichever
-  executor computed them (inline/thread/process) and whichever tier
-  served them (cold compute vs disk-warm), pinned against committed
+  and ``/v1/victims/top`` answer with identical bytes whether they were
+  computed in the server process (``--jobs 1``) or on the process pool
+  (``--jobs 2``) and whichever tier served them (cold compute vs
+  disk-warm), pinned against committed
   golden digests like the experiment outputs are.
 * **Single-flight coalescing** — the acceptance property: 100 concurrent
   clients asking for the same uncomputed day cost exactly one pipeline
@@ -53,8 +54,8 @@ PAYLOAD_OFFSETS = (-2, 0, 3)
 PAYLOAD_TOPS = (1, 10, 1000)
 
 
-def _config(executor: str = "inline", jobs: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(preset="small", seed=2018, jobs=jobs, executor=executor)
+def _config(jobs: int = 1) -> ExperimentConfig:
+    return ExperimentConfig(preset="small", seed=2018, jobs=jobs)
 
 
 async def _http_get(port: int, path: str) -> tuple[int, bytes]:
@@ -140,12 +141,12 @@ class TestSeriesByteDeterminism:
     def test_identical_across_executors_and_tiers_and_matches_golden(
         self, tmp_path, update_goldens
     ):
-        payloads: dict[str, bytes] = {}
-        for executor, jobs in (("inline", 1), ("thread", 2), ("process", 2)):
+        payloads: dict[int, bytes] = {}
+        for jobs in (1, 2):
             day_cache().clear()
-            payloads[executor] = _fetch_series_bytes(_config(executor, jobs))
+            payloads[jobs] = _fetch_series_bytes(_config(jobs))
 
-        assert payloads["inline"] == payloads["thread"] == payloads["process"]
+        assert payloads[1] == payloads[2]
 
         # Cold vs disk-warm through the durable tier: fill the disk from
         # memory-cold, then drop memory so only disk can answer.
@@ -156,10 +157,10 @@ class TestSeriesByteDeterminism:
         day_cache().clear()
         before_disk_hits = disk.hits
         warm = _fetch_series_bytes(_config())
-        assert cold == warm == payloads["inline"]
+        assert cold == warm == payloads[1]
         assert disk.hits > before_disk_hits, "warm run never touched the disk tier"
 
-        digest = hashlib.sha256(payloads["inline"]).hexdigest()
+        digest = hashlib.sha256(payloads[1]).hexdigest()
         snapshot = {
             "query": SERIES_QUERY,
             "series_payload_sha256": digest,
@@ -186,11 +187,11 @@ class TestSeriesByteDeterminism:
     ):
         """Every ``/v1/days`` and ``/v1/victims/top`` body at the pinned days."""
         queries = _payload_queries(_config())
-        bodies: dict[str, dict[str, bytes]] = {}
-        for executor, jobs in (("inline", 1), ("thread", 2), ("process", 2)):
+        bodies: dict[int, dict[str, bytes]] = {}
+        for jobs in (1, 2):
             day_cache().clear()
-            bodies[executor] = _fetch_bytes(_config(executor, jobs), queries)
-        assert bodies["inline"] == bodies["thread"] == bodies["process"]
+            bodies[jobs] = _fetch_bytes(_config(jobs), queries)
+        assert bodies[1] == bodies[2]
 
         disk = DiskDayCache(tmp_path / "daycache")
         day_cache().clear()
@@ -199,14 +200,14 @@ class TestSeriesByteDeterminism:
         day_cache().clear()
         before_disk_hits = disk.hits
         warm = _fetch_bytes(_config(), queries)
-        assert cold == warm == bodies["inline"]
+        assert cold == warm == bodies[1]
         assert disk.hits > before_disk_hits, "warm run never touched the disk tier"
 
         snapshot = {
             "scenario_config_hash": _config().scenario_config().content_hash(),
             "payload_sha256": {
                 query: hashlib.sha256(body).hexdigest()
-                for query, body in bodies["inline"].items()
+                for query, body in bodies[1].items()
             },
         }
         if update_goldens:
@@ -440,8 +441,6 @@ class TestServeCliValidation:
         "flags, message",
         [
             (["--jobs", "-1"], "jobs must be >= 0"),
-            (["--batch-days", "-1"], "batch_days must be >= 0"),
-            (["--day-shards", "0"], "day_shards must be >= 1"),
             (["--cache-max-bytes", "0"], "max_bytes must be positive"),
         ],
     )

@@ -51,8 +51,8 @@ from repro.serve.service import ObservatoryService
 SERIES_QUERY = "/v1/series/takedown?start=2018-12-17&end=2018-12-21"
 
 
-def _config(executor: str = "inline", jobs: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(preset="small", seed=2018, jobs=jobs, executor=executor)
+def _config(jobs: int = 1) -> ExperimentConfig:
+    return ExperimentConfig(preset="small", seed=2018, jobs=jobs)
 
 
 @pytest.fixture(autouse=True)
@@ -209,7 +209,7 @@ class TestAccessLog:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.serve.server", "--port", "0",
-                "--executor", "inline", "--access-log", str(log_path),
+                "--access-log", str(log_path),
                 "--trace-out", str(trace_path),
             ],
             stdout=subprocess.PIPE,
@@ -310,7 +310,7 @@ class TestRequestTraceCorrelation:
     def test_access_log_id_reaches_pool_worker_spans(self, tmp_path):
         log_path = tmp_path / "access.jsonl"
         registry = MetricsRegistry(enabled=True, trace=TraceRecorder())
-        config = _config(executor="thread", jobs=2)
+        config = _config(jobs=2)
         with use_metrics(registry):
             with _live_server(config, access_log=AccessLog(log_path)) as (base, _):
                 status, headers, _ = _get(base + SERIES_QUERY)
@@ -326,18 +326,18 @@ class TestRequestTraceCorrelation:
         names = {e["name"] for e in tagged}
         # The exchange event itself...
         assert "serve.request" in names
-        # ...and spans that ran inside pool worker threads: the id
+        # ...and spans that ran inside pool worker processes: the id
         # crossed the serve -> single-flight -> workerpool boundary.
         worker_names = {n for n in names if n.startswith(("scenario.", "streaming."))}
         assert worker_names, f"no pool-worker spans carried {request_id}: {names}"
         exchange = next(e for e in tagged if e["name"] == "serve.request")
         assert exchange["args"]["status"] == 200
         assert exchange["args"]["path"] == "/v1/series/takedown"
-        # Worker spans really ran on other threads than the exchange loop.
-        worker_tids = {
-            e["tid"] for e in tagged if e["name"] in worker_names
+        # Worker spans really ran in other processes than the server's.
+        worker_pids = {
+            e["pid"] for e in tagged if e["name"] in worker_names
         }
-        assert worker_tids - {exchange["tid"]}
+        assert worker_pids and exchange["pid"] not in worker_pids
 
 
 class TestDigestUnchangedByTelemetry:

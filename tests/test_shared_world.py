@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.booter.takedown import TakedownScenario
-from repro.core.parallel import day_reductions, port_counts
+from repro.core import parallel
+from repro.core.parallel import DaySpec, day_reductions, port_counts
 from repro.core.pipeline import TrafficSelector
 from repro.core.workerpool import scenario_for, shutdown_pool
 from repro.experiments.base import ExperimentConfig, build_scenario
@@ -81,8 +82,9 @@ def test_fig1a_does_not_depend_on_earlier_experiments():
 
 
 def test_custom_takedown_travels_with_the_task():
-    """A thread-executor task from a scenario with its own takedown, on a
-    pool spawned for the shared world, leaves the shared world alone."""
+    """A pool task from a scenario with its own takedown, on a pool
+    spawned for the shared world, leaves the shared world alone — in the
+    worker that runs it and in the process that materializes it."""
     config = ExperimentConfig(cache=True)
     fig4_before = _digest(run_experiment("fig4", config))
     world = build_scenario(config)
@@ -92,10 +94,17 @@ def test_custom_takedown_travels_with_the_task():
     requests = {"ixp": (port_counts(selectors),)}
     days = [72, 75]
 
-    ours = day_reductions(world, days, requests, jobs=2, executor="thread")
-    theirs = day_reductions(custom, days, requests, jobs=2, executor="thread")
+    ours = day_reductions(world, days, requests, jobs=2)
+    theirs = day_reductions(custom, days, requests, jobs=2)
     assert theirs == day_reductions(custom, days, requests, jobs=1)
     assert theirs != ours
+
+    # In-process, the task's world is a copy carrying its takedown.
+    spec = DaySpec(config.scenario_config(), 72, None, True, custom.takedown)
+    view = parallel._materialize(spec)
+    assert view is not world
+    assert view.takedown == custom.takedown
+    assert scenario_for(config.scenario_config()).takedown == config.scenario_config().default_takedown()
 
     assert build_scenario(config) is world
     assert world.takedown == config.scenario_config().default_takedown()

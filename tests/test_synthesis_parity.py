@@ -52,7 +52,6 @@ WORLDS = {
         "pool_sizes": (("ntp", 400), ("dns", 300), ("cldap", 40), ("memcached", 12), ("ssdp", 30)),
     },
     "quiet": {"market": MarketConfig(daily_attacks=10.0, n_victims=80)},
-    "per_event": {"per_event_seeds": True},
 }
 
 
@@ -107,17 +106,6 @@ class TestDayParity:
         got = scenario.day_traffic(day, with_takedown=with_takedown, bin_seconds=bin_seconds)
         want = reference.day_traffic(scenario, day, with_takedown=with_takedown, bin_seconds=bin_seconds)
         assert_same_day(got, want)
-
-    @parity_settings
-    @given(day=st.integers(0, 121), n_shards=st.integers(1, 4), with_takedown=st.booleans())
-    def test_shards_reassemble_to_reference(self, day, n_shards, with_takedown):
-        scenario = _world("per_event")
-        parts = [
-            scenario.day_traffic_shard(day, shard, n_shards, with_takedown=with_takedown)
-            for shard in range(n_shards)
-        ]
-        got = scenario.combine_day_shards(parts)
-        assert_same_day(got, reference.day_traffic(scenario, day, with_takedown=with_takedown))
 
     def test_quiet_world_has_days_without_events(self):
         scenario = _world("quiet")
