@@ -74,29 +74,6 @@ class OptimisticClassifier:
         """Flows from reflectors to victims that look amplified."""
         return table.filter(self.amplification_mask(table))
 
-    def benign_flows(self, table: FlowTable) -> FlowTable:
-        """The complement on the same port (likely-benign NTP)."""
-        on_port = table.select(proto=UDP, src_port=self.thresholds.port)
-        return on_port.select(max_packet_size=self.thresholds.min_mean_packet_size)
-
-    def victim_destinations(self, table: FlowTable) -> np.ndarray:
-        """Unique destination addresses receiving amplification traffic."""
-        return np.unique(self.amplification_flows(table)["dst_ip"])
-
-    def packet_size_sample(self, table: FlowTable) -> np.ndarray:
-        """Per-packet size sample on the port, weighted by packet counts.
-
-        Reconstructs the packet-size distribution (Figure 2a) from flow
-        records: each flow contributes its mean packet size once per
-        packet (capped per-flow to bound memory).
-        """
-        on_port = table.select(proto=UDP, src_port=self.thresholds.port)
-        if len(on_port) == 0:
-            return np.empty(0)
-        sizes = on_port.mean_packet_sizes()
-        weights = np.minimum(on_port["packets"], 10_000).astype(np.int64)
-        return np.repeat(sizes, weights)
-
 
 class ConservativeClassifier:
     """Per-destination filter: >1 Gbps peak AND >10 amplifiers.

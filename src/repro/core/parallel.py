@@ -759,7 +759,7 @@ def streaming_ingest(
             return analyzer
         if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
             raise TypeError(
-                "parallel collect_streaming needs an analyzer with the merge "
+                "streaming_ingest with jobs > 1 needs an analyzer with the merge "
                 "protocol (clone_empty() and merge()); got "
                 f"{type(analyzer).__name__}"
             )

@@ -10,7 +10,6 @@ takedown experiments feed those to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "TrafficSelector",
     "DailyPortSeries",
     "collect_daily_port_series",
-    "collect_streaming",
 ]
 
 
@@ -76,7 +74,6 @@ def collect_daily_port_series(
     selectors: list[TrafficSelector],
     day_range: tuple[int, int] | None = None,
     with_takedown: bool = True,
-    per_day_hook: Callable[[int, FlowTable], None] | None = None,
     jobs: int = 1,
     cache: bool = False,
 ) -> DailyPortSeries:
@@ -88,10 +85,6 @@ def collect_daily_port_series(
         selectors: which (port, direction) counts to keep per day.
         day_range: half-open day range; defaults to the full scenario.
         with_takedown: generate with or without the seizure.
-        per_day_hook: optional callback receiving each day's observed
-            table (e.g. to accumulate extra metrics in one pass).
-            Hooks cannot be shipped to worker processes, so they
-            require ``jobs=1``.
         jobs: worker processes for per-day generation (0 = all cores).
             Days are seed-tree independent, so ``jobs=N`` returns
             results bit-identical to ``jobs=1``.
@@ -117,25 +110,7 @@ def collect_daily_port_series(
         trace_args={"vantage": vantage, "day_start": int(start), "day_end": int(end)},
     ):
         metrics().inc("pipeline.days_processed", int(days.size))
-        from repro.core.parallel import daily_port_counts, observed_days, resolve_jobs
-
-        if per_day_hook is not None:
-            if resolve_jobs(jobs) > 1:
-                hook_name = getattr(per_day_hook, "__qualname__", None) or repr(per_day_hook)
-                raise ValueError(
-                    f"collect_daily_port_series(per_day_hook={hook_name}, "
-                    f"jobs={jobs}) is invalid: per-day hooks cannot be "
-                    f"shipped to worker processes, so per_day_hook "
-                    f"requires jobs=1"
-                )
-            for i, day in enumerate(days):
-                observed = observed_days(
-                    scenario, vantage, [int(day)], with_takedown, jobs=1, cache=cache
-                )[0]
-                for selector in selectors:
-                    out[selector.name][i] = selector.packets(observed)
-                per_day_hook(int(day), observed)
-            return DailyPortSeries(days=days, series=out)
+        from repro.core.parallel import daily_port_counts
 
         counts = daily_port_counts(
             scenario,
@@ -151,42 +126,3 @@ def collect_daily_port_series(
                 out[selector.name][i] = counts[int(day)][selector.name]
         return DailyPortSeries(days=days, series=out)
 
-
-def collect_streaming(
-    scenario: Scenario,
-    vantage: str,
-    analyzer,
-    day_range: tuple[int, int] | None = None,
-    with_takedown: bool = True,
-    jobs: int = 1,
-    cache: bool = False,
-):
-    """Feed a day range through a one-pass accumulator.
-
-    ``analyzer`` is anything with an ``ingest_day(day, observed_table)``
-    method — normally :class:`repro.core.streaming.StreamingAnalyzer`.
-    With ``jobs != 1`` the analyzer must also implement the merge
-    protocol (``clone_empty()`` + ``merge(other)``): worker chunks
-    ingest into clones, and the clones fold back order-independently,
-    bit-identical to the serial pass. ``cache`` consults/populates the
-    process-wide day-result cache. Returns the analyzer for chaining.
-    """
-    start, end = day_range if day_range is not None else (0, scenario.config.n_days)
-    if end <= start:
-        raise ValueError("empty day range")
-    with metrics().span(
-        "pipeline.collect_streaming",
-        trace_args={"vantage": vantage, "day_start": int(start), "day_end": int(end)},
-    ):
-        metrics().inc("pipeline.days_processed", end - start)
-        from repro.core.parallel import streaming_ingest
-
-        return streaming_ingest(
-            scenario,
-            vantage,
-            analyzer,
-            range(start, end),
-            with_takedown,
-            jobs=jobs,
-            cache=cache,
-        )

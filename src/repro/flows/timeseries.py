@@ -2,7 +2,7 @@
 
 These are the workhorse aggregations behind the paper's figures:
 
-* daily packet sums per port/direction (Figure 4's takedown series),
+* fixed-bin packet or byte sums of a trace,
 * per-destination unique-source counts and peak traffic rates within
   one-minute bins (Figures 2b/2c and the conservative classifier),
 * per-hour counts of systems under attack (Figure 5).
@@ -19,15 +19,11 @@ from repro.flows.records import FlowTable
 
 __all__ = [
     "bin_timeseries",
-    "daily_packet_sums",
     "DestinationStats",
     "per_destination_stats",
-    "per_destination_timebinned",
     "SourcePeaks",
     "source_peaks",
 ]
-
-SECONDS_PER_DAY = 86_400.0
 
 
 def bin_timeseries(
@@ -57,13 +53,6 @@ def bin_timeseries(
     idx = ((times[inside] - t0) / bin_seconds).astype(np.int64)
     np.add.at(out, idx, table[value][inside].astype(np.float64))
     return out
-
-
-def daily_packet_sums(table: FlowTable, t0: float, days: int) -> np.ndarray:
-    """Daily packet sums over ``days`` days starting at ``t0``."""
-    if days <= 0:
-        raise ValueError("days must be positive")
-    return bin_timeseries(table, t0, t0 + days * SECONDS_PER_DAY, SECONDS_PER_DAY)
 
 
 @dataclass(frozen=True)
@@ -199,33 +188,3 @@ def per_destination_stats(table: FlowTable, bin_seconds: float = 60.0) -> Destin
         total_packets=total_packets.astype(np.int64),
         total_bytes=total_bytes.astype(np.int64),
     )
-
-
-def per_destination_timebinned(
-    table: FlowTable,
-    t0: float,
-    t1: float,
-    bin_seconds: float,
-) -> dict[int, np.ndarray]:
-    """Per-destination bytes time series over ``[t0, t1)``.
-
-    Returns ``{dst_ip: bytes_per_bin}``. Intended for small result sets
-    (e.g. the observatory's own /24); use :func:`per_destination_stats`
-    for trace-wide aggregation.
-    """
-    if t1 <= t0:
-        raise ValueError("t1 must be after t0")
-    n_bins = int(np.ceil((t1 - t0) / bin_seconds))
-    out: dict[int, np.ndarray] = {}
-    if len(table) == 0:
-        return out
-    times = table["time"]
-    inside = (times >= t0) & (times < t1)
-    sub = table.filter(inside)
-    bins = ((sub["time"] - t0) / bin_seconds).astype(np.int64)
-    for dst in np.unique(sub["dst_ip"]):
-        mask = sub["dst_ip"] == dst
-        series = np.zeros(n_bins)
-        np.add.at(series, bins[mask], sub["bytes"][mask].astype(np.float64))
-        out[int(dst)] = series
-    return out

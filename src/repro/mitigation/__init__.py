@@ -1,23 +1,15 @@
 """Mitigation extension: what would actually help victims?
 
-Two mechanisms the paper touches but cannot measure:
-
-* :mod:`repro.mitigation.blackhole` — remotely-triggered blackholing
-  (RTBH), the emergency brake the authors prepared for their own /24
-  (ethics item (g)) and the standard IXP victim-side mitigation.
-* :mod:`repro.mitigation.remediation` — cleaning up open reflectors.
-  The paper's conclusion: seizing booter front-ends leaves "the
-  underlying infrastructure of reflectors online"; this module models
-  reflector patch/cleanup kinetics so the takedown can be compared
-  against the remediation the authors actually recommend.
+:mod:`repro.mitigation.remediation` models cleaning up open reflectors.
+The paper's conclusion: seizing booter front-ends leaves "the underlying
+infrastructure of reflectors online"; this module models reflector
+patch/cleanup kinetics so the takedown can be compared against the
+remediation the authors actually recommend.
 """
 
-from repro.mitigation.blackhole import BlackholePolicy, RTBHController
 from repro.mitigation.remediation import RemediationPolicy, ReflectorRemediation
 
 __all__ = [
-    "BlackholePolicy",
-    "RTBHController",
     "ReflectorRemediation",
     "RemediationPolicy",
 ]

@@ -38,10 +38,6 @@ __all__ = [
     "build_topology",
 ]
 
-#: Valid values of :attr:`TopologyConfig.sampler`.
-SAMPLERS = ("legacy", "vectorized")
-
-
 class Relationship(str, Enum):
     """Business relationship of a directed AS link."""
 
@@ -51,16 +47,7 @@ class Relationship(str, Enum):
 
 @dataclass(frozen=True)
 class TopologyConfig:
-    """Size and shape knobs of the generated topology.
-
-    ``sampler`` picks how transit uplinks are drawn: ``"legacy"`` makes
-    one ``rng.choice`` call per AS (the historical stream, which every
-    pinned digest depends on), ``"vectorized"`` draws all uplinks in a
-    handful of array calls — a different (equally valid) world that
-    builds orders of magnitude faster at 10k+ ASes. The field is
-    hash-neutral at its default so existing config hashes, day caches,
-    and goldens stay valid.
-    """
+    """Size and shape knobs of the generated topology."""
 
     n_tier1: int = 6
     n_tier2: int = 30
@@ -74,7 +61,6 @@ class TopologyConfig:
     tier2_peering_prob: float = 0.15
     first_asn: int = 100
     prefix_space_start: str = "11.0.0.0"
-    sampler: str = "legacy"
 
     def __post_init__(self) -> None:
         if self.n_tier1 < 2:
@@ -84,10 +70,6 @@ class TopologyConfig:
         for frac in (self.tier2_ixp_member_fraction, self.stub_ixp_member_fraction):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"fraction out of [0, 1]: {frac}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(
-                f"unknown sampler {self.sampler!r} (choose from {'/'.join(SAMPLERS)})"
-            )
 
     @property
     def n_asns(self) -> int:
@@ -101,8 +83,7 @@ class TopologyConfig:
         model), the rest stubs, and IXP membership fractions chosen so
         the fabric has on the order of ``n_asns / 12`` members (capped
         at 800 — the size range of the large European IXPs the paper's
-        vantage point resembles). Uses the vectorized sampler; these
-        worlds have no pinned digests.
+        vantage point resembles). These worlds have no pinned digests.
         """
         if n_asns < 300:
             raise ValueError("internet_scale targets models of >= 300 ASes")
@@ -126,7 +107,6 @@ class TopologyConfig:
             # Bilateral (off-IXP) tier-2 peering is per-pair; at transit-cone
             # scale the probability must shrink so peer degree stays bounded.
             tier2_peering_prob=min(0.15, 30.0 / max(n_tier2, 1)),
-            sampler="vectorized",
         )
 
 
@@ -650,46 +630,6 @@ def _allocate_prefixes(start: int, count: int, length: int) -> tuple[list[Prefix
     return prefixes, start + count * step
 
 
-def _sample_distinct_rows(
-    rng: np.random.Generator, pool_size: int, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-row sampling without replacement.
-
-    For row ``i``, draws ``counts[i]`` distinct integers from
-    ``[0, pool_size)``. Returns flattened ``(row_ids, choices)``. All rows
-    draw in one ``(n, k)`` array call; positions that collide within their
-    row are re-rolled in bulk until every row is duplicate-free — expected
-    O(1) rounds since ``counts`` is tiny relative to ``pool_size``.
-    """
-    counts = np.minimum(np.asarray(counts, dtype=np.int64), pool_size)
-    n = counts.size
-    k = int(counts.max()) if n else 0
-    if n == 0 or k == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    draws = rng.integers(0, pool_size, size=(n, k), dtype=np.int64)
-    col = np.arange(k, dtype=np.int64)
-    valid = col[None, :] < counts[:, None]
-    # Park unused tail positions at distinct negative sentinels so they can
-    # never collide with a real draw (or each other).
-    sentinel = -(np.arange(n * k, dtype=np.int64).reshape(n, k) + 1)
-    draws = np.where(valid, draws, sentinel)
-    while True:
-        order = np.argsort(draws, axis=1, kind="stable")
-        srt = np.take_along_axis(draws, order, axis=1)
-        dup_sorted = np.zeros((n, k), dtype=bool)
-        dup_sorted[:, 1:] = srt[:, 1:] == srt[:, :-1]
-        if not dup_sorted.any():
-            break
-        # Scatter the duplicate flags back to original positions: every
-        # repeat beyond the first occurrence in its row gets re-rolled.
-        dup = np.zeros((n, k), dtype=bool)
-        np.put_along_axis(dup, order, dup_sorted, axis=1)
-        draws[dup] = rng.integers(0, pool_size, size=int(dup.sum()), dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-    return rows, draws[valid]
-
-
 def build_topology(
     config: TopologyConfig, seeds: SeedSequenceTree
 ) -> tuple[ASRegistry, ASTopology]:
@@ -703,10 +643,9 @@ def build_topology(
 
     Edge sets are assembled through the topology's bulk adders (one
     validation + invalidation pass instead of one per edge) and the IXP
-    mesh through :meth:`ASTopology.add_multilateral_peering`; with
-    ``config.sampler == "legacy"`` every RNG draw happens in the exact
-    historical order, so the produced world is identical to the one the
-    per-edge loops built.
+    mesh through :meth:`ASTopology.add_multilateral_peering`; every RNG
+    draw happens in the exact historical order, so the produced world is
+    identical to the one the per-edge loops built.
     """
     rng = seeds.child("topology").rng()
     registry = ASRegistry()
@@ -769,33 +708,18 @@ def build_topology(
 
     # Transit uplinks: tier-2 -> tier-1 and stub -> tier-2 cones.
     uplinks: list[tuple[int, int]] = []
-    if config.sampler == "legacy":
-        for t2 in tier2:
-            n_prov = int(
-                rng.integers(config.tier2_providers_min, config.tier2_providers_max + 1)
-            )
-            for prov in rng.choice(tier1, size=min(n_prov, len(tier1)), replace=False):
-                uplinks.append((t2, int(prov)))
-        for stub in stubs:
-            n_prov = int(
-                rng.integers(config.stub_providers_min, config.stub_providers_max + 1)
-            )
-            for prov in rng.choice(tier2, size=min(n_prov, len(tier2)), replace=False):
-                uplinks.append((stub, int(prov)))
-    else:
-        t2_counts = rng.integers(
-            config.tier2_providers_min, config.tier2_providers_max + 1, size=config.n_tier2
+    for t2 in tier2:
+        n_prov = int(
+            rng.integers(config.tier2_providers_min, config.tier2_providers_max + 1)
         )
-        rows, choices = _sample_distinct_rows(rng, len(tier1), t2_counts)
-        tier1_arr = np.asarray(tier1, dtype=np.int64)
-        tier2_arr = np.asarray(tier2, dtype=np.int64)
-        uplinks.extend(zip(tier2_arr[rows].tolist(), tier1_arr[choices].tolist()))
-        stub_counts = rng.integers(
-            config.stub_providers_min, config.stub_providers_max + 1, size=config.n_stub
+        for prov in rng.choice(tier1, size=min(n_prov, len(tier1)), replace=False):
+            uplinks.append((t2, int(prov)))
+    for stub in stubs:
+        n_prov = int(
+            rng.integers(config.stub_providers_min, config.stub_providers_max + 1)
         )
-        rows, choices = _sample_distinct_rows(rng, len(tier2), stub_counts)
-        stub_arr = np.asarray(stubs, dtype=np.int64)
-        uplinks.extend(zip(stub_arr[rows].tolist(), tier2_arr[choices].tolist()))
+        for prov in rng.choice(tier2, size=min(n_prov, len(tier2)), replace=False):
+            uplinks.append((stub, int(prov)))
     topo.add_customer_provider_edges(uplinks)
 
     # Multilateral peering via the IXP route server: all member pairs.

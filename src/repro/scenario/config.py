@@ -115,14 +115,5 @@ class ScenarioConfig:
         # Local import: serialize imports this module.
         from repro.scenario.serialize import config_to_dict
 
-        content = config_to_dict(self)
-        # topology.sampler was added after the hash was pinned; at its
-        # default ("legacy", the exact historical RNG stream) it is
-        # stripped from the payload, so hashes — and therefore day
-        # caches, goldens, and the drift baseline — from before the field
-        # existed remain valid. "vectorized" DOES hash: it draws a
-        # different world.
-        if content.get("topology", {}).get("sampler") == "legacy":
-            content["topology"].pop("sampler", None)
-        payload = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        payload = json.dumps(config_to_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

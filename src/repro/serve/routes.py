@@ -319,22 +319,22 @@ async def handle_events_stream(
             key = ("events", day)
             # A cold day can take seconds to compute; keep the idle
             # stream alive with comment heartbeats so proxies and client
-            # read timeouts don't drop the connection meanwhile.
+            # read timeouts don't drop the connection meanwhile. The task
+            # is never cancelled: a client that hangs up leaves the shared
+            # flight running for the other waiters, and the result lands
+            # in the day cache.
             task = asyncio.ensure_future(
                 cached_payload_bytes(
                     ctx, key, lambda day=day: service.day_events_payload(day)
                 )
             )
-            try:
-                while True:
-                    done, _ = await asyncio.wait({task}, timeout=SSE_HEARTBEAT_S)
-                    if done:
-                        raw = task.result()
-                        break
-                    yield sse.format_comment("heartbeat")
-                    metrics().inc("serve.sse_heartbeats")
-            finally:
-                task.cancel()
+            while True:
+                done, _ = await asyncio.wait({task}, timeout=SSE_HEARTBEAT_S)
+                if done:
+                    raw = task.result()
+                    break
+                yield sse.format_comment("heartbeat")
+                metrics().inc("serve.sse_heartbeats")
             events = json.loads(raw)
             yield sse.format_comment(f"day {date_of(day)} ({len(events)} events)")
             for i, event in enumerate(events):

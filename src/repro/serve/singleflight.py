@@ -43,7 +43,9 @@ class SingleFlight:
         The leader's exception propagates to every waiter of that
         flight; the next caller after the flight resolves starts a fresh
         one. A follower being cancelled never cancels the leader's
-        computation (the shared future is shielded).
+        computation (the shared future is shielded). Cancelling the
+        *leader* fails every waiter with ``CancelledError``, so callers
+        must not cancel a call that may lead a flight.
         """
         registry = metrics()
         existing = self._inflight.get(key)

@@ -17,8 +17,9 @@ from repro.core.parallel import (
     observed_days,
     port_counts,
     resolve_jobs,
+    streaming_ingest,
 )
-from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
+from repro.core.pipeline import TrafficSelector, collect_daily_port_series
 from repro.core.streaming import StreamingAnalyzer
 from repro.flows.sketch import PerKeyCardinality
 from repro.netmodel.topology import TopologyConfig
@@ -83,8 +84,8 @@ class TestParallelDeterminism:
             analyzer = StreamingAnalyzer(
                 SELECTORS, n_days=scenario.config.n_days, sampling_factor=10_000.0
             )
-            return collect_streaming(
-                scenario, "ixp", analyzer, day_range=(40, 45), jobs=jobs
+            return streaming_ingest(
+                scenario, "ixp", analyzer, range(40, 45), jobs=jobs
             )
 
         serial, parallel = run(1), run(3)
@@ -101,24 +102,13 @@ class TestParallelDeterminism:
         )
         np.testing.assert_array_equal(a.total_packets, b.total_packets)
 
-    def test_hook_requires_serial(self, scenario):
-        with pytest.raises(ValueError, match="per_day_hook"):
-            collect_daily_port_series(
-                scenario,
-                "ixp",
-                SELECTORS,
-                day_range=(40, 42),
-                per_day_hook=lambda day, table: None,
-                jobs=2,
-            )
-
     def test_parallel_streaming_needs_merge_protocol(self, scenario):
         class Bare:
             def ingest_day(self, day, table):
                 pass
 
         with pytest.raises(TypeError, match="merge"):
-            collect_streaming(scenario, "ixp", Bare(), day_range=(40, 44), jobs=2)
+            streaming_ingest(scenario, "ixp", Bare(), range(40, 44), jobs=2)
 
     def test_day_spec_pickles(self, scenario):
         spec = DaySpec(scenario.config, 40, "ixp", True, scenario.takedown)
@@ -282,12 +272,12 @@ class TestDayResultCache:
             SELECTORS, n_days=scenario.config.n_days, sampling_factor=1_000.0
         )
         hits_before = cache.stats()["hits"]
-        collect_streaming(scenario, "tier2", analyzer, day_range=(40, 43), cache=True)
+        streaming_ingest(scenario, "tier2", analyzer, range(40, 43), cache=True)
         assert cache.stats()["hits"] >= hits_before + 3
         fresh = StreamingAnalyzer(
             SELECTORS, n_days=scenario.config.n_days, sampling_factor=1_000.0
         )
-        collect_streaming(scenario, "tier2", fresh, day_range=(40, 43))
+        streaming_ingest(scenario, "tier2", fresh, range(40, 43))
         for name in ("ntp_to", "ntp_from"):
             np.testing.assert_array_equal(
                 analyzer.daily_series(name), fresh.daily_series(name)
@@ -550,46 +540,6 @@ class TestDiskTierIntegration:
         finally:
             cache.attach_disk(None)
             cache.clear()
-
-
-class TestPerDayHook:
-    def test_parallel_hook_error_names_call_site(self, scenario):
-        def my_audit_hook(day, table):
-            pass
-
-        with pytest.raises(ValueError) as excinfo:
-            collect_daily_port_series(
-                scenario,
-                "ixp",
-                SELECTORS,
-                day_range=(40, 42),
-                per_day_hook=my_audit_hook,
-                jobs=3,
-            )
-        message = str(excinfo.value)
-        assert "collect_daily_port_series" in message
-        assert "my_audit_hook" in message
-        assert "jobs=3" in message
-        assert "jobs=1" in message  # the fix is spelled out
-
-    def test_serial_hook_sees_every_observed_day(self, scenario):
-        seen = {}
-        series = collect_daily_port_series(
-            scenario,
-            "ixp",
-            SELECTORS,
-            day_range=(40, 43),
-            per_day_hook=lambda day, table: seen.setdefault(day, len(table)),
-            jobs=1,
-        )
-        assert sorted(seen) == [40, 41, 42]
-        # The hook receives the same observed tables the series is built
-        # from, and running it does not perturb the series itself.
-        for day in seen:
-            assert seen[day] == len(scenario.observe_day("ixp", scenario.day_traffic(day)))
-        plain = collect_daily_port_series(scenario, "ixp", SELECTORS, day_range=(40, 43))
-        for name in ("ntp_to", "ntp_from"):
-            np.testing.assert_array_equal(series.get(name), plain.get(name))
 
 
 class TestCacheThreadSafety:

@@ -79,17 +79,6 @@ class TestCollectDailySeries:
         with pytest.raises(ValueError):
             collect_daily_port_series(scenario, "tier2", [], day_range=(40, 40))
 
-    def test_hook_called(self, scenario):
-        seen = []
-        collect_daily_port_series(
-            scenario,
-            "tier2",
-            [TrafficSelector("a", 123, "to_reflectors")],
-            day_range=(40, 42),
-            per_day_hook=lambda day, table: seen.append((day, len(table))),
-        )
-        assert [d for d, _ in seen] == [40, 41]
-
 
 def fake_measurement(mean_gbps=1.5, n_secs=60, n_reflectors=300, n_peers=25, seed=0):
     rng = np.random.default_rng(seed)

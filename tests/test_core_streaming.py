@@ -5,6 +5,7 @@ import pytest
 
 from repro.booter.market import MarketConfig
 from repro.core.classify import OptimisticClassifier
+from repro.core.parallel import streaming_ingest
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series
 from repro.core.streaming import StreamingAnalyzer
 from repro.core.victims import attacks_per_hour
@@ -137,20 +138,12 @@ class TestValidation:
 
 class TestCollectStreaming:
     def test_convenience_loop_matches_manual(self, scenario, observed_days, analyzer):
-        from repro.core.pipeline import collect_streaming
-
         fresh = StreamingAnalyzer(
             SELECTORS, n_days=scenario.config.n_days, sampling_factor=10_000.0
         )
-        returned = collect_streaming(scenario, "ixp", fresh, day_range=(40, 44))
+        returned = streaming_ingest(scenario, "ixp", fresh, range(40, 44))
         assert returned is fresh
         for name in ("ntp_to", "ntp_from"):
             np.testing.assert_allclose(
                 fresh.daily_series(name), analyzer.daily_series(name)
             )
-
-    def test_empty_range_rejected(self, scenario):
-        from repro.core.pipeline import collect_streaming
-
-        with pytest.raises(ValueError):
-            collect_streaming(scenario, "ixp", StreamingAnalyzer(SELECTORS, n_days=5), (3, 3))

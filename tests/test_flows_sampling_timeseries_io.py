@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from repro.flows.records import SCHEMA, FlowTable
 from repro.flows.sampling import PacketSampler
-from repro.flows.timeseries import (
-    bin_timeseries,
-    daily_packet_sums,
-    per_destination_stats,
-    per_destination_timebinned,
-)
+from repro.flows.timeseries import bin_timeseries, per_destination_stats
 from repro.flows.io import read_flows_csv, write_flows_csv
 
 
@@ -105,12 +100,6 @@ class TestBinTimeseries:
         with pytest.raises(ValueError):
             bin_timeseries(t, 0, 10, 1, value="flows")
 
-    def test_daily_sums(self):
-        t = table([0, 86_400, 86_401], [1] * 3, [2] * 3, [3, 4, 5], [1] * 3)
-        np.testing.assert_allclose(daily_packet_sums(t, 0, 2), [3, 9])
-        with pytest.raises(ValueError):
-            daily_packet_sums(t, 0, 0)
-
 
 class TestPerDestinationStats:
     def test_unique_sources(self):
@@ -191,21 +180,6 @@ class TestPerDestinationStats:
         assert (stats.max_sources_per_bin <= stats.unique_sources).all()
         assert (stats.max_sources_per_bin >= 1).all()
         assert (stats.peak_bps > 0).all()
-
-
-class TestPerDestinationTimebinned:
-    def test_series_shape_and_sum(self):
-        t = table([0, 30, 100], src=[1, 2, 3], dst=[9, 9, 9], packets=[1] * 3, bytes_=[10, 20, 40])
-        series = per_destination_timebinned(t, 0, 120, 60)
-        assert set(series) == {9}
-        np.testing.assert_allclose(series[9], [30, 40])
-
-    def test_empty(self):
-        assert per_destination_timebinned(FlowTable.empty(), 0, 10, 5) == {}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            per_destination_timebinned(FlowTable.empty(), 10, 0, 5)
 
 
 class TestCsvIO:

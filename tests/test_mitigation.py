@@ -1,98 +1,12 @@
-"""Tests for blackholing and reflector remediation."""
+"""Tests for reflector remediation."""
 
 import numpy as np
 import pytest
 
 from repro.booter.reflectors import ReflectorPool
-from repro.mitigation.blackhole import BlackholePolicy, RTBHController
 from repro.mitigation.remediation import RemediationPolicy, ReflectorRemediation
 from repro.netmodel.topology import TopologyConfig, build_topology
 from repro.stats.rng import SeedSequenceTree
-
-
-class TestBlackholePolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BlackholePolicy(trigger_bps=0)
-        with pytest.raises(ValueError):
-            BlackholePolicy(release_bps=10e9, trigger_bps=5e9)
-        with pytest.raises(ValueError):
-            BlackholePolicy(trigger_seconds=0)
-        with pytest.raises(ValueError):
-            BlackholePolicy(coverage=0.0)
-
-
-class TestRTBHController:
-    def attack_series(self, n=600, rate=8e9, start=60, end=400):
-        series = np.full(n, 1e6)
-        series[start:end] = rate
-        return series
-
-    def test_triggers_on_sustained_attack(self):
-        ctl = RTBHController(BlackholePolicy(trigger_bps=5e9, trigger_seconds=5))
-        series = self.attack_series()
-        delivered, blackholed = ctl.apply(series)
-        assert blackholed.any()
-        # Once active, attack traffic is dropped.
-        assert delivered[blackholed].max() == 0.0
-
-    def test_trigger_latency(self):
-        ctl = RTBHController(BlackholePolicy(trigger_bps=5e9, trigger_seconds=5))
-        latency = ctl.time_to_mitigation(self.attack_series())
-        assert latency == 4  # 5 sustained seconds, first second counts
-
-    def test_no_trigger_below_threshold(self):
-        ctl = RTBHController(BlackholePolicy(trigger_bps=5e9))
-        series = np.full(100, 1e9)
-        delivered, blackholed = ctl.apply(series)
-        assert not blackholed.any()
-        np.testing.assert_array_equal(delivered, series)
-        assert ctl.time_to_mitigation(series) is None
-
-    def test_short_spike_does_not_trigger(self):
-        ctl = RTBHController(BlackholePolicy(trigger_bps=5e9, trigger_seconds=10))
-        series = np.full(100, 1e6)
-        series[50:55] = 9e9  # 5 seconds < trigger_seconds
-        _, blackholed = ctl.apply(series)
-        assert not blackholed.any()
-
-    def test_release_after_hold_and_quiet(self):
-        ctl = RTBHController(
-            BlackholePolicy(trigger_bps=5e9, trigger_seconds=2, hold_seconds=30, release_bps=1e8)
-        )
-        series = self.attack_series(n=600, start=10, end=100)
-        _, blackholed = ctl.apply(series)
-        assert blackholed[50]
-        assert not blackholed[-1]  # released once quiet and past the hold
-
-    def test_partial_coverage_leaks(self):
-        ctl = RTBHController(BlackholePolicy(trigger_bps=5e9, trigger_seconds=2, coverage=0.7))
-        series = self.attack_series()
-        delivered, blackholed = ctl.apply(series)
-        leaked = delivered[blackholed]
-        assert leaked.max() == pytest.approx(8e9 * 0.3)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            RTBHController().apply(np.array([-1.0]))
-
-
-class TestRTBHOnRealCapture:
-    def test_blackhole_composes_with_self_attack(self):
-        """The observatory's emergency brake (ethics item (g)): apply RTBH
-        to a captured VIP attack's offered-rate series."""
-        from repro.experiments.base import ExperimentConfig, build_scenario
-        from repro.experiments.campaign import VIP_SPECS, SelfAttackCampaign
-
-        campaign = SelfAttackCampaign(build_scenario(ExperimentConfig()))
-        spec = next(s for s in VIP_SPECS if s.vector == "ntp")
-        measurement = campaign.run(spec)
-        ctl = RTBHController(BlackholePolicy(trigger_bps=8e9, trigger_seconds=3))
-        delivered, blackholed = ctl.apply(measurement.offered_bps)
-        assert blackholed.any()  # the 20 Gbps attack trips the brake
-        assert delivered[blackholed].max() == 0.0
-        latency = ctl.time_to_mitigation(measurement.offered_bps)
-        assert latency is not None and latency < 10
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.booter.market import MarketConfig
-from repro.core.parallel import day_cache, observed_days
-from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
+from repro.core.parallel import day_cache, observed_days, streaming_ingest
+from repro.core.pipeline import TrafficSelector, collect_daily_port_series
 from repro.core.streaming import StreamingAnalyzer
 from repro.netmodel.topology import TopologyConfig
 from repro.obs import (
@@ -229,8 +229,8 @@ class TestInstrumentedPipeline:
                 analyzer = StreamingAnalyzer(
                     SELECTORS, n_days=scenario.config.n_days, sampling_factor=10_000.0
                 )
-                collect_streaming(
-                    scenario, "ixp", analyzer, day_range=(40, 44), jobs=jobs
+                streaming_ingest(
+                    scenario, "ixp", analyzer, range(40, 44), jobs=jobs
                 )
             return registry, series
 
@@ -305,8 +305,8 @@ class TestInstrumentedPipeline:
                 analyzer = StreamingAnalyzer(
                     SELECTORS, n_days=scenario.config.n_days, sampling_factor=10_000.0
                 )
-                collect_streaming(
-                    scenario, "tier2", analyzer, day_range=(40, 43), cache=cache
+                streaming_ingest(
+                    scenario, "tier2", analyzer, range(40, 43), cache=cache
                 )
             return registry
 

@@ -5,8 +5,14 @@ import json
 import pytest
 
 from repro.booter.market import MarketConfig
-from repro.core.parallel import day_cache, day_reductions, hourly_attacks, port_counts
-from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
+from repro.core.parallel import (
+    day_cache,
+    day_reductions,
+    hourly_attacks,
+    port_counts,
+    streaming_ingest,
+)
+from repro.core.pipeline import TrafficSelector, collect_daily_port_series
 from repro.core.streaming import StreamingAnalyzer
 from repro.netmodel.topology import TopologyConfig
 from repro.obs import MetricsRegistry, use_metrics
@@ -92,8 +98,8 @@ class TestDigestBitIdentityAcrossStrategies:
             analyzer = StreamingAnalyzer(
                 SELECTORS, n_days=scenario.config.n_days, sampling_factor=10_000.0
             )
-            collect_streaming(
-                scenario, "ixp", analyzer, day_range=(40, 44), jobs=jobs, cache=cache
+            streaming_ingest(
+                scenario, "ixp", analyzer, range(40, 44), jobs=jobs, cache=cache
             )
         day_cache().clear()
         return registry

@@ -73,6 +73,10 @@ class TestValidation:
     def test_unknown_nested_field(self):
         with pytest.raises(ValueError, match="unknown fields"):
             config_from_dict({"market": {"daily_attacks": 5.0, "bogus": 1}})
+        # The uplink sampler is no longer a field: a manifest saved while
+        # it was carries the key and must be edited, not half-read.
+        with pytest.raises(ValueError, match="unknown fields"):
+            config_from_dict({"topology": {"sampler": "legacy"}})
 
     def test_pair_field_must_be_object(self):
         with pytest.raises(ValueError, match="object"):

@@ -38,6 +38,7 @@ from repro.core.workerpool import shutdown_pool
 from repro.experiments.base import ExperimentConfig
 from repro.flows.records import FlowTable
 from repro.obs import MetricsRegistry, metrics, use_metrics
+from repro.serve import routes as routes_module
 from repro.serve.routes import ServeContext, cached_payload_bytes
 from repro.serve.server import ObservatoryServer
 from repro.serve.service import VANTAGES, ObservatoryService
@@ -434,6 +435,62 @@ class TestRouteErrors:
         assert frames[-1].startswith(b"event: end")
         end_data = json.loads(frames[-1].split(b"data: ", 1)[1])
         assert end_data == {"events_sent": 5}
+
+
+class TestSseDisconnect:
+    def test_leader_hang_up_keeps_followers_streaming(self, service, monkeypatch):
+        """A client that hangs up mid-SSE must not cancel the day's shared
+        compute: another stream waiting on the same day still gets all its
+        frames and ``event: end``, and the server keeps answering."""
+        monkeypatch.setattr(routes_module, "SSE_HEARTBEAT_S", 0.05)
+        release = threading.Event()
+        day_events_payload = ObservatoryService.day_events_payload
+
+        def held_day_events(self, day):
+            release.wait(30)
+            return day_events_payload(self, day)
+
+        monkeypatch.setattr(ObservatoryService, "day_events_payload", held_day_events)
+        registry = MetricsRegistry(enabled=True)
+        stream = (
+            b"GET /v1/events/stream?start=2018-12-18&end=2018-12-18&limit=3 "
+            b"HTTP/1.1\r\n\r\n"
+        )
+
+        async def run() -> tuple[bytes, int]:
+            server = ObservatoryServer(service, compute_slots=1)
+            await server.start()
+            try:
+                # A leads the day's flight; B joins it as a follower.
+                reader_a, writer_a = await asyncio.open_connection("127.0.0.1", server.port)
+                writer_a.write(stream)
+                await asyncio.wait_for(reader_a.readuntil(b": heartbeat"), 30)
+                reader_b, writer_b = await asyncio.open_connection("127.0.0.1", server.port)
+                writer_b.write(stream)
+                while registry.counter("serve.singleflight_hits") < 1:
+                    await asyncio.sleep(0.01)
+                # A hangs up; a later heartbeat write finds it gone and the
+                # server drops its stream. Only then does the compute end.
+                writer_a.transport.abort()
+                while server.state.active_connections > 1:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)
+                release.set()
+                body = await asyncio.wait_for(reader_b.read(-1), 30)
+                writer_b.close()
+                status, _ = await _http_get(server.port, "/v1/health")
+                return body, status
+            finally:
+                release.set()
+                await server.aclose()
+
+        with use_metrics(registry):
+            body, health_status = asyncio.run(run())
+
+        frames = [f for f in body.partition(b"\r\n\r\n")[2].split(b"\n\n") if f]
+        assert len([f for f in frames if f.startswith(b"event: attack")]) == 3
+        assert frames and frames[-1].startswith(b"event: end")
+        assert health_status == 200
 
 
 class TestServeCliValidation:

@@ -332,19 +332,12 @@ class TestScaleConfig:
     def test_internet_scale_shapes(self):
         cfg = TopologyConfig.internet_scale(10_000)
         assert cfg.n_asns == 10_000
-        assert cfg.sampler == "vectorized"
         assert 8 <= cfg.n_tier1 <= 20
         with pytest.raises(ValueError):
             TopologyConfig.internet_scale(100)
 
-    def test_unknown_sampler_rejected(self):
-        with pytest.raises(ValueError, match="sampler"):
-            TopologyConfig(sampler="quantum")
-
-    def test_vectorized_sampler_builds_valid_world(self):
-        cfg = TopologyConfig(
-            n_tier1=3, n_tier2=10, n_stub=40, sampler="vectorized"
-        )
+    def test_uplink_sampler_builds_valid_world(self):
+        cfg = TopologyConfig(n_tier1=3, n_tier2=10, n_stub=40)
         _, topo = _world(cfg, 81)
         assert len(topo.asns) == cfg.n_asns
         # Every non-tier-1 AS has at least one provider (connected transit).
