@@ -103,6 +103,7 @@ class CustomerPopulationModel:
         self.dynamics = dynamics
         self._seeds = seeds
         self.names = market.service_names()
+        self._known = frozenset(self.names)
         popularity = np.array([market.services[n].popularity for n in self.names])
         self.popularity = normalize_popularity(popularity)
         self.customers = self.popularity * dynamics.initial_customers_per_popularity
@@ -118,10 +119,17 @@ class CustomerPopulationModel:
 
         ``migration_fraction`` of intervention-displaced customers re-sign
         at other booters (weighted by popularity x their signup
-        multiplier); the rest leave the market.
+        multiplier); the rest leave the market. A mapping that names a
+        booter the market does not have raises :class:`ValueError`.
         """
         if not 0.0 <= migration_fraction <= 1.0:
             raise ValueError("migration_fraction must be in [0, 1]")
+        for mapping in (signup_mult, extra_churn):
+            unknown = sorted(set(mapping or ()) - self._known)
+            if unknown:
+                raise ValueError(
+                    f"unknown booters {unknown!r}: the market has {self.names!r}"
+                )
         rng = self._seeds.child("step", day).rng()
         mult = np.array(
             [1.0 if signup_mult is None else signup_mult.get(n, 1.0) for n in self.names]

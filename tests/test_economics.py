@@ -83,6 +83,19 @@ class TestCustomerPopulationModel:
         with pytest.raises(ValueError):
             model.step(0, migration_fraction=1.5)
 
+    def test_unknown_booter_rejected(self, market):
+        # A mapping keyed by a name the market lacks used to be ignored:
+        # an arrest of booter "a" arrested nobody.
+        model = CustomerPopulationModel(market, CustomerDynamics(), SeedSequenceTree(9))
+        with pytest.raises(ValueError, match=r"unknown booters \['a'\]"):
+            model.step(0, extra_churn={"a": 0.5})
+        with pytest.raises(ValueError, match=r"unknown booters \['nope'\]"):
+            model.step(0, signup_mult={"nope": 0.0, "A": 1.0})
+        with pytest.raises(ValueError, match="unknown booters"):
+            EconomySimulation(market, SeedSequenceTree(4)).run(
+                20, OperatorArrest(day=10, booter="a")
+            )
+
     def test_deterministic(self, market):
         a = CustomerPopulationModel(market, CustomerDynamics(), SeedSequenceTree(10))
         b = CustomerPopulationModel(market, CustomerDynamics(), SeedSequenceTree(10))

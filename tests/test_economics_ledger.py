@@ -141,6 +141,23 @@ class TestStepValidation:
         with pytest.raises(ValueError, match="per-booter"):
             led.step(0, extra_churn=np.ones(7))
 
+    def test_unknown_booter_rejected(self):
+        # A mapping keyed by a name the market lacks used to be ignored:
+        # an arrest of booter "a" arrested nobody.
+        led = _ledger(n=100)
+        with pytest.raises(ValueError, match=r"unknown booters \['a'\]"):
+            led.step(0, extra_churn={"a": 0.5})
+        with pytest.raises(ValueError, match=r"unknown booters \['Z'\]"):
+            led.step(0, signup_mult={"Z": 0.0, "A": 1.0})
+        assert led.days_stepped == 0
+
+    def test_nan_multiplier_rejected(self):
+        led = _ledger(n=100)
+        with pytest.raises(ValueError, match="multipliers"):
+            led.step(0, extra_churn={"A": float("nan")})
+        with pytest.raises(ValueError, match="multipliers"):
+            led.step(0, signup_mult={"B": float("nan")})
+
     def test_dict_and_array_forms_agree(self):
         a, b = _ledger(seed=21), _ledger(seed=21)
         for day in range(6):
