@@ -48,7 +48,8 @@ FLOOR_SPEEDUP_1E6 = 50.0
 BUDGET_1E7_WALL_S = 120.0
 #: Peak-RSS budget (MB) of the 10^7 leg. The packed columns are 9 bytes
 #: per customer (~95 MB at 10^7 + a seizure week of signups), the
-#: per-booter active index 4 bytes per live row, and transients are
+#: active-slot array 4 bytes per used slot (with 1.5x growth slack),
+#: and transients are
 #: chunk-bounded — so the whole process, interpreter included, fits in
 #: a few hundred MB. A per-customer object model needs ~half a GB of
 #: PyObjects for the customers alone.
