@@ -193,18 +193,18 @@ def test_perf_warm_pool_dispatch(scenario):
     for _ in range(reps):
         start = time.perf_counter()
         pool = WorkerPool(2, scenario.config)
-        pool.map_with_deltas(_probe_task, [0, 1], batch=1)
+        pool.map_with_deltas(_probe_task, [0, 1])
         pool.shutdown()
         cold_s += time.perf_counter() - start
     cold_s /= reps
 
     pool = WorkerPool(2, scenario.config)
     try:
-        pool.map_with_deltas(_probe_task, [0, 1], batch=1)  # warm spawn lazily
+        pool.map_with_deltas(_probe_task, [0, 1])  # warm spawn lazily
         warm_s = 0.0
         for _ in range(reps):
             start = time.perf_counter()
-            pool.map_with_deltas(_probe_task, [0, 1], batch=1)
+            pool.map_with_deltas(_probe_task, [0, 1])
             warm_s += time.perf_counter() - start
         warm_s /= reps
     finally:

@@ -18,7 +18,7 @@ from repro.core.classify import (
 )
 from repro.core.takedown_analysis import analyze_takedown
 from repro.core.victims import attacks_per_hour, victim_report
-from repro.flows.records import FlowRecord, FlowTable
+from repro.flows.records import FlowTable
 from repro.scenario import Scenario, ScenarioConfig
 from repro.stats.welch import welch_one_tailed
 
@@ -27,7 +27,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ClassifierThresholds",
     "ConservativeClassifier",
-    "FlowRecord",
     "FlowTable",
     "OptimisticClassifier",
     "Scenario",

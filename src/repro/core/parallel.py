@@ -30,8 +30,8 @@ analyzer.
 
 :class:`DayResultCache` is a process-wide LRU. Every flow-derived value
 lives under one key family, ``("day", config content hash, takedown,
-vantage, day, with_takedown, reduction key)``; only ground-truth event
-lists (:func:`day_events`) keep their own. A call caches only the
+vantage, day, reduction key)``; only ground-truth event lists
+(:func:`day_events`) keep their own. A call caches only the
 values it asked for, so experiments sharing days (fig2b/fig2c/landscape,
 fig5 after fig4, victimization after honeypot) reuse each other's work
 without the cache holding whole tables nobody reads. The serving plane
@@ -192,14 +192,13 @@ class DaySpec:
     Carries everything a worker process needs to regenerate the day
     bit-identically: the full scenario config, the day index, the
     vantage point (``None`` for an engine task, whose vantages and
-    reductions travel alongside the spec), the takedown flag, and the
-    (possibly customized) takedown scenario to apply.
+    reductions travel alongside the spec), and the (possibly customized)
+    takedown scenario to apply.
     """
 
     config: ScenarioConfig
     day: int
     vantage: str | None
-    with_takedown: bool
     takedown: TakedownScenario | None = None
 
 
@@ -225,7 +224,7 @@ def _materialize(spec: DaySpec) -> Scenario:
 _Need = tuple[tuple[str | None, tuple[Reduction, ...]], ...]
 
 
-def _reduce_day(scenario: Scenario, day: int, with_takedown: bool, need: _Need) -> list:
+def _reduce_day(scenario: Scenario, day: int, need: _Need) -> list:
     """Synthesize ``day`` once, then observe it once per vantage of ``need``.
 
     Returns one ``(values, deltas)`` pair per vantage, aligned with
@@ -237,7 +236,7 @@ def _reduce_day(scenario: Scenario, day: int, with_takedown: bool, need: _Need) 
     """
     registry = metrics()
     before = _counters_snapshot(registry)
-    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
+    traffic = scenario.day_traffic(day)
     truth = _counters_delta(registry, before)
     out = []
     for vantage, reductions in need:
@@ -256,14 +255,14 @@ def _reduce_day(scenario: Scenario, day: int, with_takedown: bool, need: _Need) 
 def _day_task(item: tuple[DaySpec, _Need]) -> list:
     """Pool task: one day of the engine, in a worker."""
     spec, need = item
-    return _reduce_day(_materialize(spec), spec.day, spec.with_takedown, need)
+    return _reduce_day(_materialize(spec), spec.day, need)
 
 
 def _ingest_chunk_task(chunk: tuple[tuple[DaySpec, ...], Any]) -> Any:
     specs, analyzer = chunk
     for spec in specs:
         scenario = _materialize(spec)
-        traffic = scenario.day_traffic(spec.day, with_takedown=spec.with_takedown)
+        traffic = scenario.day_traffic(spec.day)
         analyzer.ingest_day(spec.day, scenario.observe_day(spec.vantage, traffic))
     return analyzer
 
@@ -552,10 +551,9 @@ def _key(
     takedown: str,
     vantage: str | None,
     day: int,
-    with_takedown: bool,
     extra: Any = None,
 ) -> tuple:
-    return (kind, config_hash, takedown, vantage, int(day), bool(with_takedown), extra)
+    return (kind, config_hash, takedown, vantage, int(day), extra)
 
 
 # -- the day-reduction engine ---------------------------------------------------
@@ -565,7 +563,6 @@ def _reduce_days(
     scenario: Scenario,
     days: Iterable[int],
     requests: Mapping[str | None, Sequence[Reduction]],
-    with_takedown: bool,
     jobs: int,
     cache: bool,
 ) -> dict[tuple[str | None, Reduction], list[Any]]:
@@ -581,7 +578,7 @@ def _reduce_days(
     registry = metrics()
 
     def key(vantage: str | None, day: int, reduction: Reduction) -> tuple:
-        return _key("day", config_hash, takedown, vantage, day, with_takedown, reduction.key)
+        return _key("day", config_hash, takedown, vantage, day, reduction.key)
 
     found: dict[tuple[str | None, Reduction], dict[int, Any]] = {
         (vantage, reduction): {} for vantage, reductions in requests.items() for reduction in reductions
@@ -639,7 +636,7 @@ def _reduce_days(
         registry.inc("parallel.days_dispatched", len(todo))
         n_jobs = resolve_jobs(jobs)
         if _use_pool(n_jobs, len(todo)):
-            items = [(DaySpec(scenario.config, day, None, with_takedown, scenario.takedown), need) for day, need in todo]
+            items = [(DaySpec(scenario.config, day, None, scenario.takedown), need) for day, need in todo]
             pairs = get_pool(scenario, n_jobs).map_with_deltas(_day_task, items)
             for (day, need), (result, deltas) in zip(todo, pairs):
                 if deltas is None:  # unmetered workers: nothing to replay later
@@ -648,7 +645,7 @@ def _reduce_days(
         else:
             start = time.perf_counter()
             for day, need in todo:
-                store(day, need, _reduce_day(scenario, day, with_takedown, need))
+                store(day, need, _reduce_day(scenario, day, need))
             record_inline_pool(registry, len(todo), time.perf_counter() - start)
     return {request: [values[day] for day in days] for request, values in found.items()}
 
@@ -657,7 +654,6 @@ def day_reductions(
     scenario: Scenario,
     days: Iterable[int],
     requests: Mapping[str | None, Sequence[Reduction]],
-    with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
 ) -> dict[tuple[str | None, Reduction], list[Any]]:
@@ -679,7 +675,7 @@ def day_reductions(
     observation once.
     """
     with metrics().span("parallel.day_reductions"):
-        return _reduce_days(scenario, days, requests, with_takedown, jobs, cache)
+        return _reduce_days(scenario, days, requests, jobs, cache)
 
 
 # -- wrappers ---------------------------------------------------------------------
@@ -689,7 +685,6 @@ def observed_days(
     scenario: Scenario,
     vantage: str,
     days: Iterable[int],
-    with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
 ) -> list[FlowTable]:
@@ -700,9 +695,7 @@ def observed_days(
     or run inline, with the whole tables cached.
     """
     with metrics().span("parallel.observed_days"):
-        return _reduce_days(
-            scenario, days, {vantage: (OBSERVED,)}, with_takedown, jobs, cache
-        )[vantage, OBSERVED]
+        return _reduce_days(scenario, days, {vantage: (OBSERVED,)}, jobs, cache)[vantage, OBSERVED]
 
 
 def daily_port_counts(
@@ -710,7 +703,6 @@ def daily_port_counts(
     vantage: str,
     selectors: Sequence[Any],
     days: Iterable[int],
-    with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
 ) -> dict[int, dict[str, int]]:
@@ -723,9 +715,7 @@ def daily_port_counts(
     with metrics().span("parallel.daily_port_counts"):
         days = [int(d) for d in days]
         reduction = port_counts(selectors)
-        counts = _reduce_days(
-            scenario, days, {vantage: (reduction,)}, with_takedown, jobs, cache
-        )[vantage, reduction]
+        counts = _reduce_days(scenario, days, {vantage: (reduction,)}, jobs, cache)[vantage, reduction]
         return dict(zip(days, counts))
 
 
@@ -734,7 +724,6 @@ def streaming_ingest(
     vantage: str,
     analyzer: Any,
     days: Iterable[int],
-    with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
 ) -> Any:
@@ -752,10 +741,8 @@ def streaming_ingest(
         n_jobs = resolve_jobs(jobs)
         if not _use_pool(n_jobs, len(days)):
             for day in days:
-                observed = _reduce_days(
-                    scenario, [day], {vantage: (OBSERVED,)}, with_takedown, 1, cache
-                )[vantage, OBSERVED][0]
-                analyzer.ingest_day(day, observed)
+                observed = _reduce_days(scenario, [day], {vantage: (OBSERVED,)}, 1, cache)
+                analyzer.ingest_day(day, observed[vantage, OBSERVED][0])
             return analyzer
         if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
             raise TypeError(
@@ -767,7 +754,7 @@ def streaming_ingest(
         pending: list[int] = []
         for day in days:
             if cache:
-                hit = _cache_get(_key("day", config_hash, takedown, vantage, day, with_takedown, OBSERVED.key))
+                hit = _cache_get(_key("day", config_hash, takedown, vantage, day, OBSERVED.key))
                 if hit is not None:
                     analyzer.ingest_day(day, hit[0])
                     continue
@@ -776,11 +763,11 @@ def streaming_ingest(
             return analyzer
         metrics().inc("parallel.days_dispatched", len(pending))
         pool = get_pool(scenario, n_jobs)
-        chunk_size = pool.resolve_batch(len(pending), None)
+        chunk_size = pool.resolve_batch(len(pending))
         tasks = [
             (
                 tuple(
-                    DaySpec(scenario.config, d, vantage, with_takedown, scenario.takedown)
+                    DaySpec(scenario.config, d, vantage, scenario.takedown)
                     for d in pending[i : i + chunk_size]
                 ),
                 analyzer.clone_empty(),
@@ -788,8 +775,9 @@ def streaming_ingest(
             for i in range(0, len(pending), chunk_size)
         ]
         # Each task is already a chunk of days sharing one analyzer
-        # clone, so the pool maps them unbatched (batch=1).
-        for part, _ in pool.map_with_deltas(_ingest_chunk_task, tasks, batch=1):
+        # clone; at most _OVERSUBSCRIBE chunks per worker, so the pool's
+        # automatic batches hold one chunk each.
+        for part, _ in pool.map_with_deltas(_ingest_chunk_task, tasks):
             analyzer.merge(part)
         return analyzer
 
@@ -797,7 +785,6 @@ def streaming_ingest(
 def day_events(
     scenario: Scenario,
     day: int,
-    with_takedown: bool = True,
     cache: bool = False,
 ) -> list:
     """Ground-truth attack events for ``day`` (cached; no flow synthesis).
@@ -806,14 +793,14 @@ def day_events(
     key family instead of the engine's.
     """
     config_hash, takedown = _context(scenario)
-    key = _key("events", config_hash, takedown, None, day, with_takedown)
+    key = _key("events", config_hash, takedown, None, day)
     if cache:
         hit = _cache_get(key)
         if hit is not None:
             return hit[0]
     registry = metrics()
     before = _counters_snapshot(registry)
-    events = scenario.day_events(day, with_takedown=with_takedown)
+    events = scenario.day_events(day)
     if cache:
         truth = _counters_delta(registry, before)
         _DAY_CACHE.put(key, (events, None if truth is None else {"truth": truth, "vantage": {}}))
@@ -823,7 +810,6 @@ def day_events(
 def day_attack_tables(
     scenario: Scenario,
     days: Iterable[int],
-    with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
 ) -> list[FlowTable]:
@@ -832,6 +818,4 @@ def day_attack_tables(
     The :data:`ATTACK_TABLE` reduction of :func:`day_reductions`.
     """
     with metrics().span("parallel.day_attack_tables"):
-        return _reduce_days(
-            scenario, days, {None: (ATTACK_TABLE,)}, with_takedown, jobs, cache
-        )[None, ATTACK_TABLE]
+        return _reduce_days(scenario, days, {None: (ATTACK_TABLE,)}, jobs, cache)[None, ATTACK_TABLE]

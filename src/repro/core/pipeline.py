@@ -73,7 +73,6 @@ def collect_daily_port_series(
     vantage: str,
     selectors: list[TrafficSelector],
     day_range: tuple[int, int] | None = None,
-    with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
 ) -> DailyPortSeries:
@@ -84,7 +83,6 @@ def collect_daily_port_series(
         vantage: vantage-point name ('ixp' | 'tier1' | 'tier2').
         selectors: which (port, direction) counts to keep per day.
         day_range: half-open day range; defaults to the full scenario.
-        with_takedown: generate with or without the seizure.
         jobs: worker processes for per-day generation (0 = all cores).
             Days are seed-tree independent, so ``jobs=N`` returns
             results bit-identical to ``jobs=1``.
@@ -113,13 +111,7 @@ def collect_daily_port_series(
         from repro.core.parallel import daily_port_counts
 
         counts = daily_port_counts(
-            scenario,
-            vantage,
-            selectors,
-            [int(d) for d in days],
-            with_takedown,
-            jobs=jobs,
-            cache=cache,
+            scenario, vantage, selectors, [int(d) for d in days], jobs=jobs, cache=cache
         )
         for i, day in enumerate(days):
             for selector in selectors:

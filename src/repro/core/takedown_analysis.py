@@ -86,7 +86,8 @@ def analyze_takedown(
         windows: window half-widths in days (the paper uses 30 and 40).
         alpha: significance level.
         series_name: label used in rendered reports.
-        min_window_samples: minimum non-gap days each window must retain.
+        min_window_samples: minimum non-gap days each window must retain;
+            a window narrower than this is rejected before it is read.
     """
     daily_series = np.asarray(daily_series, dtype=float)
     if daily_series.ndim != 1:
@@ -97,8 +98,11 @@ def analyze_takedown(
         raise ValueError("min_window_samples must be at least 2")
     results = []
     for w in windows:
-        if w < 2:
-            raise ValueError(f"window must span at least 2 days, got {w}")
+        if w < min_window_samples:
+            raise ValueError(
+                f"±{w}-day window is narrower than the "
+                f"{min_window_samples}-day minimum (min_window_samples)"
+            )
         before_start = takedown_index - w
         after_end = takedown_index + 1 + w
         if before_start < 0 or after_end > daily_series.size:

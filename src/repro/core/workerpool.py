@@ -209,22 +209,18 @@ class WorkerPool:
     def key(self) -> tuple[int, str]:
         return (self.workers, self.config_hash)
 
-    def resolve_batch(self, n_items: int, batch: int | None) -> int:
-        """The per-task batch size for ``n_items`` (explicit or auto).
+    def resolve_batch(self, n_items: int) -> int:
+        """The per-task batch size for ``n_items``.
 
-        Auto (``None``/``0``) targets :data:`_OVERSUBSCRIBE` batches per
-        worker, so cheap day fans amortize dispatch while stragglers can
-        still rebalance.
+        Targets :data:`_OVERSUBSCRIBE` batches per worker, so cheap day
+        fans amortize dispatch while stragglers can still rebalance.
         """
-        if batch is None or batch <= 0:
-            batch = math.ceil(n_items / (self.workers * _OVERSUBSCRIBE))
-        return max(1, min(batch, max(n_items, 1)))
+        return max(1, math.ceil(n_items / (self.workers * _OVERSUBSCRIBE)))
 
     def map_with_deltas(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        batch: int | None = None,
     ) -> list[tuple[Any, dict[str, float] | None]]:
         """Map ``fn`` over ``items``; pair each result with its deltas.
 
@@ -232,9 +228,8 @@ class WorkerPool:
         is enabled every item runs metered and its worker registry folds
         into the parent, with the item's ``scenario.*`` counter deltas
         returned alongside the result (``None`` when the registry is
-        off) — exactly what the day cache stores for replay. ``batch``
-        overrides the automatic batch size (the probe and the streaming
-        chunks, already one task each, pass 1).
+        off) — exactly what the day cache stores for replay. Items travel
+        in :meth:`resolve_batch`-sized batches, one task each.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is shut down")
@@ -242,7 +237,7 @@ class WorkerPool:
         items = list(items)
         if not items:
             return []
-        batch_size = self.resolve_batch(len(items), batch)
+        batch_size = self.resolve_batch(len(items))
         batches = [items[i : i + batch_size] for i in range(0, len(items), batch_size)]
         metered = registry.enabled
         trace = metered and registry.trace is not None
@@ -287,7 +282,7 @@ class WorkerPool:
 
     def probe(self) -> list[dict[str, Any]]:
         """One :func:`_probe_task` report per dispatched probe (tests)."""
-        return [r for r, _ in self.map_with_deltas(_probe_task, list(range(self.workers * 2)), batch=1)]
+        return [r for r, _ in self.map_with_deltas(_probe_task, list(range(self.workers * 2)))]
 
     def shutdown(self) -> None:
         """Stop the workers; the pool cannot be used afterwards."""

@@ -35,9 +35,6 @@ class ExperimentConfig:
     setting it implies day-caching even without ``cache`` — see the
     :attr:`use_cache` property, which experiments consult instead of
     reading ``cache`` directly.
-    ``metrics_out`` asks the runner to record pipeline metrics and write
-    them to this path as stable-schema JSON (``--metrics-out``); it does
-    not change any result, only observability.
     """
 
     preset: str = "small"
@@ -45,7 +42,6 @@ class ExperimentConfig:
     jobs: int = 1
     cache: bool = False
     cache_dir: str | None = None
-    metrics_out: str | None = None
 
     def __post_init__(self) -> None:
         if self.preset not in ("small", "paper"):

@@ -153,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             cache=args.cache,
             cache_dir=args.cache_dir,
-            metrics_out=args.metrics_out,
         )
         disk = None
         if args.cache_dir:

@@ -8,12 +8,11 @@ per-destination aggregation all operate on it.
 """
 
 from repro.flows.io import read_flows_csv, write_flows_csv
-from repro.flows.records import FlowRecord, FlowTable
+from repro.flows.records import FlowTable
 from repro.flows.sampling import PacketSampler
 from repro.flows.timeseries import bin_timeseries, per_destination_stats
 
 __all__ = [
-    "FlowRecord",
     "FlowTable",
     "PacketSampler",
     "bin_timeseries",

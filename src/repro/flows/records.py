@@ -23,28 +23,21 @@ peer_asn  int64       AS handing the flow to the observer (-1 unknown)
 ``peer_asn`` models NetFlow's ingress-interface metadata at AS granularity
 — it is how the paper counts "peers handing over attack traffic".
 
-Besides the columnar dict, a table has two single-buffer serializations
-— the zero-copy result plane:
-
-* a contiguous structured array of :data:`RECORD_DTYPE`, the same
-  50-byte packed record the binary file format
-  (:mod:`repro.flows.binio`) writes to disk; the persistent day cache
-  (:mod:`repro.core.diskcache`) moves tables in this interchange layout;
-* a *column plane* (:meth:`FlowTable.to_plane`): the full-width columns
-  laid slab after slab in one byte buffer, exact for every value, which
-  is what pickling (:meth:`FlowTable.__reduce__`) ships instead of
-  eleven separately pickled column arrays — every flow table a pool
-  worker returns crosses the result pipe this way.
+Besides the columnar dict, a table has one single-buffer serialization:
+a contiguous structured array of :data:`RECORD_DTYPE`, the same 50-byte
+packed record the binary file format (:mod:`repro.flows.binio`) writes
+to disk; the persistent day cache (:mod:`repro.core.diskcache`) moves
+tables in this interchange layout. Between processes a table pickles as
+its column dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-__all__ = ["FlowRecord", "FlowTable", "PLANE_ROW_BYTES", "RECORD_DTYPE", "SCHEMA"]
+__all__ = ["FlowTable", "RECORD_DTYPE", "SCHEMA"]
 
 SCHEMA: dict[str, np.dtype] = {
     "time": np.dtype(np.float64),
@@ -62,9 +55,8 @@ SCHEMA: dict[str, np.dtype] = {
 
 _DEFAULTS = {"src_asn": -1, "dst_asn": -1, "peer_asn": -1}
 
-#: One packed flow record, little-endian, 50 bytes: the layout shared by
-#: the on-disk binary format, the pickle fast path, and the shared-memory
-#: transport. Counters are stored as u64 (two's-complement reinterpretation
+#: One packed flow record, little-endian, 50 bytes: the layout of the
+#: on-disk binary format and of the disk cache's table entries. Counters are stored as u64 (two's-complement reinterpretation
 #: of the schema's i64 — exact for every value); AS numbers are stored as
 #: i32, which covers 4-byte ASNs and the -1 "unknown" sentinel but NOT the
 #: full i64 schema range, so the exact serializers validate the range and
@@ -89,33 +81,6 @@ RECORD_DTYPE = np.dtype(
 _ASN_FIELDS = ("src_asn", "dst_asn", "peer_asn")
 _ASN_MIN = -(2**31)
 _ASN_MAX = 2**31 - 1
-
-#: Bytes per row of the column-plane serialization (the full-width schema
-#: columns laid slab-after-slab in one buffer): 61 = 8+4+4+1+2+2+8*5.
-PLANE_ROW_BYTES = sum(dt.itemsize for dt in SCHEMA.values())
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One flow, as a plain record (row view of a :class:`FlowTable`)."""
-
-    time: float
-    src_ip: int
-    dst_ip: int
-    proto: int
-    src_port: int
-    dst_port: int
-    packets: int
-    bytes: int
-    src_asn: int = -1
-    dst_asn: int = -1
-    peer_asn: int = -1
-
-    @property
-    def mean_packet_size(self) -> float:
-        """Bytes per packet of the flow."""
-        return self.bytes / self.packets if self.packets else 0.0
-
 
 class FlowTable:
     """Immutable-by-convention columnar flow trace.
@@ -202,11 +167,11 @@ class FlowTable:
     def to_structured(self, clamp_asn: bool = False) -> np.ndarray:
         """This table as one contiguous :data:`RECORD_DTYPE` structured array.
 
-        The single-buffer form every serializer uses (pickle fast path,
-        shared memory, the binary file format). Counters reinterpret to
-        u64 (exact for all i64 values); AS numbers narrow to i32, which
-        by default raises :class:`ValueError` if any value is outside
-        ``[-2^31, 2^31 - 1]`` so the conversion is always bit-exact.
+        The single-buffer form of the binary file format and the disk
+        cache. Counters reinterpret to u64 (exact for all i64 values); AS
+        numbers narrow to i32, which by default raises :class:`ValueError`
+        if any value is outside ``[-2^31, 2^31 - 1]`` so the conversion is
+        always bit-exact.
         ``clamp_asn=True`` clamps instead — the lossy behaviour of real
         NetFlow exports, used by the on-disk writer.
         """
@@ -242,10 +207,9 @@ class FlowTable:
         Zero-copy where the layouts agree: time/IP/port/proto columns are
         strided views into ``records``, and the u64 counters reinterpret
         in place as i64; only the three i32 AS columns widen (a copy).
-        The views keep ``records`` (and whatever backs it — a shared
-        memory block, an ``np.memmap`` of a cache file) alive, which is
-        exactly what the zero-copy result plane wants. ``copy=True``
-        materializes independent contiguous columns instead.
+        The views keep ``records`` (and whatever backs it, such as an
+        ``np.memmap`` of a cache file) alive. ``copy=True`` materializes
+        independent contiguous columns instead.
         """
         records = np.asarray(records)
         if records.dtype != RECORD_DTYPE:
@@ -271,65 +235,6 @@ class FlowTable:
         if copy:
             cols = {name: np.ascontiguousarray(arr) for name, arr in cols.items()}
         return cls._from_validated(cols)
-
-    # -- column-plane serialization ---------------------------------------------
-
-    def to_plane(self) -> np.ndarray:
-        """Serialize to a single contiguous byte buffer of column slabs.
-
-        The eleven schema columns at full width, laid slab after slab in
-        :data:`SCHEMA` order (:data:`PLANE_ROW_BYTES` bytes per row,
-        native byte order). Unlike :meth:`to_structured` this is exact
-        for *every* table — AS numbers stay i64 — and packing is eleven
-        contiguous memcpys instead of eleven strided scatters into the
-        record layout, which is why :meth:`__reduce__` ships this form.
-        The plane is an in-memory/pipe transport format; the portable
-        little-endian record layout for files stays
-        :mod:`repro.flows.binio`.
-        """
-        n = len(self)
-        plane = np.empty(n * PLANE_ROW_BYTES, dtype=np.uint8)
-        offset = 0
-        for name, dtype in SCHEMA.items():
-            nb = dtype.itemsize * n
-            col = self._columns[name]
-            if not col.flags.c_contiguous:
-                col = np.ascontiguousarray(col)
-            plane[offset : offset + nb] = col.view(np.uint8)
-            offset += nb
-        return plane
-
-    @classmethod
-    def from_plane(cls, plane: np.ndarray, n_rows: int) -> "FlowTable":
-        """Rebuild a table from a :meth:`to_plane` buffer — zero-copy.
-
-        Every column is a typed view into ``plane`` at its slab offset;
-        nothing is copied, and the views keep the buffer alive.
-        """
-        plane = np.asarray(plane)
-        if plane.dtype != np.uint8 or plane.ndim != 1:
-            raise ValueError("plane must be a 1-D uint8 array")
-        if n_rows < 0 or plane.size != n_rows * PLANE_ROW_BYTES:
-            raise ValueError(
-                f"plane has {plane.size} bytes, expected "
-                f"{n_rows} rows * {PLANE_ROW_BYTES} bytes/row"
-            )
-        if not plane.flags.c_contiguous:
-            plane = np.ascontiguousarray(plane)
-        cols: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, dtype in SCHEMA.items():
-            nb = dtype.itemsize * n_rows
-            cols[name] = plane[offset : offset + nb].view(dtype)
-            offset += nb
-        return cls._from_validated(cols)
-
-    def __reduce__(self):
-        # Pool transport: collapse pickling to one contiguous byte plane
-        # instead of eleven per-column array pickles. Exact for every
-        # table (full-width columns, no i32 narrowing), packed with
-        # contiguous copies and unpacked as views.
-        return (FlowTable.from_plane, (self.to_plane(), len(self)))
 
     @staticmethod
     def concat(tables) -> "FlowTable":
@@ -358,14 +263,6 @@ class FlowTable:
             cols[name] = out
         return FlowTable._from_validated(cols)
 
-    @staticmethod
-    def from_records(records: list[FlowRecord]) -> "FlowTable":
-        cols: dict[str, np.ndarray] = {
-            name: np.array([getattr(r, name) for r in records], dtype=dt)
-            for name, dt in SCHEMA.items()
-        }
-        return FlowTable(cols)
-
     # -- basic protocol -------------------------------------------------------
 
     def __len__(self) -> int:
@@ -376,27 +273,6 @@ class FlowTable:
             return self._columns[name]
         except KeyError:
             raise KeyError(f"no column {name!r}") from None
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return self.to_records()
-
-    def to_records(self) -> Iterator[FlowRecord]:
-        """Iterate rows as :class:`FlowRecord` (slow; for small tables/IO)."""
-        cols = self._columns
-        for i in range(len(self)):
-            yield FlowRecord(
-                time=float(cols["time"][i]),
-                src_ip=int(cols["src_ip"][i]),
-                dst_ip=int(cols["dst_ip"][i]),
-                proto=int(cols["proto"][i]),
-                src_port=int(cols["src_port"][i]),
-                dst_port=int(cols["dst_port"][i]),
-                packets=int(cols["packets"][i]),
-                bytes=int(cols["bytes"][i]),
-                src_asn=int(cols["src_asn"][i]),
-                dst_asn=int(cols["dst_asn"][i]),
-                peer_asn=int(cols["peer_asn"][i]),
-            )
 
     def __repr__(self) -> str:
         return f"FlowTable({len(self)} flows)"

@@ -1,9 +1,9 @@
 """Observatory-as-a-service: an async query/serving plane over the day cache.
 
-The experiment substrate built in PRs 1-6 — the in-memory
-:class:`~repro.core.parallel.DayResultCache`, the shared-memory result
-transport, the durable :class:`~repro.core.diskcache.DiskDayCache`, and
-the warm :mod:`repro.core.workerpool` — is exactly what a long-running
+The experiment substrate — the in-memory
+:class:`~repro.core.parallel.DayResultCache`, the durable
+:class:`~repro.core.diskcache.DiskDayCache`, and the warm
+:mod:`repro.core.workerpool` — is exactly what a long-running
 service needs to hand takedown time-series and victim statistics to many
 concurrent clients. This package is that service:
 

@@ -400,11 +400,11 @@ class ObservatoryService:
                 400, f"range of {n_days} days exceeds the {MAX_SERIES_DAYS}-day cap",
                 close=False,
             )
-        names = (
-            [n.strip() for n in selector_csv.split(",") if n.strip()]
-            if selector_csv
-            else sorted(SELECTORS)
-        )
+        names = [n.strip() for n in (selector_csv or "").split(",") if n.strip()]
+        if not names:
+            # No list and an empty one (``selectors=,``) both mean all
+            # selectors, so a ``window`` always meets the analyzer's rule.
+            names = sorted(SELECTORS)
         unknown = [n for n in names if n not in SELECTORS]
         if unknown:
             raise HttpError(
@@ -443,8 +443,6 @@ class ObservatoryService:
             window = int(window_text)
         except ValueError:
             raise HttpError(400, f"invalid window {window_text!r}", close=False) from None
-        if window < 2:
-            raise HttpError(400, "window must be >= 2 days", close=False)
         if takedown_day not in days:
             raise HttpError(
                 400, "analysis window requires the range to cover the takedown day",

@@ -31,7 +31,7 @@ def make_table(n, seed=0):
     )
 
 
-KEY = ("observed", "cfg-hash", "takedown-repr", "ixp", 3, True, None)
+KEY = ("day", "cfg-hash", "takedown-repr", "ixp", 3, ("observed",))
 DELTAS = {"scenario.days_generated": 1, "scenario.flows_generated": 1234.0}
 
 
@@ -158,7 +158,7 @@ class TestCorruption:
     def test_orphan_record_file_deleted_on_reopen(self, tmp_path):
         """A put() interrupted between its renames leaves a bare record file."""
         cache, data, sidecar = self._store(tmp_path)
-        cache.put(("day", "cfg", "td", "ixp", 1, True, ("ports",)), ({"ntp_to": 7}, None))
+        cache.put(("day", "cfg", "td", "ixp", 1, ("ports",)), ({"ntp_to": 7}, None))
         sidecar.unlink()
         reopened = DiskDayCache(tmp_path)
         assert not data.exists()
@@ -173,7 +173,7 @@ class TestCorruption:
 
 class TestEviction:
     def _key(self, i):
-        return ("observed", "cfg", "td", "ixp", i, True, None)
+        return ("day", "cfg", "td", "ixp", i, ("observed",))
 
     def _entry_size(self, tmp_path):
         """Bytes one 100-record entry owns: its record file and its sidecar."""
@@ -229,7 +229,7 @@ class TestEviction:
 
 class TestJsonLane:
     def _key(self, i):
-        return ("day", "cfg", "td", "ixp", i, True, ("ports",))
+        return ("day", "cfg", "td", "ixp", i, ("ports",))
 
     def test_one_file_per_json_entry(self, tmp_path):
         cache = DiskDayCache(tmp_path)

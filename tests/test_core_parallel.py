@@ -111,7 +111,7 @@ class TestParallelDeterminism:
             streaming_ingest(scenario, "ixp", Bare(), range(40, 44), jobs=2)
 
     def test_day_spec_pickles(self, scenario):
-        spec = DaySpec(scenario.config, 40, "ixp", True, scenario.takedown)
+        spec = DaySpec(config=scenario.config, day=40, vantage="ixp", takedown=scenario.takedown)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 

@@ -143,6 +143,14 @@ class TestAnalyzeTakedown:
         with pytest.raises(ValueError):
             analyze_takedown(np.ones((2, 2)), 0)
 
+    def test_window_below_min_samples_rejected(self):
+        """A gap-free window narrower than ``min_window_samples`` names the minimum."""
+        series = self.make_series(100.0, 100.0)
+        with pytest.raises(ValueError, match="10-day minimum"):
+            analyze_takedown(series, 80, windows=(5,))
+        report = analyze_takedown(series, 80, windows=(5,), min_window_samples=5)
+        assert report.window(5).welch.mean_before == pytest.approx(100.0, rel=0.1)
+
     def test_unknown_window_lookup(self):
         report = analyze_takedown(self.make_series(10, 5), 80)
         with pytest.raises(KeyError):

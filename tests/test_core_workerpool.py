@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.booter.market import MarketConfig
 from repro.core.parallel import daily_port_counts, day_attack_tables, day_cache, observed_days
@@ -77,6 +79,21 @@ def _recorded(fn):
 
 def _square(item: int) -> int:
     return item * item
+
+
+class _InlineExecutor:
+    """Stands in for the process pool: runs each task here, keeps its batch."""
+
+    def __init__(self) -> None:
+        self.batches: list[list[int]] = []
+
+    def map(self, task, batches):
+        batches = list(batches)
+        self.batches.extend(batches)
+        return [task(batch) for batch in batches]
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        pass
 
 
 def _kill_first_call(item: tuple[str, int]) -> int:
@@ -212,14 +229,25 @@ class TestExecutorParity:
 class TestDayBatching:
     def test_resolve_batch_auto_and_explicit(self, scenario):
         pool = get_pool(scenario, 2)
-        # Auto: about _OVERSUBSCRIBE batches per worker.
-        assert pool.resolve_batch(16, None) == 2
-        assert pool.resolve_batch(16, 0) == 2
-        assert pool.resolve_batch(3, None) == 1
-        # Explicit, clamped to the item count.
-        assert pool.resolve_batch(10, 4) == 4
-        assert pool.resolve_batch(2, 100) == 2
-        assert pool.resolve_batch(1, 0) == 1
+        # About _OVERSUBSCRIBE batches per worker, never an empty batch.
+        assert pool.resolve_batch(16) == 2
+        assert pool.resolve_batch(17) == 3
+        assert pool.resolve_batch(3) == 1
+        assert pool.resolve_batch(1) == 1
+        assert pool.resolve_batch(0) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(workers=st.integers(1, 4), n_items=st.integers(1, 500))
+    def test_auto_batches_cover_items_in_order(self, scenario, workers, n_items):
+        executor = _InlineExecutor()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WorkerPool, "_spawn", lambda self: executor)
+            pool = WorkerPool(workers, scenario.config)
+        items = list(range(n_items))
+        pairs = pool.map_with_deltas(_square, items)
+        assert [result for result, _ in pairs] == [i * i for i in items]
+        assert [item for batch in executor.batches for item in batch] == items
+        assert len(executor.batches) <= 4 * workers
 
     def test_batching_collapses_dispatches(self, scenario):
         pool = get_pool(scenario, 2)
@@ -228,9 +256,6 @@ class TestDayBatching:
         assert registry.counter("pool.tasks") == 16
         assert registry.counter("pool.batches") == 8
         assert registry.gauges["pool.batch_size"] == 2
-        _, registry = _recorded(lambda: pool.map_with_deltas(_square, range(6), batch=3))
-        assert registry.counter("pool.batches") == 2
-        assert registry.gauges["pool.batch_size"] == 3
 
     def test_per_day_deltas_survive_batching(self, scenario):
         days = list(range(34, 46))

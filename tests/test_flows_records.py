@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flows.records import (
-    PLANE_ROW_BYTES,
-    RECORD_DTYPE,
-    SCHEMA,
-    FlowRecord,
-    FlowTable,
-)
+from repro.flows.records import RECORD_DTYPE, SCHEMA, FlowTable
 
 
 def make_table(n=5, **overrides):
@@ -78,25 +72,6 @@ class TestConstruction:
     def test_unknown_column_lookup(self):
         with pytest.raises(KeyError):
             make_table(1)["nope"]
-
-
-class TestRecords:
-    def test_roundtrip_through_records(self):
-        t = make_table(4)
-        records = list(t.to_records())
-        t2 = FlowTable.from_records(records)
-        for name in SCHEMA:
-            np.testing.assert_array_equal(t[name], t2[name])
-
-    def test_record_mean_packet_size(self):
-        r = FlowRecord(0, 1, 2, 17, 123, 50000, packets=10, bytes=4860)
-        assert r.mean_packet_size == 486.0
-        r0 = FlowRecord(0, 1, 2, 17, 123, 50000, packets=0, bytes=0)
-        assert r0.mean_packet_size == 0.0
-
-    def test_iter(self):
-        t = make_table(3)
-        assert len(list(t)) == 3
 
 
 class TestTransformations:
@@ -256,6 +231,8 @@ class TestStructuredArray:
 
 
 class TestPickleFastPath:
+    """Pool results pickle a table as its column dict (default pickling)."""
+
     def test_pickle_roundtrip_bit_identical(self):
         t = random_table(50, seed=3)
         back = pickle.loads(pickle.dumps(t))
@@ -264,13 +241,14 @@ class TestPickleFastPath:
             assert back[name].dtype == t[name].dtype, name
 
     def test_pickle_collapses_to_one_buffer(self):
-        # The plane fast path should cost ~PLANE_ROW_BYTES per row, far
-        # below the per-column pickle's 11 separate array payloads.
+        # The column bytes dominate: within 5% of the schema's 61 bytes
+        # per row, with no per-row framing.
         t = random_table(2000, seed=4)
-        assert len(pickle.dumps(t)) < 1.05 * len(t) * PLANE_ROW_BYTES + 1024
+        row_bytes = sum(dt.itemsize for dt in SCHEMA.values())
+        assert len(pickle.dumps(t)) < 1.05 * len(t) * row_bytes
 
     def test_pickle_exact_for_wide_asns(self):
-        # Full-width plane columns: no i32 narrowing, no fallback needed.
+        # Full-width columns: no i32 narrowing as in the record layout.
         t = make_table(3, src_asn=np.array([2**40, -1, 7]))
         back = pickle.loads(pickle.dumps(t))
         np.testing.assert_array_equal(back["src_asn"], [2**40, -1, 7])
@@ -280,46 +258,15 @@ class TestPickleFastPath:
     def test_pickle_empty(self):
         assert len(pickle.loads(pickle.dumps(FlowTable.empty()))) == 0
 
-
-class TestColumnPlane:
-    def test_plane_roundtrip_bit_identical(self):
-        t = random_table(300, seed=6)
-        back = FlowTable.from_plane(t.to_plane(), len(t))
-        for name in SCHEMA:
-            np.testing.assert_array_equal(t[name], back[name], err_msg=name)
-            assert back[name].dtype == t[name].dtype, name
-
-    def test_plane_size_and_zero_copy_views(self):
-        t = random_table(128, seed=7)
-        plane = t.to_plane()
-        assert plane.dtype == np.uint8
-        assert plane.size == 128 * PLANE_ROW_BYTES
-        back = FlowTable.from_plane(plane, 128)
-        for name in SCHEMA:
-            assert np.shares_memory(back[name], plane), name
-
-    def test_plane_handles_noncontiguous_columns(self):
-        # from_structured tables hold strided views; to_plane must still
-        # pack them (via a contiguous intermediate copy).
+    def test_pickle_strided_columns(self):
+        # from_structured tables hold strided views into the records.
         t = random_table(64, seed=8)
         strided = FlowTable.from_structured(t.to_structured())
         assert not strided["time"].flags.c_contiguous
-        back = FlowTable.from_plane(strided.to_plane(), 64)
+        back = pickle.loads(pickle.dumps(strided))
         for name in SCHEMA:
             np.testing.assert_array_equal(t[name], back[name], err_msg=name)
-
-    def test_plane_rejects_wrong_size_and_dtype(self):
-        t = random_table(10, seed=9)
-        plane = t.to_plane()
-        with pytest.raises(ValueError, match="expected"):
-            FlowTable.from_plane(plane, 11)
-        with pytest.raises(ValueError, match="uint8"):
-            FlowTable.from_plane(plane.astype(np.uint16), 10)
-
-    def test_plane_empty(self):
-        plane = FlowTable.empty().to_plane()
-        assert plane.size == 0
-        assert len(FlowTable.from_plane(plane, 0)) == 0
+            assert back[name].dtype == t[name].dtype, name
 
 
 class TestAggregates:

@@ -484,10 +484,3 @@ class TestRunnerWiring:
         assert main(["table1", "--no-cache"]) == 0
         captured = capsys.readouterr().out
         assert "profile" not in captured
-
-    def test_experiment_config_carries_metrics_out(self):
-        from repro.experiments.base import ExperimentConfig
-
-        config = ExperimentConfig(metrics_out="m.json")
-        assert config.metrics_out == "m.json"
-        assert ExperimentConfig().metrics_out is None

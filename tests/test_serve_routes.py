@@ -28,12 +28,14 @@ import json
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.diskcache import DiskDayCache
 from repro.core.parallel import day_cache
+from repro.core.takedown_analysis import analyze_takedown
 from repro.core.workerpool import shutdown_pool
 from repro.experiments.base import ExperimentConfig
 from repro.flows.records import FlowTable
@@ -49,6 +51,9 @@ PAYLOADS_GOLDEN_PATH = Path(__file__).parent / "goldens" / "serve_payloads.json"
 
 #: The series range under test: the 5 days straddling the takedown.
 SERIES_QUERY = "/v1/series/takedown?start=2018-12-17&end=2018-12-21"
+
+#: 21 gap-free days centred on the takedown (2018-12-19), for ``window``.
+WINDOW_QUERY = "/v1/series/takedown?start=2018-12-09&end=2018-12-29"
 
 #: Days (relative to the takedown) and ``top`` sizes the payload golden pins.
 PAYLOAD_OFFSETS = (-2, 0, 3)
@@ -105,6 +110,20 @@ def _fetch_bytes(config: ExperimentConfig, queries: list[str]) -> dict[str, byte
 def _fetch_series_bytes(config: ExperimentConfig) -> bytes:
     """Boot a server for ``config``, GET the series, tear down."""
     return _fetch_bytes(config, [SERIES_QUERY])[SERIES_QUERY]
+
+
+def _get(service: ObservatoryService, path: str) -> tuple[int, bytes]:
+    """Boot a server over ``service``, GET ``path`` once, tear down."""
+
+    async def run():
+        server = ObservatoryServer(service)
+        await server.start()
+        try:
+            return await _http_get(server.port, path)
+        finally:
+            await server.aclose()
+
+    return asyncio.run(run())
 
 
 def _payload_queries(config: ExperimentConfig) -> list[str]:
@@ -227,13 +246,20 @@ class TestSeriesByteDeterminism:
         )
 
     def test_analysis_window_rides_on_the_series(self, service):
-        payload = service.series_payload(
-            "2018-12-09", "2018-12-29", None, "ntp_to", "10"
-        )
-        analysis = payload["analysis"]["ntp_to"]
-        assert analysis["window"] == 10
-        assert isinstance(analysis["significant"], bool)
-        assert 0.0 <= analysis["reduction_ratio"] <= 1.0
+        """A window at the analyzer's 10-day minimum is analyzed as the analyzer would."""
+        status, body = _get(service, f"{WINDOW_QUERY}&window=10")
+        assert status == 200
+        payload = json.loads(body)
+        takedown_index = payload["days"].index(payload["takedown_date"])
+        for name, values in payload["series"].items():
+            result = analyze_takedown(
+                np.asarray(values, dtype=float), takedown_index, windows=(10,)
+            ).window(10)
+            assert payload["analysis"][name] == {
+                "window": 10,
+                "significant": bool(result.significant),
+                "reduction_ratio": float(result.reduction_ratio),
+            }
 
 
 class TestSingleFlightAcceptance:
@@ -380,50 +406,46 @@ class TestConcurrentDistinctDates:
 
 
 class TestRouteErrors:
-    def _get(self, service, path):
-        async def run():
-            server = ObservatoryServer(service)
-            await server.start()
-            try:
-                return await _http_get(server.port, path)
-            finally:
-                await server.aclose()
-
-        return asyncio.run(run())
+    def test_series_window_below_the_minimum_is_400(self, service):
+        """The analyzer needs 10 usable days a side; a 9-day window is refused as such."""
+        for query in (f"{WINDOW_QUERY}&window=9", f"{WINDOW_QUERY}&selectors=,&window=0"):
+            status, body = _get(service, query)
+            assert status == 400, query
+            assert "10-day minimum" in json.loads(body)["error"]["detail"], query
 
     def test_unparseable_date_is_400(self, service):
-        status, body = self._get(service, "/v1/days/not-a-date")
+        status, body = _get(service, "/v1/days/not-a-date")
         assert status == 400
         assert b"YYYY-MM-DD" in body
 
     def test_out_of_window_date_is_404(self, service):
-        status, _ = self._get(service, "/v1/days/2030-01-01")
+        status, _ = _get(service, "/v1/days/2030-01-01")
         assert status == 404
 
     def test_unknown_vantage_is_400(self, service):
-        status, body = self._get(service, "/v1/days/2018-12-19?vantage=mars")
+        status, body = _get(service, "/v1/days/2018-12-19?vantage=mars")
         assert status == 400
         assert b"vantage" in body
 
     def test_series_end_before_start_is_400(self, service):
-        status, _ = self._get(
+        status, _ = _get(
             service, "/v1/series/takedown?start=2018-12-20&end=2018-12-10"
         )
         assert status == 400
 
     def test_unknown_selector_is_400(self, service):
-        status, body = self._get(
+        status, body = _get(
             service, "/v1/series/takedown?selectors=warp_drive"
         )
         assert status == 400
         assert b"warp_drive" in body
 
     def test_victims_top_out_of_range_is_400(self, service):
-        status, _ = self._get(service, "/v1/victims/top?top=0")
+        status, _ = _get(service, "/v1/victims/top?top=0")
         assert status == 400
 
     def test_events_stream_replays_and_terminates(self, service):
-        status, body = self._get(
+        status, body = _get(
             service,
             "/v1/events/stream?start=2018-12-18&end=2018-12-18&limit=5",
         )
