@@ -10,6 +10,7 @@ the substrate changes.
 import json
 import os
 import time
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -273,13 +274,13 @@ def test_perf_disabled_metrics_overhead(scenario):
 
 
 def test_perf_visibility_matrix_mask(benchmark, scenario, day_traffic):
-    """Warm-matrix mask resolution over a full day table."""
+    """Warm-matrix pair resolution and IXP visibility mask over a full day table."""
     table = day_traffic.all_flows()
     matrix = scenario.visibility
     matrix.ixp_tables()  # warm outside the timer
     src, dst = table["src_asn"], table["dst_asn"]
-    mask, peers = benchmark(lambda: matrix.ixp_mask(src, dst))
-    assert mask.shape == peers.shape == src.shape
+    (mask,), _ = benchmark(lambda: matrix.ixp_verdicts([matrix.pair_index(src, dst)]))
+    assert mask.shape == src.shape
 
 
 def _legacy_day_traffic(scenario, day, bin_seconds=60.0):
@@ -339,20 +340,34 @@ def _legacy_observe_all(scenario, traffic):
     return observed
 
 
+def _traced_peak_mb(fn) -> float:
+    """Peak traced Python/numpy allocation of one call of ``fn``, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def test_perf_flowplane_fastpath(scenario):
     """Legacy flow plane vs one-pass synthesis + visibility matrix: timed and bit-checked.
 
     Compares a full day's generate-and-observe under the old shape
     (per-event tables + concat; fresh lazy visibility oracle, per-vantage
-    re-concat) against the current fast path (draw-only synthesis loops
-    assembled once per column; dense precomputed matrix with fused
-    per-day pair resolution). The
-    observed exports must be bit-identical; timings append to
-    ``benchmarks/BENCH_flowplane.json`` (a JSON list, oldest first) with
-    the matrix build time recorded separately. The >= 2x speedup
-    assertion only applies with >= 2 CPU cores; below that the run
-    records a warning field instead of failing, since a loaded or
-    throttled single-core machine times both paths too noisily.
+    re-concat, a table per observation stage) against the current fast
+    path (draw-only synthesis loops assembled once per column; each kind
+    table observed in turn through the dense precomputed matrix, its
+    pair index resolved once per day and shared by the vantage points,
+    peers resolved only for exported rows). The observed exports must be
+    bit-identical; timings append to ``benchmarks/BENCH_flowplane.json``
+    (a JSON list, oldest first) with the matrix build time recorded
+    separately, plus each leg's ``tracemalloc`` peak from one untimed
+    pass (recorded, not gated). The >= 2x speedup assertion only
+    applies with >= 2 CPU cores; below that the run records a warning
+    field instead of failing, since a loaded or throttled single-core
+    machine times both paths too noisily.
     """
     day = 45
     reps = 3
@@ -381,6 +396,15 @@ def test_perf_flowplane_fastpath(scenario):
         }
         fast_s = min(fast_s, time.perf_counter() - start)
 
+    def fast_pass():
+        traffic = scenario.day_traffic(day)
+        return {name: scenario.observe_day(name, traffic) for name in scenario.vantage_points}
+
+    legacy_peak_mb = _traced_peak_mb(
+        lambda: _legacy_observe_all(scenario, _legacy_day_traffic(scenario, day))
+    )
+    fast_peak_mb = _traced_peak_mb(fast_pass)
+
     from repro.flows.records import SCHEMA
 
     for name in observed:
@@ -400,6 +424,8 @@ def test_perf_flowplane_fastpath(scenario):
         "legacy_s": round(legacy_s, 4),
         "fastpath_s": round(fast_s, 4),
         "matrix_build_s": round(matrix_build_s, 4),
+        "legacy_peak_mb": round(legacy_peak_mb, 1),
+        "fastpath_peak_mb": round(fast_peak_mb, 1),
         "speedup": round(speedup, 3),
         "bit_identical": True,
     }
@@ -414,7 +440,8 @@ def test_perf_flowplane_fastpath(scenario):
     out.write_text(json.dumps(history, indent=2) + "\n")
     print(
         f"\nflow plane day {day}: legacy {legacy_s:.2f}s, fast {fast_s:.2f}s "
-        f"(+{matrix_build_s:.2f}s one-time matrix build), speedup {speedup:.2f}x"
+        f"(+{matrix_build_s:.2f}s one-time matrix build), speedup {speedup:.2f}x; "
+        f"traced peak legacy {legacy_peak_mb:.1f} MiB, fast {fast_peak_mb:.1f} MiB"
     )
     if cores >= 2:
         assert speedup >= 2.0, payload

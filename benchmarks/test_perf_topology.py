@@ -133,14 +133,19 @@ def test_perf_scaling_curve():
         routes_s = time.perf_counter() - start
 
         # Blocked visibility: resolve 200k random pairs through the IXP
-        # view and a tier-1 ingress view — touches every column block.
+        # view and a tier-1 ingress view — touches every column block —
+        # and, as an observation does, the peers of the visible ones.
         matrix = VisibilityMatrix(topo, dense_max_asns=0)
         tier1 = topo.asns[0]
         src = rng.integers(0, len(topo.asns), 200_000)
         dst = rng.integers(0, len(topo.asns), 200_000)
         start = time.perf_counter()
-        matrix.lookup_ixp(src, dst)
-        matrix.lookup_isp(tier1, True, src, dst)
+        cells = [matrix.pair_index(matrix.asns[src], matrix.asns[dst])]
+        for (visible,), peers in (
+            matrix.ixp_verdicts(cells),
+            matrix.isp_verdicts(tier1, True, cells),
+        ):
+            peers([np.flatnonzero(visible)])
         observe_s = time.perf_counter() - start
 
         total_s = build_s + plane_s + routes_s + observe_s

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.booter.attack import (
     AttackEvent,
     EventDraws,
@@ -33,17 +35,21 @@ from repro.vantage.ixp import IXPVantagePoint
 from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.observatory import IXPObservatory
 
-__all__ = ["DayTraffic", "Scenario"]
+__all__ = ["KINDS", "DayTraffic", "Scenario"]
+
+
+#: The kinds of a day's ground-truth flows, in the order of their tables.
+KINDS = ("attack", "trigger", "scan", "benign")
 
 
 @dataclass
 class DayTraffic:
     """Ground-truth traffic of one scenario day, by kind.
 
-    The combined-table accessors memoize their concat (the three vantage
-    points observe the same day table, so re-concatenating per vantage
-    tripled the copy work). Tables are immutable by convention, so the
-    cached result stays valid for the life of the object.
+    Observation reads the kind tables one by one and never concatenates
+    them. Each kind's visibility-matrix pair index is memoized here
+    (:meth:`kind_index`), so every vantage point observing the day shares
+    one resolution per kind.
     """
 
     day: int
@@ -54,37 +60,23 @@ class DayTraffic:
     benign: FlowTable
 
     def all_flows(self) -> FlowTable:
-        cached = self.__dict__.get("_all_flows")
-        if cached is None:
-            cached = FlowTable.concat([self.attack, self.trigger, self.scan, self.benign])
-            self._all_flows = cached
-        return cached
+        """Every kind's flows in one table, in :data:`KINDS` order."""
+        return FlowTable.concat([getattr(self, kind) for kind in KINDS])
 
-    def to_reflectors(self) -> FlowTable:
-        """Traffic towards reflector ports (triggers + scans + benign queries)."""
-        cached = self.__dict__.get("_to_reflectors")
-        if cached is None:
-            cached = FlowTable.concat([self.trigger, self.scan, self.benign])
-            self._to_reflectors = cached
-        return cached
+    def kind_index(self, kind: str, matrix: VisibilityMatrix) -> np.ndarray:
+        """Memoized :meth:`VisibilityMatrix.pair_index` of one kind's table.
 
-    def pair_index(self, matrix: VisibilityMatrix) -> tuple:
-        """Memoized visibility-matrix indices for :meth:`all_flows`.
-
-        The (src, dst) ASN -> matrix-index resolution is identical for
-        every vantage point observing this day, so it is computed once
-        per (traffic, matrix) pair and shared.
+        Resolved once per kind for the matrix's current generation and
+        shared by every vantage point observing this day.
         """
-        cached = self.__dict__.get("_pair_index")
-        if (
-            cached is None
-            or cached[0] is not matrix
-            or cached[1] != matrix.generation
-        ):
-            table = self.all_flows()
-            index = matrix.pair_index(table["src_asn"], table["dst_asn"])
-            self._pair_index = cached = (matrix, matrix.generation, index)
-        return cached[2]
+        cached = self.__dict__.get("_kind_index")
+        if cached is None or cached[0] is not matrix or cached[1] != matrix.generation:
+            self._kind_index = cached = (matrix, matrix.generation, {})
+        index = cached[2].get(kind)
+        if index is None:
+            table = getattr(self, kind)
+            index = cached[2][kind] = matrix.pair_index(table["src_asn"], table["dst_asn"])
+        return index
 
 
 class Scenario:
@@ -295,28 +287,25 @@ class Scenario:
         self,
         vantage: str,
         traffic: DayTraffic,
-        kinds: tuple[str, ...] = ("attack", "trigger", "scan", "benign"),
+        kinds: tuple[str, ...] = KINDS,
     ) -> FlowTable:
-        """What ``vantage`` ('ixp' | 'tier1' | 'tier2') exports for the day."""
+        """What ``vantage`` ('ixp' | 'tier1' | 'tier2') exports of the
+        day's ``kinds``: distinct names from :data:`KINDS`, in the order
+        their flows appear in the export."""
+        kinds = tuple(kinds)
+        if len(set(kinds)) != len(kinds) or not set(kinds) <= set(KINDS):
+            raise ValueError(
+                f"kinds must be distinct names among {', '.join(KINDS)}; got {kinds}"
+            )
         vp = self.vantage_point(vantage)
         registry = metrics()
         with registry.span(
             "scenario.observe_day", trace_args={"day": traffic.day, "vantage": vantage}
         ):
-            # Fused fast path for the standard full-day observation: the
-            # memoized day table and its matrix pair indices are shared by
-            # all three vantage points instead of re-concatenating and
-            # re-resolving per vantage.
-            default_kinds = kinds == ("attack", "trigger", "scan", "benign")
-            if default_kinds:
-                table = traffic.all_flows()
-            else:
-                table = FlowTable.concat([getattr(traffic, kind) for kind in kinds])
-            pair_index = None
-            if default_kinds and len(table):
-                pair_index = traffic.pair_index(self.visibility)
+            tables = [getattr(traffic, kind) for kind in kinds]
+            indices = [traffic.kind_index(kind, self.visibility) for kind in kinds]
             rng = self.seeds.child("observe", vantage, traffic.day).rng()
-            observed = vp.observe(table, rng, pair_index=pair_index)
+            observed = vp.observe(tables, rng, indices=indices)
         if registry.enabled:
             registry.inc("scenario.days_observed")
             registry.inc("scenario.flows_observed", len(observed))

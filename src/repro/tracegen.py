@@ -22,6 +22,7 @@ from repro.flows.records import FlowTable
 from repro.logutil import LOG_LEVELS, configure_cli_logging
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
+from repro.scenario.scenario import KINDS
 
 __all__ = ["main", "generate_trace"]
 
@@ -51,7 +52,7 @@ def generate_trace(
     day_range: tuple[int, int],
     seed: int = 2018,
     scale: float = 0.1,
-    kinds: tuple[str, ...] = ("attack", "trigger", "scan", "benign"),
+    kinds: tuple[str, ...] = KINDS,
     config: ScenarioConfig | None = None,
 ) -> FlowTable:
     """Generate the observed trace of ``vantage`` over ``day_range``.
@@ -92,8 +93,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--kinds",
         nargs="+",
-        choices=("attack", "trigger", "scan", "benign"),
-        default=("attack", "trigger", "scan", "benign"),
+        choices=KINDS,
+        default=KINDS,
     )
     parser.add_argument(
         "--config",

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.flows.records import SCHEMA, FlowTable
 from repro.flows.sampling import PacketSampler
 from repro.netmodel.addressing import PrefixAnonymizer
+from repro.vantage.matrix import PeerLookup
 
 __all__ = ["CaptureWindow", "VantagePoint"]
 
@@ -18,6 +20,18 @@ SECONDS_PER_DAY = 86_400.0
 #: Columns :meth:`VantagePoint.observe` copies from the input unchanged;
 #: the counters come from the sampler and ``peer_asn`` from the verdicts.
 _GATHERED = tuple(name for name in SCHEMA if name not in ("packets", "bytes", "peer_asn"))
+
+
+def _gather(tables: list[FlowTable], rows: list[np.ndarray], name: str) -> np.ndarray:
+    """Column ``name`` at ``rows[k]`` of each ``tables[k]``, concatenated in order."""
+    out = np.empty(sum(r.size for r in rows), dtype=SCHEMA[name])
+    pos = 0
+    for table, r in zip(tables, rows):
+        # Rows come from the table's own masks, so "clip" never clips; it
+        # lets take write straight into ``out`` without a bounds buffer.
+        np.take(table[name], r, out=out[pos : pos + r.size], mode="clip")
+        pos += r.size
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,39 +95,57 @@ class VantagePoint(ABC):
 
     @abstractmethod
     def visibility_filter(
-        self, table: FlowTable, pair_index=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Visibility verdicts for ``table``'s flows: ``(mask, peers)``.
+        self, tables: Sequence[FlowTable], indices: Sequence[np.ndarray] | None = None
+    ) -> tuple[list[np.ndarray], PeerLookup]:
+        """Visibility verdicts for the flows of ``tables``: ``(masks, peers)``.
 
-        ``mask`` marks the flows this vantage point's export would
-        contain; ``peers`` holds each flow's handover neighbor AS (the
-        export's ``peer_asn``, -1 unknown). ``pair_index`` optionally
-        carries precomputed visibility-matrix indices for ``table``'s ASN
-        columns (shared across vantage points).
+        ``masks[k]`` marks the flows of ``tables[k]`` this vantage point's
+        export would contain; ``peers(rows)`` resolves the handover
+        neighbor AS (the export's ``peer_asn``, -1 unknown) of just the
+        flows at ``rows[k]`` of each table, concatenated in order.
+        ``indices`` optionally carries each table's precomputed
+        visibility-matrix pair index (shared across vantage points).
         """
 
     def observe(
-        self, table: FlowTable, rng: np.random.Generator, pair_index=None
+        self,
+        tables: Sequence[FlowTable],
+        rng: np.random.Generator,
+        indices: Sequence[np.ndarray] | None = None,
     ) -> FlowTable:
         """Full observation pipeline: visibility, clip, sample, anonymize.
 
-        The exported rows are resolved first (visible, inside the capture
-        window, keeping a sampled packet); each exported column is then
-        gathered from ``table`` once.
+        Exports what the row-wise concatenation of ``tables`` would
+        export, without building it: each table's visible rows are
+        clipped to the capture window, one sampler draw covers the
+        selected rows of every table in order, and each exported column
+        (``peer_asn`` included) is gathered only for the surviving rows.
+        A lone table is a one-element sequence; ``indices`` is as in
+        :meth:`visibility_filter`.
         """
-        if len(table) == 0:
-            return table
-        visible, peers = self.visibility_filter(table, pair_index=pair_index)
-        rows = np.flatnonzero(visible)
-        rows = rows[self.window.contains_times(table["time"][rows])]
-        packets = table["packets"][rows]
-        nbytes = table["bytes"][rows]
-        if self.sampler.rate_denominator != 1 and rows.size:
+        if isinstance(tables, FlowTable):
+            raise TypeError("observe takes a sequence of tables; pass a lone table as [table]")
+        tables = list(tables)
+        if indices is not None:
+            indices = list(indices)
+            if len(indices) != len(tables) or any(
+                index.shape != (len(table),) for index, table in zip(indices, tables)
+            ):
+                raise ValueError("pair indices do not match the tables")
+        masks, peers = self.visibility_filter(tables, indices)
+        rows = []
+        for table, mask in zip(tables, masks):
+            visible = np.flatnonzero(mask)
+            rows.append(visible[self.window.contains_times(table["time"][visible])])
+        packets = _gather(tables, rows, "packets")
+        nbytes = _gather(tables, rows, "bytes")
+        if self.sampler.rate_denominator != 1 and packets.size:
             survivors, packets, nbytes = self.sampler.thin(packets, nbytes, rng)
-            rows = rows[survivors]
-        columns = {name: table[name][rows] for name in _GATHERED}
-        columns.update(packets=packets, bytes=nbytes, peer_asn=peers[rows])
-        if self.anonymizer is not None and rows.size:
+            bounds = np.cumsum([r.size for r in rows])[:-1]
+            rows = [r[kept] for r, kept in zip(rows, np.split(survivors, bounds))]
+        columns = {name: _gather(tables, rows, name) for name in _GATHERED}
+        columns.update(packets=packets, bytes=nbytes, peer_asn=peers(rows))
+        if self.anonymizer is not None and packets.size:
             columns["src_ip"] = self.anonymizer.anonymize_array(columns["src_ip"])
             columns["dst_ip"] = self.anonymizer.anonymize_array(columns["dst_ip"])
         return FlowTable(columns)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.flows.records import FlowTable
 from repro.flows.sampling import PacketSampler
 from repro.netmodel.addressing import PrefixAnonymizer
 from repro.vantage.base import CaptureWindow, VantagePoint
-from repro.vantage.matrix import VisibilityMatrix
+from repro.vantage.matrix import PeerLookup, VisibilityMatrix
 
 __all__ = ["IXPVantagePoint"]
 
@@ -40,8 +42,8 @@ class IXPVantagePoint(VantagePoint):
         self.visibility = visibility
 
     def visibility_filter(
-        self, table: FlowTable, pair_index=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.visibility.ixp_mask(
-            table["src_asn"], table["dst_asn"], pair_index=pair_index
-        )
+        self, tables: Sequence[FlowTable], indices: Sequence[np.ndarray] | None = None
+    ) -> tuple[list[np.ndarray], PeerLookup]:
+        if indices is None:
+            indices = [self.visibility.pair_index(t["src_asn"], t["dst_asn"]) for t in tables]
+        return self.visibility.ixp_verdicts(indices)

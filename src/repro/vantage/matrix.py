@@ -4,17 +4,20 @@
 an observer sees the flow and which neighbor AS hands it over. Verdicts
 are pure functions of the topology's valley-free routing and are
 materialized for whole pair sets, so a day's flow table resolves with
-fancy indexing instead of a Python loop over pairs. Two storage modes,
-picked by registry size:
+fancy indexing instead of a Python loop over pairs. A flow's pair is one
+flat *cell* of the verdict tables (:meth:`VisibilityMatrix.pair_index`);
+ASNs outside the registry share one extra index whose row and column are
+invisible with peer ``-1``. Two storage modes, picked by registry size:
 
-* **dense** — full ``(n_asn x n_asn)`` ``visible``/``peer_asn`` tables per
-  observation view, resolved by fancy indexing. Used up to
-  ``dense_max_asns`` ASes (every default-scale world): ``bool + int32``
-  per view means ~5 bytes * n^2, ~0.5 GB per view at 10k ASes.
+* **dense** — full ``(n_asn + 1) x (n_asn + 1)`` ``visible``/``peer_asn``
+  tables per observation view, so a verdict is one flat ``take`` per
+  cell array. Used up to ``dense_max_asns`` ASes (every default-scale
+  world): ``bool + int32`` per view means ~5 bytes * n^2, ~0.5 GB per
+  view at 10k ASes.
 * **blocked** — tables are built per destination-column *block* on demand
   (``block_columns`` columns at a time), stored ``bool``/int32 in a
-  byte-budget LRU. Lookups group query pairs by block, so a day's flow
-  table touches only the destination columns it actually contains.
+  byte-budget LRU. Lookups group query cells by block, so a day's flows
+  touch only the destination columns they actually contain.
   ``matrix.blocks_built`` / ``matrix.evictions`` counters and the
   ``matrix.resident_bytes`` gauge expose the cache behavior.
 
@@ -29,15 +32,35 @@ bit-identical to a per-pair path-walk oracle over all pairs.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.netmodel.topology import ASTopology
 from repro.obs import metrics
 
-__all__ = ["VisibilityMatrix"]
+__all__ = ["PeerLookup", "VisibilityMatrix"]
 
 _IXP_VIEW = ("ixp",)
+
+#: ``peers(rows)``: the handover neighbor ASNs (``-1`` unknown) of the
+#: flows at ``rows[k]`` of each verdict array ``k``, concatenated in order
+#: and widened to int64 for those rows only.
+PeerLookup = Callable[[Sequence[np.ndarray]], np.ndarray]
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """``parts`` widened to one int64 array."""
+    out = np.empty(sum(p.size for p in parts), dtype=np.int64)
+    pos = 0
+    for part in parts:
+        out[pos : pos + part.size] = part
+        pos += part.size
+    return out
+
+
+def _no_peers(rows: Sequence[np.ndarray]) -> np.ndarray:
+    return np.full(sum(r.size for r in rows), -1, dtype=np.int64)
 
 
 class VisibilityMatrix:
@@ -75,7 +98,7 @@ class VisibilityMatrix:
         self._lut = self._build_lut(self._asns)
         self._ixp: tuple[np.ndarray, np.ndarray] | None = None
         self._isp: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # Blocked store: (view key, block id) -> (visT (C, n), peerT (C, n)).
+        # Blocked store: (view key, block id) -> (visT (C, n + 1), peerT (C, n + 1)).
         self._blocks: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._resident_bytes = 0
         self.blocks_built = 0
@@ -83,9 +106,11 @@ class VisibilityMatrix:
 
     @staticmethod
     def _build_lut(asns: np.ndarray) -> np.ndarray | None:
+        """ASN value -> table index, ``n`` (the unknown index) for every
+        other value up to one past the largest ASN."""
         if asns.size == 0 or int(asns[-1]) > VisibilityMatrix._LUT_MAX_ASN:
             return None
-        lut = np.full(int(asns[-1]) + 1, -1, dtype=np.int32)
+        lut = np.full(int(asns[-1]) + 2, asns.size, dtype=np.int32)
         lut[asns] = np.arange(asns.size, dtype=np.int32)
         return lut
 
@@ -125,28 +150,39 @@ class VisibilityMatrix:
         """Bytes currently held by the blocked-mode LRU."""
         return self._resident_bytes
 
-    def index_of(self, asn_values: np.ndarray) -> np.ndarray:
-        """Map ASN values to table indices (``-1`` for out-of-registry ASNs)."""
+    def _index(self, asn_values: np.ndarray) -> np.ndarray:
+        """Table index of each ASN value; ``n`` outside the registry."""
         asns = self.asns
         values = np.asarray(asn_values, dtype=np.int64)
         if self._lut is not None:
-            # Direct gather: one clip + one take beats a binary search per
-            # value on the multi-100k-row day tables.
-            in_range = (values >= 0) & (values < self._lut.size)
-            idx = self._lut[np.where(in_range, values, 0)].astype(np.int64)
-            idx[~in_range] = -1
-            return idx
+            # Negative values wrap to huge unsigned ones, so one clip sends
+            # every value outside the LUT to its trailing unknown entry.
+            clipped = np.minimum(values.view(np.uint64), self._lut.size - 1)
+            return self._lut.take(clipped.view(np.int64))
         idx = np.searchsorted(asns, values)
         idx[idx == asns.size] = 0
-        return np.where(asns[idx] == values, idx, -1)
+        return np.where(asns[idx] == values, idx, asns.size)
 
-    def pair_index(self, src_asns: np.ndarray, dst_asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(src indices, dst indices) for aligned ASN arrays, ``-1`` = unknown."""
+    def index_of(self, asn_values: np.ndarray) -> np.ndarray:
+        """Map ASN values to table indices (``-1`` for out-of-registry ASNs)."""
+        idx = self._index(asn_values).astype(np.int64)
+        idx[idx == self._asns.size] = -1
+        return idx
+
+    def pair_index(self, src_asns: np.ndarray, dst_asns: np.ndarray) -> np.ndarray:
+        """Flat verdict cells ``src * (n + 1) + dst`` of aligned ASN arrays.
+
+        ``n`` is the registry size; an ASN outside the registry takes
+        index ``n``, whose table row and column are invisible with peer
+        ``-1``. Cells are int64, which ``take`` indexes without a cast.
+        """
         src_asns = np.asarray(src_asns)
         dst_asns = np.asarray(dst_asns)
         if src_asns.shape != dst_asns.shape:
             raise ValueError("src and dst ASN arrays must align")
-        return self.index_of(src_asns), self.index_of(dst_asns)
+        cells = np.multiply(self._index(src_asns), self._asns.size + 1, dtype=np.int64)
+        cells += self._index(dst_asns)
+        return cells
 
     def knows_observer(self, observer_asn: int) -> bool:
         """Whether ISP views for this observer can be resolved here."""
@@ -255,33 +291,37 @@ class VisibilityMatrix:
 
     # -- dense tables ---------------------------------------------------------
 
+    def _dense(self, view: tuple) -> tuple[np.ndarray, np.ndarray]:
+        n = self._asns.size
+        visT, peerT = self._build_columns(view, np.arange(n, dtype=np.int64))
+        visible = np.zeros((n + 1, n + 1), dtype=bool)
+        peer = np.full((n + 1, n + 1), -1, dtype=np.int32)
+        visible[:n, :n] = visT.T
+        peer[:n, :n] = peerT.T
+        return visible, peer
+
     def ixp_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense IXP verdicts: ``(visible[src, dst], peer_asn[src, dst])``."""
+        """Dense IXP verdicts: ``(visible[src, dst], peer_asn[src, dst])``.
+
+        Both tables are ``(n + 1) x (n + 1)``: the last row and column
+        belong to the unknown index, invisible with peer ``-1``.
+        """
         self._refresh()
         if self._ixp is None:
-            visT, peerT = self._build_columns(
-                _IXP_VIEW, np.arange(self._asns.size, dtype=np.int64)
-            )
-            self._ixp = (
-                np.ascontiguousarray(visT.T),
-                np.ascontiguousarray(peerT.T),
-            )
+            self._ixp = self._dense(_IXP_VIEW)
         return self._ixp
 
     def isp_tables(self, observer_asn: int, ingress_only: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ISP verdicts for one ``(observer, ingress_only)`` view."""
+        """Dense ISP verdicts for one ``(observer, ingress_only)`` view,
+        laid out as :meth:`ixp_tables`."""
         self._refresh()
         key = (int(observer_asn), bool(ingress_only))
         cached = self._isp.get(key)
-        if cached is not None:
-            return cached
-        visT, peerT = self._build_columns(
-            ("isp", *key), np.arange(self._asns.size, dtype=np.int64)
-        )
-        self._isp[key] = (np.ascontiguousarray(visT.T), np.ascontiguousarray(peerT.T))
-        return self._isp[key]
+        if cached is None:
+            cached = self._isp[key] = self._dense(("isp", *key))
+        return cached
 
-    # -- blocked lookups ------------------------------------------------------
+    # -- blocked tables -------------------------------------------------------
 
     def _block(self, view: tuple, block_id: int) -> tuple[np.ndarray, np.ndarray]:
         key = (view, block_id)
@@ -291,10 +331,18 @@ class VisibilityMatrix:
             return cached
         n = self._asns.size
         lo = block_id * self.block_columns
-        cols = np.arange(lo, min(lo + self.block_columns, n), dtype=np.int64)
-        block = self._build_columns(view, cols)
+        # Column n, the unknown index, closes the last block (or opens
+        # one of its own); like row n it stays invisible with peer -1.
+        hi = min(lo + self.block_columns, n + 1)
+        visT = np.zeros((hi - lo, n + 1), dtype=bool)
+        peerT = np.full((hi - lo, n + 1), -1, dtype=np.int32)
+        real = min(hi, n) - lo
+        if real > 0:
+            cols = np.arange(lo, lo + real, dtype=np.int64)
+            visT[:real, :n], peerT[:real, :n] = self._build_columns(view, cols)
+        block = (visT, peerT)
         self._blocks[key] = block
-        self._resident_bytes += block[0].nbytes + block[1].nbytes
+        self._resident_bytes += visT.nbytes + peerT.nbytes
         self.blocks_built += 1
         evicted = 0
         while self._resident_bytes > self.budget_bytes and len(self._blocks) > 1:
@@ -310,110 +358,83 @@ class VisibilityMatrix:
             registry.gauge("matrix.resident_bytes", self._resident_bytes)
         return block
 
-    def _lookup(
-        self, view: tuple, src_idx: np.ndarray, dst_idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Verdicts for pair index arrays (all indices must be >= 0)."""
-        self._refresh()
-        if not self.blocked:
-            if view[0] == "ixp":
-                visible, peer = self.ixp_tables()
-            else:
-                visible, peer = self.isp_tables(view[1], view[2])
-            return visible[src_idx, dst_idx], peer[src_idx, dst_idx].astype(np.int64)
-        if view[0] != "ixp" and not self.knows_observer(view[1]):
-            raise KeyError(f"observer ASN {view[1]} not in registry")
-        vis_out = np.zeros(src_idx.shape, dtype=bool)
-        peer_out = np.full(src_idx.shape, -1, dtype=np.int64)
-        block_ids = dst_idx // self.block_columns
-        order = np.argsort(block_ids, kind="stable")
-        sorted_ids = block_ids[order]
-        uniq, starts = np.unique(sorted_ids, return_index=True)
-        stops = np.append(starts[1:], sorted_ids.size)
-        for bid, a, b in zip(uniq.tolist(), starts.tolist(), stops.tolist()):
-            sel = order[a:b]
-            visT, peerT = self._block(view, int(bid))
-            local = dst_idx[sel] - int(bid) * self.block_columns
-            vis_out[sel] = visT[local, src_idx[sel]]
-            peer_out[sel] = peerT[local, src_idx[sel]]
-        return vis_out, peer_out
+    def _blocked_verdicts(
+        self, view: tuple, cells: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Block-grouped verdicts of each cell array: ``(masks, peers)``.
 
-    def lookup_ixp(
-        self, src_idx: np.ndarray, dst_idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """IXP verdicts for pair index arrays (``(visible, peer_asn)``)."""
-        return self._lookup(_IXP_VIEW, src_idx, dst_idx)
-
-    def lookup_isp(
-        self,
-        observer_asn: int,
-        ingress_only: bool,
-        src_idx: np.ndarray,
-        dst_idx: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """ISP-view verdicts for pair index arrays (``(visible, peer_asn)``)."""
-        return self._lookup(
-            ("isp", int(observer_asn), bool(ingress_only)), src_idx, dst_idx
-        )
-
-    # -- flow-table masks -----------------------------------------------------
-
-    def ixp_mask(
-        self,
-        src_asns: np.ndarray,
-        dst_asns: np.ndarray,
-        pair_index: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """IXP verdicts for aligned ASN arrays -> (visible mask, peer ASN array).
-
-        ``pair_index`` optionally carries precomputed indices for the same
-        ASN arrays (from :meth:`pair_index`), so repeated observations of
-        one day table share the resolution work.
+        Each block is visited once for all the arrays, and the visit also
+        reads the peers of the visible cells (``-1`` elsewhere): the LRU
+        need not hold a view's every block, so a separate peer pass over
+        the exported cells would rebuild the blocks this pass evicted.
         """
-        return self._mask(_IXP_VIEW, src_asns, dst_asns, pair_index)
+        m = self._asns.size + 1
+        groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+        pairs, masks, peers = [], [], []
+        for k, c in enumerate(cells):
+            src, dst = np.divmod(c, m)
+            block_ids = dst // self.block_columns
+            order = np.argsort(block_ids, kind="stable")
+            sorted_ids = block_ids[order]
+            uniq, starts = np.unique(sorted_ids, return_index=True)
+            stops = np.append(starts[1:], sorted_ids.size)
+            for bid, a, b in zip(uniq.tolist(), starts.tolist(), stops.tolist()):
+                groups.setdefault(bid, []).append((k, order[a:b]))
+            pairs.append((src, dst))
+            masks.append(np.empty(c.shape, dtype=bool))
+            peers.append(np.full(c.shape, -1, dtype=np.int32))
+        for bid in sorted(groups):
+            visT, peerT = self._block(view, bid)
+            lo = bid * self.block_columns
+            for k, sel in groups[bid]:
+                src, dst = pairs[k][0][sel], pairs[k][1][sel] - lo
+                seen = visT[dst, src]
+                masks[k][sel] = seen
+                peers[k][sel[seen]] = peerT[dst[seen], src[seen]]
+        return masks, peers
 
-    def isp_mask(
-        self,
-        observer_asn: int,
-        src_asns: np.ndarray,
-        dst_asns: np.ndarray,
-        ingress_only: bool,
-        pair_index: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """ISP-view verdicts for aligned ASN arrays -> (visible mask, peer ASN array)."""
-        view = ("isp", int(observer_asn), bool(ingress_only))
-        return self._mask(view, src_asns, dst_asns, pair_index)
+    # -- verdicts -------------------------------------------------------------
 
-    def _mask(
-        self,
-        view: tuple,
-        src_asns: np.ndarray,
-        dst_asns: np.ndarray,
-        pair_index: tuple[np.ndarray, np.ndarray] | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve pairs inside the topology; every other pair is invisible."""
-        src_asns = np.asarray(src_asns, dtype=np.int64)
-        dst_asns = np.asarray(dst_asns, dtype=np.int64)
-        if src_asns.shape != dst_asns.shape:
-            raise ValueError("src and dst ASN arrays must align")
-        if pair_index is None:
-            src_idx, dst_idx = self.pair_index(src_asns, dst_asns)
+    def ixp_verdicts(
+        self, cells: Sequence[np.ndarray]
+    ) -> tuple[list[np.ndarray], PeerLookup]:
+        """IXP verdicts for arrays of flat pair cells (:meth:`pair_index`).
+
+        Returns ``(visible, peers)``: one visibility mask per cell array,
+        and the lookup that resolves handover peers for chosen rows only.
+        """
+        return self._verdicts(_IXP_VIEW, list(cells))
+
+    def isp_verdicts(
+        self, observer_asn: int, ingress_only: bool, cells: Sequence[np.ndarray]
+    ) -> tuple[list[np.ndarray], PeerLookup]:
+        """ISP-view verdicts, as :meth:`ixp_verdicts`. An observer outside
+        the topology sees nothing."""
+        cells = list(cells)
+        if not self.knows_observer(observer_asn):
+            return [np.zeros(c.shape, dtype=bool) for c in cells], _no_peers
+        return self._verdicts(("isp", int(observer_asn), bool(ingress_only)), cells)
+
+    def _verdicts(
+        self, view: tuple, cells: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], PeerLookup]:
+        if self.blocked:
+            masks, peer_parts = self._blocked_verdicts(view, cells)
+
+            def blocked_peers(rows: Sequence[np.ndarray]) -> np.ndarray:
+                return _concat([p[r] for p, r in zip(peer_parts, rows)])
+
+            return masks, blocked_peers
+        if view[0] == "ixp":
+            visible, peer = self.ixp_tables()
         else:
-            src_idx, dst_idx = pair_index
-            if src_idx.shape != src_asns.shape or dst_idx.shape != dst_asns.shape:
-                raise ValueError("pair_index does not match the ASN arrays")
-        if view[0] != "ixp" and not self.knows_observer(view[1]):
-            # An ISP observer outside the topology sees nothing.
-            known = np.zeros(src_asns.shape, dtype=bool)
-        else:
-            known = (src_idx >= 0) & (dst_idx >= 0)
-            if known.all():
-                return self._lookup(view, src_idx, dst_idx)
-        vis = np.zeros(src_asns.shape, dtype=bool)
-        peers = np.full(src_asns.shape, -1, dtype=np.int64)
-        if known.any():
-            vis[known], peers[known] = self._lookup(view, src_idx[known], dst_idx[known])
-        return vis, peers
+            visible, peer = self.isp_tables(view[1], view[2])
+        visible, peer = visible.ravel(), peer.ravel()
+
+        def dense_peers(rows: Sequence[np.ndarray]) -> np.ndarray:
+            return _concat([peer.take(c.take(r)) for c, r in zip(cells, rows)])
+
+        return [visible.take(c) for c in cells], dense_peers
 
     def warm(self, isp_views: tuple[tuple[int, bool], ...] = ()) -> None:
         """Pre-build what lookups will need (worker-pool initializer hook).

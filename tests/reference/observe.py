@@ -1,11 +1,13 @@
 """Reference observation: the table-per-stage pipeline ``VantagePoint.observe`` replaced.
 
-Every stage builds a whole :class:`~repro.flows.records.FlowTable`: the
-visible flows with ``peer_asn`` set, then the capture-window clip, then
-1-in-N packet sampling with thinned counters, then address
-anonymization. Production resolves the exported rows first and gathers
-each column once; the parity suite asserts that both exports, and the
-generator state they leave behind, are bit-identical.
+Every stage builds a whole :class:`~repro.flows.records.FlowTable` over
+one (concatenated) input table: the visible flows with ``peer_asn`` set
+on every row, then the capture-window clip, then 1-in-N packet sampling
+with thinned counters, then address anonymization. Production reads a
+day's kind tables one by one, resolves the exported rows first and
+gathers each column, ``peer_asn`` included, once; the parity suites
+assert that both exports, and the generator state they leave behind, are
+bit-identical.
 
 Verdicts come from the vantage point's own ``visibility_filter`` hook, so
 a reference verdict engine swapped into ``vp.visibility`` (as the
@@ -29,8 +31,9 @@ def visible_flows(vp: VantagePoint, table: FlowTable, pair_index=None) -> FlowTa
     """The flows ``vp`` sees, with ``peer_asn`` set to the handover neighbor."""
     if len(table) == 0:
         return table
-    mask, peers = vp.visibility_filter(table, pair_index=pair_index)
-    return table.with_columns(peer_asn=peers).filter(mask)
+    indices = None if pair_index is None else [pair_index]
+    (mask,), peers = vp.visibility_filter([table], indices)
+    return table.with_columns(peer_asn=peers([np.arange(len(table))])).filter(mask)
 
 
 def clip_table(window: CaptureWindow, table: FlowTable) -> FlowTable:

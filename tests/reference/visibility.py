@@ -39,9 +39,11 @@ class Visibility:
 class VisibilityOracle:
     """Memoized per-pair verdicts for one topology.
 
-    ``ixp_mask`` / ``isp_mask`` mirror the :class:`~repro.vantage.matrix.VisibilityMatrix`
-    signatures (``pair_index`` is accepted and ignored), so an oracle can
-    stand in for the matrix inside a vantage point.
+    ``ixp_mask`` / ``isp_mask`` give the verdicts of aligned ASN arrays.
+    ``pair_index`` / ``ixp_verdicts`` / ``isp_verdicts`` mirror the
+    :class:`~repro.vantage.matrix.VisibilityMatrix` signatures (an
+    oracle's pair index is the ASN pair arrays themselves), so an oracle
+    can stand in for the matrix inside a vantage point.
     """
 
     def __init__(self, topology: ASTopology) -> None:
@@ -121,12 +123,12 @@ class VisibilityOracle:
 
     # -- vectorized helpers ---------------------------------------------------
 
-    def ixp_mask(self, src_asns, dst_asns, pair_index=None) -> tuple[np.ndarray, np.ndarray]:
+    def ixp_mask(self, src_asns, dst_asns) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`at_ixp` -> (visible mask, peer ASN array)."""
         return self._mask(src_asns, dst_asns, self.at_ixp)
 
     def isp_mask(
-        self, observer_asn, src_asns, dst_asns, ingress_only, pair_index=None
+        self, observer_asn, src_asns, dst_asns, ingress_only
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`at_isp` -> (visible mask, peer ASN array)."""
 
@@ -155,3 +157,26 @@ class VisibilityOracle:
             vis[i] = verdict.visible
             peers[i] = verdict.peer_asn
         return vis[inverse], peers[inverse]
+
+    # -- matrix stand-in ------------------------------------------------------
+
+    def pair_index(self, src_asns, dst_asns) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(src_asns), np.asarray(dst_asns)
+
+    def ixp_verdicts(self, indices):
+        return self._verdicts([self.ixp_mask(src, dst) for src, dst in indices])
+
+    def isp_verdicts(self, observer_asn, ingress_only, indices):
+        return self._verdicts(
+            [self.isp_mask(observer_asn, src, dst, ingress_only) for src, dst in indices]
+        )
+
+    @staticmethod
+    def _verdicts(results):
+        """``(masks, peers)`` as the matrix returns them, from full-row verdicts."""
+
+        def peers(rows) -> np.ndarray:
+            picked = [peer[r] for (_, peer), r in zip(results, rows)]
+            return np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
+
+        return [mask for mask, _ in results], peers

@@ -1,15 +1,19 @@
 """Parity of the column-gathering observation and hourly pass with their references.
 
-``VantagePoint.observe`` resolves the exported rows first and gathers
-each column once; ``attacks_per_hour`` counts every hour in one grouped
-pass; ``TrafficSelector.packets`` sums one column under a mask. Their
-references (:mod:`tests.reference.observe`, :mod:`tests.reference.victims`
-and ``FlowTable.select``) build a table per stage, per hour, or per
-selector. Every check here is bit-identical: same rows, same bytes in
-every column, and the same generator state afterwards.
+``VantagePoint.observe`` reads a sequence of tables (a day's kinds) one
+by one, resolves the exported rows first and gathers each column once;
+``attacks_per_hour`` counts every hour in one grouped pass;
+``TrafficSelector.packets`` sums one column under a mask. Their
+references (:mod:`tests.reference.observe` over the concatenated table,
+:mod:`tests.reference.victims` and ``FlowTable.select``) build a table
+per stage, per hour, or per selector. Every check here is bit-identical:
+same rows, same bytes in every column, and the same generator state
+afterwards.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -24,7 +28,10 @@ from repro.flows.sampling import PacketSampler
 from repro.netmodel.addressing import PrefixAnonymizer
 from repro.netmodel.asn import ASRole
 from repro.netmodel.topology import TopologyConfig, build_topology
+from repro.obs import MetricsRegistry, use_metrics
 from repro.protocols.amplification import UDP
+from repro.scenario import Scenario, ScenarioConfig
+from repro.scenario.scenario import KINDS
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.base import CaptureWindow
 from repro.vantage.isp import ISPVantagePoint
@@ -32,6 +39,7 @@ from repro.vantage.ixp import IXPVantagePoint
 from repro.vantage.matrix import VisibilityMatrix
 from tests.reference import observe as reference_observe
 from tests.reference import victims as reference_victims
+from tests.verdicts import isp_verdicts, ixp_verdicts
 
 DAY = 86_400.0
 HOUR = 3600.0
@@ -63,7 +71,7 @@ def _isp_views() -> dict[str, tuple[int, bool]]:
     srcs, dsts = (a.ravel() for a in np.meshgrid(_REGISTRY.asns, _REGISTRY.asns))
     tier1 = max(
         (a.asn for a in _REGISTRY.by_role(ASRole.TIER1)),
-        key=lambda asn: int(_MATRIX.isp_mask(asn, srcs, dsts, True)[0].sum()),
+        key=lambda asn: int(isp_verdicts(_MATRIX, asn, srcs, dsts, True)[0].sum()),
     )
     return {
         "tier1": (tier1, True),
@@ -78,10 +86,10 @@ _ISP_VIEWS = _isp_views()
 def _visible_pairs(kind: str) -> list[tuple[int, int]]:
     srcs, dsts = (a.ravel() for a in np.meshgrid(_REGISTRY.asns, _REGISTRY.asns))
     if kind == "ixp":
-        mask, _ = _MATRIX.ixp_mask(srcs, dsts)
+        mask, _ = ixp_verdicts(_MATRIX, srcs, dsts)
     else:
         observer, ingress_only = _ISP_VIEWS[kind]
-        mask, _ = _MATRIX.isp_mask(observer, srcs, dsts, ingress_only)
+        mask, _ = isp_verdicts(_MATRIX, observer, srcs, dsts, ingress_only)
     return [(int(s), int(d)) for s, d in zip(srcs[mask], dsts[mask])]
 
 
@@ -150,13 +158,25 @@ def assert_identical(got: FlowTable, want: FlowTable) -> None:
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-def assert_observe_parity(vp, table: FlowTable, seed: int, shared_index: bool) -> None:
-    pair_index = None
-    if shared_index and len(table):
-        pair_index = _MATRIX.pair_index(table["src_asn"], table["dst_asn"])
+def _split(table: FlowTable, cuts) -> list[FlowTable]:
+    """``table``'s rows as consecutive tables, cut at the sorted ``cuts``."""
+    bounds = [0, *sorted(min(c, len(table)) for c in cuts), len(table)]
+    rows = np.arange(len(table))
+    return [table.filter((rows >= a) & (rows < b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def assert_observe_parity(
+    vp, table: FlowTable, seed: int, shared_index: bool, cuts=()
+) -> None:
+    """``vp.observe`` over ``table`` cut into parts equals the reference
+    over the whole table."""
+    parts = _split(table, cuts)
+    indices = None
+    if shared_index:
+        indices = [_MATRIX.pair_index(t["src_asn"], t["dst_asn"]) for t in parts]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = vp.observe(table, rng, pair_index=pair_index)
-    want = reference_observe.observe(vp, table, ref_rng, pair_index=pair_index)
+    got = vp.observe(parts, rng, indices=indices)
+    want = reference_observe.observe(vp, table, ref_rng)
     assert_identical(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -170,10 +190,13 @@ class TestObserveParity:
         anonymize=st.booleans(),
         shared_index=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(0, 40), max_size=4),
     )
-    def test_matches_reference_pipeline(self, rows, kind, rate, anonymize, shared_index, seed):
+    def test_matches_reference_pipeline(
+        self, rows, kind, rate, anonymize, shared_index, seed, cuts
+    ):
         vp = _vantage(kind, rate, anonymize)
-        assert_observe_parity(vp, _table(rows), seed, shared_index)
+        assert_observe_parity(vp, _table(rows), seed, shared_index, cuts)
 
     def _rows(self, n, pair=_IXP_PAIR, time=1.5 * DAY, packets=30):
         return [(pair, time, packets, 486, i % 3, i, 1000 + i, 123, 40000) for i in range(n)]
@@ -202,7 +225,7 @@ class TestObserveParity:
     def test_sampling_rate_one_keeps_zero_packet_flows(self):
         table = _table(self._rows(6, packets=0))
         vp = _vantage("ixp", 1, True)
-        assert len(vp.observe(table, np.random.default_rng(4))) == 6
+        assert len(vp.observe([table], np.random.default_rng(4))) == 6
         assert_observe_parity(vp, table, 4, True)
 
     @pytest.mark.parametrize("ingress_only", [True, False])
@@ -211,8 +234,58 @@ class TestObserveParity:
             OUTSIDER_ASN, _MATRIX, _WINDOW, ingress_only=ingress_only, sampling_denominator=3
         )
         table = _table([row for pair in _VISIBLE_PAIRS[:12] for row in self._rows(1, pair=pair)])
-        assert len(vp.observe(table, np.random.default_rng(5))) == 0
+        assert len(vp.observe([table], np.random.default_rng(5))) == 0
         assert_observe_parity(vp, table, 5, True)
+
+
+class TestObserveDayParity:
+    """``Scenario.observe_day`` over real days, kind by kind, equals the
+    reference pipeline over the concatenation of the same kind tables."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _world(blocked: bool) -> Scenario:
+        scenario = Scenario(
+            ScenarioConfig(
+                seed=41, scale=0.05, topology=TopologyConfig(n_tier1=3, n_tier2=8, n_stub=30)
+            )
+        )
+        if blocked:
+            scenario.visibility.dense_max_asns = 0
+            scenario.visibility.block_columns = 7
+        return scenario
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _traffic(blocked: bool, day: int):
+        return TestObserveDayParity._world(blocked).day_traffic(day)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink],
+    )
+    @given(
+        # Both sides of the IXP window's start and of the tier-1 window.
+        day=st.sampled_from([26, 27, 72, 73, 90, 91]),
+        vantage=st.sampled_from(["ixp", "tier1", "tier2"]),
+        kinds=st.permutations(KINDS).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))
+        ),
+        blocked=st.booleans(),
+    )
+    def test_matches_reference_over_concatenated_kinds(self, day, vantage, kinds, blocked):
+        scenario = self._world(blocked)
+        assert scenario.visibility.blocked is blocked
+        traffic = self._traffic(blocked, day)
+        with use_metrics(MetricsRegistry()) as registry:
+            got = scenario.observe_day(vantage, traffic, kinds=kinds)
+        table = FlowTable.concat([getattr(traffic, kind) for kind in kinds])
+        ref_rng = scenario.seeds.child("observe", vantage, day).rng()
+        want = reference_observe.observe(scenario.vantage_point(vantage), table, ref_rng)
+        assert_identical(got, want)
+        assert registry.counter("scenario.flows_observed") == len(got)
 
 
 class TestStageParity:

@@ -149,11 +149,6 @@ class TestDayTraffic:
         without_td = scenario.day_traffic(after_day, with_takedown=False)
         assert without_td.scan.total_packets > with_td.scan.total_packets
 
-    def test_to_reflectors_excludes_attack(self, scenario):
-        d = scenario.day_traffic(30)
-        refl = d.to_reflectors()
-        assert len(refl) == len(d.trigger) + len(d.scan) + len(d.benign)
-
 
 class TestObserveDay:
     def test_windows_respected(self, scenario):
@@ -172,6 +167,16 @@ class TestObserveDay:
         attack_only = scenario.observe_day("tier2", d, kinds=("attack",))
         everything = scenario.observe_day("tier2", d)
         assert 0 < len(attack_only) < len(everything)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("attack", "attack"), ("scan", "benign", "scan"), ("events",), ("bogus",), ("attack", "flows")],
+    )
+    def test_repeated_or_unknown_kinds_rejected(self, scenario, kinds):
+        """A kind is exported at most once, and only the four flow kinds exist."""
+        d = scenario.day_traffic(30)
+        with pytest.raises(ValueError, match="attack, trigger, scan, benign"):
+            scenario.observe_day("tier2", d, kinds=kinds)
 
     def test_observation_deterministic(self, scenario):
         d = scenario.day_traffic(30)

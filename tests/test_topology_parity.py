@@ -18,6 +18,7 @@ from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
 from tests.reference.routes import RouteRows, _routes_to_legacy, customer_cone
 from tests.reference.visibility import VisibilityOracle
+from tests.verdicts import isp_verdicts, ixp_verdicts
 
 slow_settings = settings(
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -150,7 +151,8 @@ class TestMatrixModeParity:
     def test_blocked_matches_dense_and_oracle_all_views(
         self, config, seed, block_columns
     ):
-        """All pairs, all observer views, dense == blocked == oracle."""
+        """All pairs plus out-of-registry ones, all observer views,
+        dense == blocked == oracle."""
         _, topo = _world(config, seed)
         asns = np.asarray(sorted(topo.asns))
         n = asns.size
@@ -160,7 +162,9 @@ class TestMatrixModeParity:
         oracle = VisibilityOracle(topo)
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         si, di = ii.ravel(), jj.ravel()
-        src, dst = asns[si], asns[di]
+        unknown = np.array([-1, 999_999, int(asns[0]), -1, int(asns[-1])])
+        src = np.concatenate([asns[si], unknown])
+        dst = np.concatenate([asns[di], unknown[::-1]])
 
         views = [("ixp", None, None)]
         tier1 = int(asns[0])
@@ -173,12 +177,12 @@ class TestMatrixModeParity:
             views.append(("isp", member, False))
         for kind, obs, ingress in views:
             if kind == "ixp":
-                dv, dp = dense.lookup_ixp(si, di)
-                bv, bp = blocked.lookup_ixp(si, di)
+                dv, dp = ixp_verdicts(dense, src, dst)
+                bv, bp = ixp_verdicts(blocked, src, dst)
                 ov, op = oracle.ixp_mask(src, dst)
             else:
-                dv, dp = dense.lookup_isp(obs, ingress, si, di)
-                bv, bp = blocked.lookup_isp(obs, ingress, si, di)
+                dv, dp = isp_verdicts(dense, obs, src, dst, ingress)
+                bv, bp = isp_verdicts(blocked, obs, src, dst, ingress)
                 ov, op = oracle.isp_mask(obs, src, dst, ingress)
             view = f"{kind}/{obs}/{ingress}"
             np.testing.assert_array_equal(dv, bv, err_msg=view)
@@ -194,17 +198,20 @@ class TestMatrixModeParity:
         tiny = VisibilityMatrix(
             topo, dense_max_asns=0, block_columns=1, budget_bytes=2 * n * 5 + 1
         )
+        asns = np.asarray(sorted(topo.asns))
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        si, di = ii.ravel(), jj.ravel()
+        src, dst = asns[ii.ravel()], asns[jj.ravel()]
+        cells = tiny.pair_index(src, dst)
         with use_metrics(MetricsRegistry()) as registry:
-            tv, tp = tiny.lookup_ixp(si, di)
-        np.testing.assert_array_equal(tv, dense.lookup_ixp(si, di)[0])
-        np.testing.assert_array_equal(tp, dense.lookup_ixp(si, di)[1])
+            (tv,), peers = tiny.ixp_verdicts([cells])
         assert tiny.blocks_built == n
         assert tiny.evictions >= n - 3
         assert tiny.resident_bytes <= tiny.budget_bytes
         assert registry.counter("matrix.blocks_built") == n
         assert registry.counter("matrix.evictions") == tiny.evictions
+        dv, dp = ixp_verdicts(dense, src, dst)
+        np.testing.assert_array_equal(tv, dv)
+        np.testing.assert_array_equal(peers([np.arange(cells.size)]), dp)
 
     def test_blocked_mode_day_observation_matches_dense(self):
         """A full observation day resolves identically in both modes."""
@@ -234,7 +241,11 @@ class TestMatrixModeParity:
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 31)
         blocked = VisibilityMatrix(topo, dense_max_asns=0)
         with pytest.raises(KeyError):
-            blocked.lookup_isp(999_999, False, np.zeros(1, np.int64), np.zeros(1, np.int64))
+            blocked.isp_tables(999_999, False)
+        asns = sorted(topo.asns)
+        visible, peers = isp_verdicts(blocked, 999_999, asns, asns[::-1], False)
+        assert not visible.any() and (peers == -1).all()
+        assert blocked.blocks_built == 0
         assert not blocked.knows_observer(999_999)
         assert blocked.knows_observer(sorted(topo.asns)[0])
 
@@ -274,8 +285,8 @@ class TestIndexOfFallbacks:
         src = np.array([asns[0], -1, 999_999, asns[2], asns[1]], dtype=np.int64)
         dst = np.array([asns[3], asns[1], asns[0], -1, 999_999], dtype=np.int64)
         for got, want in (
-            (matrix.ixp_mask(src, dst), oracle.ixp_mask(src, dst)),
-            (matrix.isp_mask(asns[0], src, dst, True), oracle.isp_mask(asns[0], src, dst, True)),
+            (ixp_verdicts(matrix, src, dst), oracle.ixp_mask(src, dst)),
+            (isp_verdicts(matrix, asns[0], src, dst, True), oracle.isp_mask(asns[0], src, dst, True)),
         ):
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])

@@ -56,6 +56,16 @@ class TestCli:
         table = read_flows_csv(out)
         assert len(table) > 0
 
+    def test_repeated_kind_errors(self, tmp_path, capsys):
+        """Regression: a repeated kind exported every visible flow of it twice."""
+        out = tmp_path / "x.bin"
+        argv = ["--vantage", "tier2", "--days", "45", "46", "--kinds", "attack", "attack"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "attack, trigger, scan, benign" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError):
+            generate_trace("tier2", (45, 46), kinds=("attack", "attack"))
+
     def test_bad_range_errors(self, tmp_path, capsys):
         out = tmp_path / "x.bin"
         assert main(["--days", "40", "40", "--out", str(out)]) == 2

@@ -17,6 +17,7 @@ from repro.vantage.ixp import IXPVantagePoint
 from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.observatory import IXPObservatory
 from tests.reference.visibility import VisibilityOracle
+from tests.verdicts import isp_verdicts, ixp_verdicts
 
 
 @pytest.fixture
@@ -60,15 +61,15 @@ def flows_for_pairs(pairs, packets=100):
 
 
 def at_ixp(topo, src, dst):
-    """(visible, peer ASN) of one pair through ``VisibilityMatrix.ixp_mask``."""
-    mask, peers = VisibilityMatrix(topo).ixp_mask(np.array([src]), np.array([dst]))
+    """(visible, peer ASN) of one pair through ``VisibilityMatrix.ixp_verdicts``."""
+    mask, peers = ixp_verdicts(VisibilityMatrix(topo), np.array([src]), np.array([dst]))
     return bool(mask[0]), int(peers[0])
 
 
 def at_isp(topo, observer, src, dst, ingress_only):
-    """(visible, peer ASN) of one pair through ``VisibilityMatrix.isp_mask``."""
-    mask, peers = VisibilityMatrix(topo).isp_mask(
-        observer, np.array([src]), np.array([dst]), ingress_only
+    """(visible, peer ASN) of one pair through ``VisibilityMatrix.isp_verdicts``."""
+    mask, peers = isp_verdicts(
+        VisibilityMatrix(topo), observer, np.array([src]), np.array([dst]), ingress_only
     )
     return bool(mask[0]), int(peers[0])
 
@@ -124,15 +125,15 @@ class TestFlowVisibility:
         # both sides; the last row is a visible control.
         srcs = np.array([-1, 21, 999_999, -1, 21])
         dsts = np.array([12, 999_999, 12, -1, 12])
-        mask, peers = matrix.ixp_mask(srcs, dsts)
+        mask, peers = ixp_verdicts(matrix, srcs, dsts)
         np.testing.assert_array_equal(mask, [False, False, False, False, True])
         np.testing.assert_array_equal(peers, [-1, -1, -1, -1, 11])
         for ingress_only in (True, False):
-            mask, peers = matrix.isp_mask(1, srcs, dsts, ingress_only)
+            mask, peers = isp_verdicts(matrix, 1, srcs, dsts, ingress_only)
             np.testing.assert_array_equal(mask[:4], False)
             np.testing.assert_array_equal(peers[:4], -1)
         assert at_isp(topo, 1, -1, 31, ingress_only=False) == (False, -1)
-        mask, peers = matrix.isp_mask(999_999, np.array([31, 21]), np.array([21, 31]), False)
+        mask, peers = isp_verdicts(matrix, 999_999, np.array([31, 21]), np.array([21, 31]), False)
         assert not mask.any() and (peers == -1).all()
 
     def test_vectorized_matches_scalar(self, small_topo):
@@ -140,7 +141,7 @@ class TestFlowVisibility:
         oracle = VisibilityOracle(topo)
         srcs = np.array([21, 21, 1, -1])
         dsts = np.array([12, 31, 2, 12])
-        mask, peers = VisibilityMatrix(topo).ixp_mask(srcs, dsts)
+        mask, peers = ixp_verdicts(VisibilityMatrix(topo), srcs, dsts)
         expected = [oracle.at_ixp(s, d) for s, d in zip(srcs, dsts)]
         np.testing.assert_array_equal(mask, [e.visible for e in expected])
         np.testing.assert_array_equal(peers, [e.peer_asn for e in expected])
@@ -148,7 +149,7 @@ class TestFlowVisibility:
     def test_mask_shape_mismatch(self, small_topo):
         _, topo = small_topo
         with pytest.raises(ValueError):
-            VisibilityMatrix(topo).ixp_mask(np.array([1]), np.array([1, 2]))
+            VisibilityMatrix(topo).pair_index(np.array([1]), np.array([1, 2]))
 
 
 class TestCaptureWindow:
@@ -179,7 +180,7 @@ class TestVantagePoints:
             anonymizer=PrefixAnonymizer("k"),
         )
         t = flows_for_pairs([(21, 12), (21, 31), (11, 12)])
-        out = vp.observe(t, np.random.default_rng(0))
+        out = vp.observe([t], np.random.default_rng(0))
         assert len(out) == 2  # (21,12) via peer 11 and (11,12) direct
         assert set(out["peer_asn"].tolist()) == {11}
         # Anonymized addresses differ from originals.
@@ -189,7 +190,7 @@ class TestVantagePoints:
         _, topo = small_topo
         vp = IXPVantagePoint(VisibilityMatrix(topo), CaptureWindow(0, 10), sampling_denominator=10_000)
         t = flows_for_pairs([(21, 12)] * 20, packets=2)
-        out = vp.observe(t, np.random.default_rng(0))
+        out = vp.observe([t], np.random.default_rng(0))
         assert len(out) < 3
 
     def test_tier1_excludes_customer_sourced(self, small_topo):
@@ -198,7 +199,7 @@ class TestVantagePoints:
             1, VisibilityMatrix(topo), CaptureWindow(0, 10), ingress_only=True, sampling_denominator=1
         )
         t = flows_for_pairs([(11, 31), (31, 12)])
-        out = vp.observe(t, np.random.default_rng(0))
+        out = vp.observe([t], np.random.default_rng(0))
         # (11,31): sourced in AS1's cone -> excluded. (31,12): 31-2-1-11?
         # path 31->12 = 31-2-12 doesn't cross AS1. So depends on topology;
         # assert only that customer-sourced flow is gone.
@@ -210,7 +211,7 @@ class TestVantagePoints:
             11, VisibilityMatrix(topo), CaptureWindow(0, 10), ingress_only=False, sampling_denominator=1
         )
         t = flows_for_pairs([(21, 12), (12, 21), (11, 12)])
-        out = vp.observe(t, np.random.default_rng(0))
+        out = vp.observe([t], np.random.default_rng(0))
         assert len(out) == 3
 
     def test_isp_validation(self, small_topo):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.flows.records import FlowTable
 from repro.netmodel.topology import TopologyConfig, build_topology
 from repro.scenario import Scenario, ScenarioConfig
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
 from tests.reference.visibility import VisibilityOracle
+from tests.verdicts import isp_verdicts, ixp_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +65,8 @@ class TestOracleParity:
 
 
 class TestMaskFallback:
-    """Mask methods agree with the oracle when ASNs fall outside the registry:
-    such pairs are invisible with peer -1."""
+    """Verdicts agree with the oracle's masks when ASNs fall outside the
+    registry: such pairs are invisible with peer -1."""
 
     def _pairs_with_unknowns(self, topo):
         asns = sorted(topo.asns)
@@ -77,7 +79,7 @@ class TestMaskFallback:
         matrix = VisibilityMatrix(topo)
         oracle = VisibilityOracle(topo)
         src, dst = self._pairs_with_unknowns(topo)
-        vis_m, peer_m = matrix.ixp_mask(src, dst)
+        vis_m, peer_m = ixp_verdicts(matrix, src, dst)
         vis_o, peer_o = oracle.ixp_mask(src, dst)
         np.testing.assert_array_equal(vis_m, vis_o)
         np.testing.assert_array_equal(peer_m, peer_o)
@@ -89,7 +91,7 @@ class TestMaskFallback:
         oracle = VisibilityOracle(topo)
         observer = tiny_world.tier1.asn
         src, dst = self._pairs_with_unknowns(topo)
-        vis_m, peer_m = matrix.isp_mask(observer, src, dst, ingress_only)
+        vis_m, peer_m = isp_verdicts(matrix, observer, src, dst, ingress_only)
         vis_o, peer_o = oracle.isp_mask(observer, src, dst, ingress_only)
         np.testing.assert_array_equal(vis_m, vis_o)
         np.testing.assert_array_equal(peer_m, peer_o)
@@ -99,7 +101,7 @@ class TestMaskFallback:
         matrix = VisibilityMatrix(topo)
         oracle = VisibilityOracle(topo)
         src, dst = self._pairs_with_unknowns(topo)
-        vis_m, peer_m = matrix.isp_mask(424242, src, dst, False)
+        vis_m, peer_m = isp_verdicts(matrix, 424242, src, dst, False)
         vis_o, peer_o = oracle.isp_mask(424242, src, dst, False)
         np.testing.assert_array_equal(vis_m, vis_o)
         np.testing.assert_array_equal(peer_m, peer_o)
@@ -120,14 +122,27 @@ class TestIndexing:
             matrix.pair_index(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))
 
     def test_stale_pair_index_rejected(self, tiny_world):
-        topo = tiny_world.topology
-        matrix = VisibilityMatrix(topo)
-        asns = matrix.asns
-        src = np.full(5, asns[0], dtype=np.int64)
-        dst = np.full(5, asns[1], dtype=np.int64)
-        bad = matrix.pair_index(src[:3], dst[:3])
-        with pytest.raises(ValueError, match="pair_index"):
-            matrix.ixp_mask(src, dst, pair_index=bad)
+        asns = tiny_world.visibility.asns
+        table = FlowTable(
+            {
+                "time": np.full(5, 30 * 86_400.0),
+                "src_ip": np.arange(5, dtype=np.uint32),
+                "dst_ip": np.arange(5, dtype=np.uint32),
+                "proto": np.full(5, 17, dtype=np.uint8),
+                "src_port": np.full(5, 123, dtype=np.uint16),
+                "dst_port": np.full(5, 40000, dtype=np.uint16),
+                "packets": np.full(5, 10, dtype=np.int64),
+                "bytes": np.full(5, 4860, dtype=np.int64),
+                "src_asn": np.full(5, asns[0], dtype=np.int64),
+                "dst_asn": np.full(5, asns[1], dtype=np.int64),
+            }
+        )
+        bad = tiny_world.visibility.pair_index(table["src_asn"][:3], table["dst_asn"][:3])
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="pair indices"):
+            tiny_world.ixp.observe([table], rng, indices=[bad])
+        with pytest.raises(ValueError, match="pair indices"):
+            tiny_world.ixp.observe([table, table], rng, indices=[bad])
 
 
 class TestInvalidation:
