@@ -19,7 +19,7 @@ import pytest
 
 from benchmarks.ablation_common import tiny_scenario_config
 from repro.booter.attack import synthesize_attack_flows
-from repro.core.classify import ConservativeClassifier
+from repro.core.classify import ConservativeClassifier, OptimisticClassifier
 from repro.flows.sampling import PacketSampler
 from repro.flows.timeseries import per_destination_stats
 
@@ -72,10 +72,13 @@ def test_perf_per_destination_stats(benchmark, day_traffic):
 
 def test_perf_conservative_classification(benchmark, scenario, day_traffic):
     observed = scenario.observe_day("ixp", day_traffic)
-    clf = ConservativeClassifier()
-    stats = benchmark(
-        lambda: clf.classify_flows(observed, sampling_factor=10_000.0)
-    )
+    optimistic, conservative = OptimisticClassifier(), ConservativeClassifier()
+
+    def classify():
+        stats = per_destination_stats(optimistic.amplification_flows(observed))
+        return conservative.classify(stats, sampling_factor=10_000.0)
+
+    stats = benchmark(classify)
     assert len(stats) >= 0
 
 

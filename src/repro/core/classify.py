@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flows.records import FlowTable
-from repro.flows.timeseries import DestinationStats, SourcePeaks, per_destination_stats
+from repro.flows.timeseries import DestinationStats, SourcePeaks
 from repro.protocols.amplification import UDP
 
 __all__ = ["ClassifierThresholds", "OptimisticClassifier", "ConservativeClassifier"]
@@ -126,16 +126,3 @@ class ConservativeClassifier:
             "rule_b_only": 1.0 - rule_b.sum() / n,
             "both": 1.0 - (rule_a & rule_b).sum() / n,
         }
-
-    def classify_flows(
-        self,
-        table: FlowTable,
-        bin_seconds: float = 60.0,
-        sampling_factor: float = 1.0,
-    ) -> DestinationStats:
-        """Full pipeline: optimistic flow filter -> per-destination stats
-        -> conservative destination filter."""
-        optimistic = OptimisticClassifier(self.thresholds)
-        amplified = optimistic.amplification_flows(table)
-        stats = per_destination_stats(amplified, bin_seconds=bin_seconds)
-        return self.classify(stats, sampling_factor)

@@ -9,34 +9,38 @@ which order, or in which process. This module exploits that with one
 engine, :func:`day_reductions`:
 
 * a caller names, per vantage point, the :class:`Reduction` values it
-  wants for each day — the observed table itself (:data:`OBSERVED`),
-  per-selector packet counts (:func:`port_counts`), hourly conservative
-  attack counts (:func:`hourly_attacks`), or, at vantage ``None``, the
-  ground-truth attack table (:data:`ATTACK_TABLE`);
+  wants for each day — per-selector packet counts (:func:`port_counts`),
+  hourly conservative attack counts (:func:`hourly_attacks`), the rows
+  of the observed table an analysis reads (a row filter), or, at
+  vantage ``None``, a value of the day's ground truth;
 * each day missing from the cache becomes **one** task that synthesizes
   the ground truth once, observes it once per vantage still needed and
-  applies every requested reduction, so consumers of the same days
-  (fig4 and fig5) share one synthesis instead of one each;
+  applies every requested reduction;
 * tasks run inline (``jobs=1``, or a single task) or on the
   **persistent warm process pool** owned by :mod:`repro.core.workerpool`
   (spawned once per (jobs, config) and reused across call sites, with
   automatic day batching), so ``jobs=1`` and ``jobs=N`` are
   **bit-identical**.
 
-:func:`observed_days`, :func:`daily_port_counts` and
-:func:`day_attack_tables` are thin wrappers that name their reduction;
-:func:`streaming_ingest` feeds observed tables through a mergeable
-analyzer.
+:func:`prefetch` joins several :data:`Ask` values (what one
+:func:`day_reductions` call takes) per day and computes what the cache
+misses with one task per distinct day. The runner prefetches the asks
+its experiments declare (:data:`repro.experiments.registry.ASKS`), so a
+day several of them read is synthesized once per run.
+
+:func:`daily_port_counts` serves
+:func:`repro.core.pipeline.collect_daily_port_series`. The other
+wrappers, :func:`observed_days`, :func:`streaming_ingest` and
+:func:`day_attack_tables` (whole tables, :data:`OBSERVED` and
+:data:`ATTACK_TABLE`), have no caller in the experiments or the serving
+plane: they stay because ``benchmarks/e2e/layers.py`` wraps them by name.
 
 :class:`DayResultCache` is a process-wide LRU. Every flow-derived value
 lives under one key family, ``("day", config content hash, takedown,
 vantage, day, reduction key)``; only ground-truth event lists
-(:func:`day_events`) keep their own. A call caches only the
-values it asked for, so experiments sharing days (fig2b/fig2c/landscape,
-fig5 after fig4, victimization after honeypot) reuse each other's work
-without the cache holding whole tables nobody reads. The serving plane
-(:mod:`repro.serve.service`) is a client too: it asks for small
-per-day reductions at one vantage point, never for tables.
+(:func:`day_events`) keep their own. A call caches only the values it
+asked for. The serving plane (:mod:`repro.serve.service`) is a client
+too: it asks for small per-day reductions at one vantage point.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from repro.scenario.scenario import DayTraffic, Scenario
 
 __all__ = [
     "ATTACK_TABLE",
+    "Ask",
     "DaySpec",
     "DayResultCache",
     "OBSERVED",
@@ -76,6 +81,7 @@ __all__ = [
     "day_cache",
     "resolve_jobs",
     "day_reductions",
+    "prefetch",
     "port_counts",
     "hourly_attacks",
     "daily_port_counts",
@@ -558,22 +564,30 @@ def _key(
 
 # -- the day-reduction engine ---------------------------------------------------
 
+#: Days, and per vantage point (``None`` = ground truth) the reductions wanted.
+Ask = tuple[Iterable[int], Mapping[str | None, Sequence[Reduction]]]
+
 
 def _reduce_days(
     scenario: Scenario,
-    days: Iterable[int],
-    requests: Mapping[str | None, Sequence[Reduction]],
+    asks: Sequence[Ask],
     jobs: int,
     cache: bool,
-) -> dict[tuple[str | None, Reduction], list[Any]]:
-    """The engine behind :func:`day_reductions` and its wrappers.
+) -> list[dict[tuple[str | None, Reduction], list[Any]]]:
+    """The engine: ``asks`` joined per day, one task per day with a miss.
 
-    Per day: every requested (vantage, reduction) is looked up; a
-    vantage with misses is reduced from its cached observed table when
-    there is one; a day that still needs some vantage becomes one task.
+    Returns, per ask, what :func:`day_reductions` returns for it.
     """
-    days = [int(d) for d in days]
-    requests = {vantage: tuple(reductions) for vantage, reductions in requests.items() if reductions}
+    asks = [
+        ([int(d) for d in days], list(dict.fromkeys((v, r) for v, rs in requests.items() for r in rs)))
+        for days, requests in asks
+    ]
+    # Each day's (vantage, reduction) pairs; a day of one ask shares its list.
+    joined: dict[int, list[tuple[str | None, Reduction]]] = {}
+    for days, pairs in asks:
+        for day in days:
+            have = joined.get(day)
+            joined[day] = pairs if have is None else list(dict.fromkeys(have + pairs))
     config_hash, takedown = _context(scenario)
     registry = metrics()
 
@@ -581,46 +595,31 @@ def _reduce_days(
         return _key("day", config_hash, takedown, vantage, day, reduction.key)
 
     found: dict[tuple[str | None, Reduction], dict[int, Any]] = {
-        (vantage, reduction): {} for vantage, reductions in requests.items() for reduction in reductions
+        pair: {} for _, pairs in asks for pair in pairs
     }
     todo: list[tuple[int, _Need]] = []
-    n_values = sum(len(reductions) for reductions in requests.values())
-    for day in dict.fromkeys(days):
-        need = []
-        truth = None
-        satisfied = []
-        looked_up = iter(
-            _DAY_CACHE.get_many([key(v, day, r) for v, rs in requests.items() for r in rs])
-            if cache
-            else [None] * n_values
+    for day, pairs in joined.items():
+        entries = (
+            _DAY_CACHE.get_many([key(v, day, r) for v, r in pairs]) if cache else [None] * len(pairs)
         )
-        for vantage, reductions in requests.items():
-            entries = {r: next(looked_up) for r in reductions}
-            missing = tuple(r for r in reductions if entries[r] is None)
-            if missing and cache and vantage is not None and OBSERVED not in reductions:
-                table = _DAY_CACHE.get(key(vantage, day, OBSERVED))
-                if table is not None:
-                    for r in missing:
-                        entries[r] = (r(day, table[0]), table[1])
-                        _DAY_CACHE.put(key(vantage, day, r), entries[r])
-                    missing = ()
-            for r, entry in entries.items():
-                if entry is not None:
-                    found[vantage, r][day] = entry[0]
-            if missing:
-                need.append((vantage, missing))
-                continue
-            deltas = entries[reductions[0]][1]
-            if deltas is not None:
-                truth = deltas["truth"]
-                satisfied.append(deltas["vantage"])
+        missing: dict[str | None, list[Reduction]] = {}
+        served: dict[str | None, dict[str, dict[str, float]] | None] = {}
+        for (vantage, r), entry in zip(pairs, entries):
+            if entry is None:
+                missing.setdefault(vantage, []).append(r)
+            else:
+                found[vantage, r][day] = entry[0]
+                served.setdefault(vantage, entry[1])
         # A day served from the cache counts like a computed one: each
         # vantage's observation once, and the ground truth once unless
         # the day is synthesized again below (which counts it live).
-        for part in satisfied:
-            _replay(part)
-        if need:
-            todo.append((day, tuple(need)))
+        truth = None
+        for vantage, deltas in served.items():
+            if vantage not in missing and deltas is not None:
+                truth = deltas["truth"]
+                _replay(deltas["vantage"])
+        if missing:
+            todo.append((day, tuple((v, tuple(rs)) for v, rs in missing.items())))
         else:
             _replay(truth)
 
@@ -629,8 +628,7 @@ def _reduce_days(
             for reduction, value in zip(reductions, values):
                 if cache:
                     _DAY_CACHE.put(key(vantage, day, reduction), (value, deltas))
-                if (vantage, reduction) in found:
-                    found[vantage, reduction][day] = value
+                found[vantage, reduction][day] = value
 
     if todo:
         registry.inc("parallel.days_dispatched", len(todo))
@@ -647,7 +645,7 @@ def _reduce_days(
             for day, need in todo:
                 store(day, need, _reduce_day(scenario, day, need))
             record_inline_pool(registry, len(todo), time.perf_counter() - start)
-    return {request: [values[day] for day in days] for request, values in found.items()}
+    return [{pair: list(map(found[pair].__getitem__, days)) for pair in pairs} for days, pairs in asks]
 
 
 def day_reductions(
@@ -665,17 +663,35 @@ def day_reductions(
     ``(vantage, reduction)``, one value per day in ``days`` order.
 
     With ``cache``, each value is cached per (reduction, day) and only
-    the requested values are kept. A (day, vantage) whose observed table
-    is already cached is reduced from that table in this process. Each
-    remaining day is one task — inline, or on the warm pool with
-    ``jobs > 1`` — that synthesizes the ground truth once and observes
-    it once per vantage still needed. Results and the ``scenario.*``
-    counters are the same for every ``jobs`` and cache state: per day,
-    the ground truth counts once and each requested vantage's
-    observation once.
+    the requested values are kept. Each day with a value missing is one
+    task — inline, or on the warm pool with ``jobs > 1`` — that
+    synthesizes the ground truth once and observes it once per vantage
+    still needed. Results and the ``scenario.*`` counters are the same
+    for every ``jobs`` and cache state: per day, the ground truth counts
+    once and each requested vantage's observation once.
     """
     with metrics().span("parallel.day_reductions"):
-        return _reduce_days(scenario, days, requests, jobs, cache)
+        return _reduce_days(scenario, [(days, requests)], jobs, cache)[0]
+
+
+def prefetch(scenario: Scenario, asks: Sequence[Ask], jobs: int = 1) -> None:
+    """Compute and cache every value of ``asks``, one task per distinct day.
+
+    The ``scenario.*`` counters it adds are restored afterwards: a later
+    :func:`day_reductions` read of an ask counts its days by replay, as
+    an uncached call would, so counter digests ignore the prefetch.
+    """
+    registry = metrics()
+    with registry.span("parallel.prefetch"):
+        before = _counters_snapshot(registry)
+        _reduce_days(scenario, asks, jobs, cache=True)
+        if before is not None:
+            counters = registry.counters
+            for name in [n for n in counters if n.startswith(_REPLAY_PREFIX)]:
+                if name in before:
+                    counters[name] = before[name]
+                else:
+                    del counters[name]
 
 
 # -- wrappers ---------------------------------------------------------------------
@@ -688,14 +704,9 @@ def observed_days(
     jobs: int = 1,
     cache: bool = False,
 ) -> list[FlowTable]:
-    """One observed flow table per day, in ``days`` order.
-
-    The :data:`OBSERVED` reduction of :func:`day_reductions`: cached days
-    are returned immediately, the rest fan out over the warm worker pool
-    or run inline, with the whole tables cached.
-    """
+    """The :data:`OBSERVED` table of each day, in ``days`` order."""
     with metrics().span("parallel.observed_days"):
-        return _reduce_days(scenario, days, {vantage: (OBSERVED,)}, jobs, cache)[vantage, OBSERVED]
+        return _reduce_days(scenario, [(days, {vantage: (OBSERVED,)})], jobs, cache)[0][vantage, OBSERVED]
 
 
 def daily_port_counts(
@@ -706,16 +717,11 @@ def daily_port_counts(
     jobs: int = 1,
     cache: bool = False,
 ) -> dict[int, dict[str, int]]:
-    """Per-day packet counts per selector, keyed by day.
-
-    The :func:`port_counts` reduction of :func:`day_reductions`: only the
-    counts are cached, and process workers ship back only the counts
-    (never flow tables).
-    """
+    """The :func:`port_counts` of each day, keyed by day."""
     with metrics().span("parallel.daily_port_counts"):
         days = [int(d) for d in days]
         reduction = port_counts(selectors)
-        counts = _reduce_days(scenario, days, {vantage: (reduction,)}, jobs, cache)[vantage, reduction]
+        counts = _reduce_days(scenario, [(days, {vantage: (reduction,)})], jobs, cache)[0][vantage, reduction]
         return dict(zip(days, counts))
 
 
@@ -741,7 +747,7 @@ def streaming_ingest(
         n_jobs = resolve_jobs(jobs)
         if not _use_pool(n_jobs, len(days)):
             for day in days:
-                observed = _reduce_days(scenario, [day], {vantage: (OBSERVED,)}, 1, cache)
+                observed = _reduce_days(scenario, [([day], {vantage: (OBSERVED,)})], 1, cache)[0]
                 analyzer.ingest_day(day, observed[vantage, OBSERVED][0])
             return analyzer
         if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
@@ -813,9 +819,6 @@ def day_attack_tables(
     jobs: int = 1,
     cache: bool = False,
 ) -> list[FlowTable]:
-    """Ground-truth attack flow tables per day, in ``days`` order.
-
-    The :data:`ATTACK_TABLE` reduction of :func:`day_reductions`.
-    """
+    """The :data:`ATTACK_TABLE` of each day, in ``days`` order."""
     with metrics().span("parallel.day_attack_tables"):
-        return _reduce_days(scenario, days, {None: (ATTACK_TABLE,)}, jobs, cache)[None, ATTACK_TABLE]
+        return _reduce_days(scenario, [(days, {None: (ATTACK_TABLE,)})], jobs, cache)[0][None, ATTACK_TABLE]

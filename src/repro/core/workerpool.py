@@ -1,10 +1,12 @@
 """The persistent warm worker pool that runs day tasks in parallel.
 
-:mod:`repro.core.parallel` used to build a fresh ``ProcessPoolExecutor``
-inside every ``observed_days`` / ``daily_port_counts`` /
-``streaming_ingest`` / ``day_attack_tables`` call, so each call paid
-pool spin-up, fork, and (under ``spawn``) scenario re-materialization
-again. This module owns the executor instead:
+:mod:`repro.core.parallel` hands its day tasks here: the engine
+(:func:`~repro.core.parallel.day_reductions`,
+:func:`~repro.core.parallel.prefetch` and the wrappers over them) and
+:func:`~repro.core.parallel.streaming_ingest`. A fresh
+``ProcessPoolExecutor`` per call would pay pool spin-up, fork, and
+(under ``spawn``) scenario re-materialization on every call, so this
+module owns one executor instead:
 
 * :class:`WorkerPool` spawns its worker processes **once** with an
   initializer that preloads the process's memoized world

@@ -6,11 +6,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.booter.market import MarketConfig
+from repro.core.parallel import Ask, day_reductions
 from repro.core.workerpool import scenario_for
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
 
-__all__ = ["ExperimentConfig", "ExperimentResult", "format_table", "build_scenario"]
+__all__ = ["ExperimentConfig", "ExperimentResult", "format_table", "build_scenario", "read_asks"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,14 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     custom takedown travels with each day task instead.
     """
     return scenario_for(config.scenario_config())
+
+
+def read_asks(scenario: Scenario, asks: list[Ask], config: ExperimentConfig) -> list[dict]:
+    """Each ask's values, one :func:`~repro.core.parallel.day_reductions` call per ask."""
+    return [
+        day_reductions(scenario, days, requests, jobs=config.jobs, cache=config.use_cache)
+        for days, requests in asks
+    ]
 
 
 def format_table(headers: list[str], rows: list[list[Any]]) -> str:

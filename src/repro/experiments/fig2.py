@@ -13,53 +13,74 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.classify import ClassifierThresholds, ConservativeClassifier, OptimisticClassifier
-from repro.core.parallel import OBSERVED, day_reductions, observed_days
-from repro.core.victims import victim_report
+from repro.core.parallel import Ask, Reduction
+from repro.core.victims import VictimReport
 from repro.experiments.base import (
     ExperimentConfig,
     ExperimentResult,
     build_scenario,
     format_table,
+    read_asks,
 )
 from repro.flows.records import FlowTable
 from repro.flows.timeseries import per_destination_stats
-from repro.scenario import Scenario
+from repro.scenario import Scenario, ScenarioConfig
 from repro.stats.ecdf import Ecdf, empirical_pdf
 
-__all__ = ["run_fig2a", "run_fig2b", "run_fig2c", "run_landscape"]
+__all__ = [
+    "run_fig2a", "run_fig2b", "run_fig2c", "run_landscape", "fig2a_asks", "window_asks", "landscape_asks"
+]
 
-#: Days of wild traffic analyzed per vantage point (each VP's own window).
-_VP_DAYS = {"ixp": (40, 54), "tier1": (73, 87), "tier2": (40, 54)}
+#: Days of wild traffic analyzed per vantage point (each VP's own window);
+#: the IXP and the tier-2 ISP share theirs.
+_SHARED_WINDOW = range(40, 54)
+_TIER1_WINDOW = range(73, 87)
+#: Sampling rate per vantage point, in report order.
 _VP_SAMPLING = {"ixp": 10_000.0, "tier1": 1_000.0, "tier2": 1_000.0}
 
 
-def _observed_window(scenario: Scenario, vantage: str, config: ExperimentConfig) -> FlowTable:
-    start, end = _VP_DAYS[vantage]
-    tables = observed_days(
-        scenario,
-        vantage,
-        range(start, end),
-        jobs=config.jobs,
-        cache=config.use_cache,
-    )
-    return FlowTable.concat(tables)
+def _ntp_rows(day: int, observed: FlowTable) -> FlowTable:
+    return observed.filter((observed["src_port"] == 123) | (observed["dst_port"] == 123))
+
+
+def _amplification_rows(day: int, observed: FlowTable) -> FlowTable:
+    return OptimisticClassifier().amplification_flows(observed)
+
+
+#: An observed day's NTP rows, both directions (Figure 2(a)).
+NTP_ROWS = Reduction(("ntp_rows",), _ntp_rows)
+
+#: An observed day's amplification rows (Figures 2(b)/(c), Section 4).
+#: The classifier keeps or drops each row on its own, so the rows of a
+#: window are the concatenated rows of its days.
+AMPLIFICATION_ROWS = Reduction(
+    ("amplification_rows", repr(ClassifierThresholds())), _amplification_rows
+)
+
+
+def fig2a_asks(config: ScenarioConfig) -> list[Ask]:
+    """Figure 2(a) reads the IXP's NTP rows of its window's first day."""
+    return [(_SHARED_WINDOW[:1], {"ixp": (NTP_ROWS,)})]
+
+
+def window_asks(config: ScenarioConfig) -> list[Ask]:
+    """Figures 2(b)/(c) read each vantage point's window of amplification rows."""
+    return [
+        (_SHARED_WINDOW, {"ixp": (AMPLIFICATION_ROWS,), "tier2": (AMPLIFICATION_ROWS,)}),
+        (_TIER1_WINDOW, {"tier1": (AMPLIFICATION_ROWS,)}),
+    ]
+
+
+def landscape_asks(config: ScenarioConfig) -> list[Ask]:
+    """Section 4 reads the IXP window's amplification rows."""
+    return [(_SHARED_WINDOW, {"ixp": (AMPLIFICATION_ROWS,)})]
 
 
 def run_fig2a(config: ExperimentConfig) -> ExperimentResult:
     """Regenerate Figure 2(a): NTP packet-size CDF/PDF at the IXP."""
     scenario = build_scenario(config)
-    day = _VP_DAYS["ixp"][0]
-    observed = observed_days(
-        scenario,
-        "ixp",
-        [day],
-        jobs=config.jobs,
-        cache=config.use_cache,
-    )[0]
-    # All NTP packets at the IXP, both directions.
-    ntp = observed.filter(
-        (observed["src_port"] == 123) | (observed["dst_port"] == 123)
-    )
+    (values,) = read_asks(scenario, fig2a_asks(scenario.config), config)
+    (ntp,) = values["ixp", NTP_ROWS]
     sizes = np.repeat(
         ntp.mean_packet_sizes(), np.minimum(ntp["packets"], 10_000).astype(np.int64)
     )
@@ -102,33 +123,14 @@ def _large_mode(sizes: np.ndarray) -> float:
     return float(values[np.argmax(counts)])
 
 
-def _per_vp_reports(scenario: Scenario, config: ExperimentConfig) -> dict[str, object]:
-    """One victim report per vantage point, one engine call per distinct window.
-
-    The IXP and the tier-2 ISP share days 40-53, so each of those days is
-    synthesized once and observed at both.
-    """
-    windows: dict[tuple[int, int], list[str]] = {}
-    for vantage, window in _VP_DAYS.items():
-        windows.setdefault(window, []).append(vantage)
+def _per_vp_reports(scenario: Scenario, config: ExperimentConfig) -> dict[str, VictimReport]:
+    """One victim report per vantage point, from its window's amplification rows."""
     reports = {}
-    for (start, end), vantages in windows.items():
-        tables = day_reductions(
-            scenario,
-            range(start, end),
-            {vantage: (OBSERVED,) for vantage in vantages},
-            jobs=config.jobs,
-            cache=config.use_cache,
-        )
-        for vantage in vantages:
-            # Concatenate one vantage's window at a time and drop it
-            # before the next: only the report outlives the loop body.
-            observed = FlowTable.concat(tables.pop((vantage, OBSERVED)))
-            reports[vantage] = victim_report(
-                observed, sampling_factor=_VP_SAMPLING[vantage]
-            )
-            del observed
-    return {vantage: reports[vantage] for vantage in _VP_DAYS}
+    for values in read_asks(scenario, window_asks(scenario.config), config):
+        for (vantage, _), rows in values.items():
+            stats = per_destination_stats(FlowTable.concat(rows))
+            reports[vantage] = VictimReport(stats, sampling_factor=_VP_SAMPLING[vantage])
+    return {vantage: reports[vantage] for vantage in _VP_SAMPLING}
 
 
 def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
@@ -243,12 +245,9 @@ def run_fig2c(config: ExperimentConfig) -> ExperimentResult:
 def run_landscape(config: ExperimentConfig) -> ExperimentResult:
     """Section 4's in-text numbers: conservative-filter reductions."""
     scenario = build_scenario(config)
-    observed = _observed_window(scenario, "ixp", config)
-    thresholds = ClassifierThresholds()
-    optimistic = OptimisticClassifier(thresholds)
-    conservative = ConservativeClassifier(thresholds)
-    amplified = optimistic.amplification_flows(observed)
-    stats = per_destination_stats(amplified)
+    (values,) = read_asks(scenario, landscape_asks(scenario.config), config)
+    conservative = ConservativeClassifier()
+    stats = per_destination_stats(FlowTable.concat(values["ixp", AMPLIFICATION_ROWS]))
     reductions = conservative.rule_reductions(stats, sampling_factor=10_000.0)
     kept = conservative.classify(stats, sampling_factor=10_000.0)
 

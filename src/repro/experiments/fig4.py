@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.parallel import day_reductions, port_counts
+from repro.core.parallel import Ask, port_counts
 from repro.core.pipeline import TrafficSelector
 from repro.core.takedown_analysis import TakedownReport, analyze_takedown
 from repro.experiments.base import (
@@ -17,10 +17,11 @@ from repro.experiments.base import (
     ExperimentResult,
     build_scenario,
     format_table,
+    read_asks,
 )
-from repro.experiments.fig5 import hourly_attack_counts
+from repro.scenario import ScenarioConfig
 
-__all__ = ["run", "SELECTORS"]
+__all__ = ["run", "asks", "SELECTORS"]
 
 SELECTORS: dict[str, TrafficSelector] = {
     "ntp_to": TrafficSelector("ntp_to", 123, "to_reflectors"),
@@ -33,6 +34,9 @@ SELECTORS: dict[str, TrafficSelector] = {
     "memcached_from": TrafficSelector("memcached_from", 11211, "from_reflectors"),
 }
 
+#: Each day's packet counts per selector.
+PORTS = port_counts(SELECTORS.values())
+
 #: The paper's headline panels.
 PANELS = (
     ("memcached_to", "ixp", "packets memcached dst port @ large IXP"),
@@ -41,29 +45,31 @@ PANELS = (
 )
 
 
+def _day_range(config: ScenarioConfig) -> tuple[int, int]:
+    # The takedown windows need ±40 days; the IXP window starts day 27.
+    return (40, config.n_days - 1)
+
+
+def asks(config: ScenarioConfig) -> list[Ask]:
+    """Figure 4 reads per-selector packet counts at the IXP and the tier-2 ISP.
+
+    fig5 reads the same days at the IXP. Under the cache, the runner
+    prefetches both figures' asks together, so each day is synthesized
+    once for both.
+    """
+    return [(range(*_day_range(config)), {"ixp": (PORTS,), "tier2": (PORTS,)})]
+
+
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Regenerate Figure 4: the takedown wt30/wt40 + red30/red40 grid."""
     scenario = build_scenario(config)
-    takedown_day = scenario.config.takedown_day
-    # The takedown windows need ±40 days; the IXP window starts day 27.
-    day_range = (40, scenario.config.n_days - 1)
-    takedown_index = takedown_day - day_range[0]
+    day_range = _day_range(scenario.config)
+    takedown_index = scenario.config.takedown_day - day_range[0]
 
-    ports = port_counts(SELECTORS.values())
-    # fig5 reads the same days at the IXP. Asking for its hourly attack
-    # counts here too synthesizes each day once for both figures: fig5
-    # then finds every day in the cache, and fig4 run alone pays for the
-    # hourly reduction.
-    values = day_reductions(
-        scenario,
-        range(*day_range),
-        {"ixp": (ports, hourly_attack_counts(scenario)), "tier2": (ports,)},
-        jobs=config.jobs,
-        cache=config.use_cache,
-    )
+    (values,) = read_asks(scenario, asks(scenario.config), config)
     reports: dict[str, TakedownReport] = {}
     for vantage in ("ixp", "tier2"):
-        per_day = values[vantage, ports]
+        per_day = values[vantage, PORTS]
         for name in SELECTORS:
             key = f"{name}@{vantage}"
             series = np.array([counts[name] for counts in per_day], dtype=float)

@@ -6,53 +6,51 @@ IXP, then runs the same Welch methodology as Figure 4. The paper's
 central negative finding: no significant reduction after the takedown.
 
 The hourly counts are one :func:`repro.core.parallel.day_reductions`
-value per day (:func:`hourly_attack_counts`), so they parallelize over
-days (``--jobs``) with bit-identical results. fig4 asks for the same
-value over the same days, so after fig4 every day is a cache hit
-(``--cache``); a cached observed IXP table is reduced in place, and only
-days with neither are synthesized.
+value per day, declared in :func:`asks`, so they parallelize over days
+(``--jobs``) with bit-identical results. fig4 reads the same days, at
+the IXP and the tier-2 ISP; under the cache the runner prefetches both
+figures' asks together, so each day is synthesized once for both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.parallel import Reduction, day_reductions, hourly_attacks
+from repro.core.parallel import Ask, Reduction, hourly_attacks
 from repro.core.takedown_analysis import analyze_takedown
 from repro.experiments.base import (
     ExperimentConfig,
     ExperimentResult,
     build_scenario,
     format_table,
+    read_asks,
 )
-from repro.scenario import Scenario
+from repro.scenario import ScenarioConfig
 
-__all__ = ["run", "hourly_attack_counts"]
+__all__ = ["run", "asks"]
+
+_FIRST_DAY = 40
 
 
-def hourly_attack_counts(scenario: Scenario) -> Reduction:
-    """Figure 5's per-day value at the IXP: 24 conservative attack counts."""
-    return hourly_attacks(float(scenario.config.ixp_sampling))
+def _hourly(config: ScenarioConfig) -> Reduction:
+    return hourly_attacks(float(config.ixp_sampling))
+
+
+def asks(config: ScenarioConfig) -> list[Ask]:
+    """Figure 5 reads 24 conservative attack counts per day at the IXP."""
+    return [(range(_FIRST_DAY, config.n_days - 1), {"ixp": (_hourly(config),)})]
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Regenerate Figure 5: systems under NTP attack per hour (null)."""
     scenario = build_scenario(config)
     takedown_day = scenario.config.takedown_day
-    day_range = (40, scenario.config.n_days - 1)
-
-    reduction = hourly_attack_counts(scenario)
-    per_day = day_reductions(
-        scenario,
-        range(*day_range),
-        {"ixp": (reduction,)},
-        jobs=config.jobs,
-        cache=config.use_cache,
-    )["ixp", reduction]
+    (values,) = read_asks(scenario, asks(scenario.config), config)
+    per_day = values["ixp", _hourly(scenario.config)]
     hourly_series = np.array(per_day, dtype=np.int64).reshape(-1)
     daily = hourly_series.reshape(-1, 24).sum(axis=1).astype(float)
 
-    takedown_index = takedown_day - day_range[0]
+    takedown_index = takedown_day - _FIRST_DAY
     report = analyze_takedown(
         daily, takedown_index, windows=(30, 40), series_name="NTP attacks/hour @ IXP"
     )

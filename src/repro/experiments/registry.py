@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.parallel import Ask
 from repro.experiments import (
     attribution_exp,
     extensions,
@@ -18,8 +19,9 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.scenario import ScenarioConfig
 
-__all__ = ["EXPERIMENTS", "get_experiment", "run_experiment"]
+__all__ = ["ASKS", "EXPERIMENTS", "get_experiment", "run_experiment"]
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
     "table1": table1.run,
@@ -41,6 +43,19 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
     "attribution": attribution_exp.run,
     "honeypot": honeypot_exp.run,
     "victimization": victimization_exp.run,
+}
+
+
+#: The day-engine asks of each experiment that reads simulated days, which
+#: the runner prefetches and the experiment reads through (``read_asks``).
+ASKS: dict[str, Callable[[ScenarioConfig], list[Ask]]] = {
+    "fig2a": fig2.fig2a_asks,
+    "fig2b": fig2.window_asks,
+    "fig2c": fig2.window_asks,
+    "fig4": fig4.asks,
+    "fig5": fig5.asks,
+    "landscape": fig2.landscape_asks,
+    "victimization": victimization_exp.asks,
 }
 
 

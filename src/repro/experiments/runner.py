@@ -28,10 +28,10 @@ import sys
 import time
 
 from repro.core.diskcache import DEFAULT_MAX_BYTES, DiskDayCache
-from repro.core.parallel import day_cache
+from repro.core.parallel import day_cache, prefetch
 from repro.core.workerpool import shutdown_pool
-from repro.experiments.base import ExperimentConfig
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.base import ExperimentConfig, build_scenario
+from repro.experiments.registry import ASKS, EXPERIMENTS, run_experiment
 from repro.logutil import LOG_LEVELS, configure_cli_logging
 from repro.obs import (
     MetricsRegistry,
@@ -41,6 +41,7 @@ from repro.obs import (
     export_metrics,
     render_profile,
     set_metrics,
+    use_metrics,
     write_chrome_trace,
 )
 
@@ -74,16 +75,17 @@ def _parser() -> argparse.ArgumentParser:
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="reuse per-day results across experiments in this run",
+        help="compute the days the experiments declare in one pass first "
+        "(each day synthesized once) and serve their reads from a cache",
     )
     parser.add_argument(
         "--cache-dir",
         dest="cache_dir",
         metavar="PATH",
-        help="persist day flow tables under PATH (binio records + JSON "
-        "sidecars) so a rerun of the same config is served from disk; "
-        "entries are keyed by the scenario content hash, so config or "
-        "seed changes invalidate automatically",
+        help="also persist the day cache under PATH (implies --cache) so a "
+        "rerun of the same config is served from disk; entries are keyed "
+        "by the scenario content hash, so config or seed changes "
+        "invalidate automatically",
     )
     parser.add_argument(
         "--cache-max-bytes",
@@ -194,6 +196,13 @@ def _run(
     experiment_wall_s: dict[str, float] = {}
     results = []
     run_start = time.perf_counter()
+    asks = [ask for i in ids if i in ASKS for ask in ASKS[i](config.scenario_config())]
+    if config.use_cache and asks:
+        registry = MetricsRegistry(enabled=record, trace=TraceRecorder() if args.trace_out else None)
+        with use_metrics(registry):
+            prefetch(build_scenario(config), asks, config.jobs)
+        total_registry.merge(registry)
+        _log.info("[prefetch completed in %.1fs]", time.perf_counter() - run_start)
     for experiment_id in ids:
         before = day_cache().stats()
         registry = MetricsRegistry(

@@ -11,19 +11,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.parallel import day_attack_tables, day_events
-from repro.core.victims import victim_asn_breakdown, victim_report
+from repro.core.classify import ClassifierThresholds, OptimisticClassifier
+from repro.core.parallel import Ask, Reduction, day_events
+from repro.core.victims import VictimReport, victim_asn_breakdown
 from repro.experiments.base import (
     ExperimentConfig,
     ExperimentResult,
     build_scenario,
     format_table,
+    read_asks,
 )
 from repro.flows.records import FlowTable
+from repro.flows.timeseries import per_destination_stats
+from repro.scenario import ScenarioConfig
+from repro.scenario.scenario import DayTraffic
 
-__all__ = ["run"]
+__all__ = ["run", "asks"]
 
 _DAYS = range(40, 54)
+
+
+def _attack_amplification_rows(day: int, traffic: DayTraffic) -> FlowTable:
+    return OptimisticClassifier().amplification_flows(traffic.attack)
+
+
+#: A day's ground-truth attack rows that the optimistic classifier keeps.
+ATTACK_AMPLIFICATION_ROWS = Reduction(
+    ("attack_amplification_rows", repr(ClassifierThresholds())), _attack_amplification_rows
+)
+
+
+def asks(config: ScenarioConfig) -> list[Ask]:
+    """The attack amplification rows of the first three days (vantage ``None``)."""
+    return [(_DAYS[:3], {None: (ATTACK_AMPLIFICATION_ROWS,)})]
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -54,15 +74,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     # Per-AS-role victimization, from the ground-truth attack flows
     # (anonymized vantage exports cannot be resolved back to ASes).
-    ground_truth = FlowTable.concat(
-        day_attack_tables(
-            scenario,
-            list(_DAYS)[:3],
-            jobs=config.jobs,
-            cache=config.use_cache,
-        )
-    )
-    report = victim_report(ground_truth)
+    (values,) = read_asks(scenario, asks(scenario.config), config)
+    rows = FlowTable.concat(values[None, ATTACK_AMPLIFICATION_ROWS])
+    report = VictimReport(per_destination_stats(rows), sampling_factor=1.0)
     breakdown = victim_asn_breakdown(report, scenario.registry)
     role_rows = [
         [role, int(stats["victims"]), f"{stats['share'] * 100:.0f}%", f"{stats['peak_gbps_sum']:.1f}"]

@@ -283,23 +283,6 @@ class FlowTable:
     def total_packets(self) -> int:
         return int(self._columns["packets"].sum())
 
-    @property
-    def total_bytes(self) -> int:
-        return int(self._columns["bytes"].sum())
-
-    def time_span(self) -> tuple[float, float]:
-        """(min, max) flow start time; raises on an empty table."""
-        if not len(self):
-            raise ValueError("empty table has no time span")
-        t = self._columns["time"]
-        return float(t.min()), float(t.max())
-
-    def unique_sources(self) -> int:
-        return int(np.unique(self._columns["src_ip"]).size)
-
-    def unique_destinations(self) -> int:
-        return int(np.unique(self._columns["dst_ip"]).size)
-
     def mean_packet_sizes(self) -> np.ndarray:
         """Per-flow mean packet size in bytes (0 for empty flows)."""
         packets = self._columns["packets"]

@@ -73,9 +73,3 @@ class PacketSampler:
     def renormalize(self, table: FlowTable) -> FlowTable:
         """Scale sampled counters back to population estimates (xN)."""
         return table.scale_counts(float(self.rate_denominator))
-
-    def expected_flow_survival(self, packets: int) -> float:
-        """Probability that a flow of ``packets`` packets appears at all."""
-        if packets < 0:
-            raise ValueError("packets must be non-negative")
-        return 1.0 - (1.0 - self.probability) ** packets

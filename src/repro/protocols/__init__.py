@@ -12,7 +12,6 @@ from repro.protocols.amplification import (
     ALL_VECTORS,
     AmplificationVector,
     vector_by_name,
-    vector_by_port,
 )
 from repro.protocols.benign import BenignPortTraffic, benign_traffic_for_port
 from repro.protocols.vectors import CHARGEN, CLDAP, DNS, MEMCACHED, NTP, SSDP
@@ -29,5 +28,4 @@ __all__ = [
     "SSDP",
     "benign_traffic_for_port",
     "vector_by_name",
-    "vector_by_port",
 ]

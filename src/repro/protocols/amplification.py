@@ -4,7 +4,9 @@ An :class:`AmplificationVector` describes one reflection/amplification
 protocol end to end: a spoofed *request* of ``request_size`` bytes sent to
 a reflector's ``port`` elicits ``response_packets_per_request`` response
 packets whose sizes follow ``response_size``. The *bandwidth amplification
-factor* (BAF, Rossow NDSS'14 terminology) follows from those quantities.
+factor* (BAF, Rossow NDSS'14 terminology) is their mean response bytes per
+request byte: ``response_packets_per_request * mean_response_size /
+request_size``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from repro.stats.distributions import Sampler
 
-__all__ = ["AmplificationVector", "ALL_VECTORS", "register_vector", "vector_by_name", "vector_by_port"]
+__all__ = ["AmplificationVector", "ALL_VECTORS", "register_vector", "vector_by_name"]
 
 UDP = 17
 
@@ -56,16 +58,6 @@ class AmplificationVector:
         if self.mean_response_size <= 0:
             raise ValueError("mean_response_size must be positive")
 
-    @property
-    def bandwidth_amplification_factor(self) -> float:
-        """Mean response bytes per request byte (BAF)."""
-        return self.response_packets_per_request * self.mean_response_size / self.request_size
-
-    @property
-    def packet_amplification_factor(self) -> float:
-        """Response packets per request packet (PAF)."""
-        return self.response_packets_per_request
-
     def sample_response_sizes(self, rng: np.random.Generator, n_packets: int) -> np.ndarray:
         """Draw ``n_packets`` response packet sizes in bytes."""
         if n_packets < 0:
@@ -73,13 +65,6 @@ class AmplificationVector:
         if n_packets == 0:
             return np.empty(0)
         return self.response_size.sample(rng, n_packets)
-
-    def requests_for_rate(self, target_bps: float) -> float:
-        """Requests/second a booter must trigger to hit ``target_bps`` at the victim."""
-        if target_bps < 0:
-            raise ValueError("target rate cannot be negative")
-        bytes_per_request = self.response_packets_per_request * self.mean_response_size
-        return target_bps / 8.0 / bytes_per_request
 
 
 ALL_VECTORS: dict[str, AmplificationVector] = {}
@@ -102,11 +87,3 @@ def vector_by_name(name: str) -> AmplificationVector:
     except KeyError:
         known = ", ".join(sorted(ALL_VECTORS))
         raise KeyError(f"unknown vector {name!r} (known: {known})") from None
-
-
-def vector_by_port(port: int) -> AmplificationVector | None:
-    """The vector listening on ``port``, or ``None``."""
-    for vector in ALL_VECTORS.values():
-        if vector.port == port:
-            return vector
-    return None

@@ -83,7 +83,8 @@ class TestConservativeClassifier:
     def test_classify_keeps_only_real_attacks(self):
         clf = ConservativeClassifier()
         both = FlowTable.concat([self.big_attack(), self.small_attack()])
-        stats = clf.classify_flows(both)
+        amplified = OptimisticClassifier().amplification_flows(both)
+        stats = clf.classify(per_destination_stats(amplified))
         assert len(stats) == 1
         assert stats.destinations[0] == 1
 

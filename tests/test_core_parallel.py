@@ -16,6 +16,7 @@ from repro.core.parallel import (
     hourly_attacks,
     observed_days,
     port_counts,
+    prefetch,
     resolve_jobs,
     streaming_ingest,
 )
@@ -31,7 +32,7 @@ SELECTORS = [
 ]
 PORTS = port_counts(SELECTORS)
 HOURLY = hourly_attacks(10_000.0)
-#: fig4's fused request: port counts at both vantages plus fig5's hourly counts.
+#: A fused request: port counts at both vantages plus Figure 5's hourly counts.
 FUSED = {"ixp": (PORTS, HOURLY), "tier2": (PORTS,)}
 FUSED_DAYS = range(40, 44)
 
@@ -251,19 +252,6 @@ class TestDayResultCache:
         for name in ("ntp_to", "ntp_from"):
             np.testing.assert_array_equal(first.get(name), second.get(name))
 
-    def test_observed_cache_shared_across_reductions(self, scenario):
-        cache = day_cache()
-        cache.clear()
-        tables = observed_days(scenario, "tier2", [40, 41], cache=True)
-        hits_before = cache.stats()["hits"]
-        series = collect_daily_port_series(
-            scenario, "tier2", SELECTORS, day_range=(40, 42), cache=True
-        )
-        # Days 40/41 derive from the cached observed tables.
-        assert cache.stats()["hits"] >= hits_before + 2
-        for i, table in enumerate(tables):
-            assert series.get("ntp_to")[i] == SELECTORS[0].packets(table)
-
     def test_streaming_uses_cached_observed_days(self, scenario):
         cache = day_cache()
         cache.clear()
@@ -336,6 +324,56 @@ class TestDayResultCache:
             ixp = scenario.observe_day("ixp", traffic)
             assert fused["ixp", HOURLY][i] == HOURLY(day, ixp)
             assert len(fused["ixp", HOURLY][i]) == 24
+
+
+class TestPrefetch:
+    #: Two overlapping asks: days 40-43 at the IXP, 41-43 at tier-2 too.
+    ASKS = [
+        (range(40, 43), {"ixp": (PORTS,)}),
+        (range(41, 44), {"ixp": (HOURLY,), "tier2": (PORTS,)}),
+    ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_task_per_distinct_day_then_reads_replay(self, scenario, jobs):
+        from repro.core.workerpool import shutdown_pool
+        from repro.obs import MetricsRegistry, use_metrics
+
+        def read(cache):
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                values = [
+                    day_reductions(scenario, days, requests, jobs=jobs, cache=cache)
+                    for days, requests in self.ASKS
+                ]
+            return values, registry
+
+        cache = day_cache()
+        cache.clear()
+        try:
+            cold, cold_registry = read(cache=False)
+            registry = MetricsRegistry()
+            registry.inc("scenario.days_generated", 5)
+            with use_metrics(registry):
+                prefetch(scenario, self.ASKS, jobs=jobs)
+            # Each of days 40-43 synthesized once; the IXP observed on
+            # four days and tier-2 on three, whichever ask wanted them.
+            assert _span_calls(registry, "scenario.day_traffic") == 4
+            assert _span_calls(registry, "scenario.observe_day") == 7
+            # The counters it added are restored; the ones it found stay.
+            scenario_counters = {k: v for k, v in registry.counters.items() if k.startswith("scenario.")}
+            assert scenario_counters == {"scenario.days_generated": 5}
+
+            warm, warm_registry = read(cache=True)
+        finally:
+            cache.clear()
+            shutdown_pool()
+        assert warm == cold
+        assert warm_registry.counter("cache.misses") == 0
+        assert _span_calls(warm_registry, "scenario.day_traffic") == 0
+        replayed = {k: v for k, v in warm_registry.counters.items() if k.startswith("scenario.")}
+        computed = {k: v for k, v in cold_registry.counters.items() if k.startswith("scenario.")}
+        assert replayed == computed
+        assert computed["scenario.days_generated"] == 6
 
 
 class TestDayResultCacheEdgeCases:

@@ -41,7 +41,7 @@ class TestPacketSampler:
         sampled = sampler.apply(t, np.random.default_rng(1))
         estimate = sampler.renormalize(sampled)
         assert estimate.total_packets == pytest.approx(t.total_packets, rel=0.05)
-        assert estimate.total_bytes == pytest.approx(t.total_bytes, rel=0.05)
+        assert estimate["bytes"].sum() == pytest.approx(t["bytes"].sum(), rel=0.05)
 
     def test_small_flows_vanish(self):
         n = 1000
@@ -54,14 +54,6 @@ class TestPacketSampler:
         sampled = PacketSampler(10).apply(t, np.random.default_rng(3))
         assert len(sampled) == 1
         assert sampled["bytes"][0] == pytest.approx(sampled["packets"][0] * 486, abs=1)
-
-    def test_survival_probability(self):
-        s = PacketSampler(100)
-        assert s.expected_flow_survival(0) == 0.0
-        assert s.expected_flow_survival(1) == pytest.approx(0.01)
-        assert s.expected_flow_survival(10_000) == pytest.approx(1.0, abs=1e-4)
-        with pytest.raises(ValueError):
-            s.expected_flow_survival(-1)
 
     def test_empty_table(self):
         out = PacketSampler(10).apply(FlowTable.empty(), np.random.default_rng(0))
@@ -176,7 +168,7 @@ class TestPerDestinationStats:
         )
         stats = per_destination_stats(t, bin_seconds=60)
         assert stats.total_packets.sum() == t.total_packets
-        assert stats.total_bytes.sum() == t.total_bytes
+        assert stats.total_bytes.sum() == t["bytes"].sum()
         assert (stats.max_sources_per_bin <= stats.unique_sources).all()
         assert (stats.max_sources_per_bin >= 1).all()
         assert (stats.peak_bps > 0).all()

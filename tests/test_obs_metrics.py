@@ -295,9 +295,9 @@ class TestInstrumentedPipeline:
         day_cache().clear()
 
     def test_streaming_counters_match_after_foreign_cache_warmup(self, scenario):
-        """The fig5-after-fig4 case: one experiment warms the observed-table
-        cache serially, the next streams the same days — its counters must
-        equal a cold-cache streaming run of identical days."""
+        """One call warms the observed-table cache serially, the next
+        streams the same days — its counters must equal a cold-cache
+        streaming run of identical days."""
 
         def stream(cache):
             registry = MetricsRegistry()
@@ -320,10 +320,10 @@ class TestInstrumentedPipeline:
         assert warm.counter("cache.hits") >= 3  # served, not regenerated
         assert _deterministic(warm) == _deterministic(cold)
 
-        # The fig5-after-fig4 case through the engine: fig4's fused call
-        # (port counts at both vantages plus the hourly counts) warms
-        # the cache; the hourly-only call is then served from it and
-        # must count exactly like a cold hourly-only call.
+        # The same through the engine: a fused call (port counts at both
+        # vantages plus the hourly counts) warms the cache; the
+        # hourly-only call is then served from it and must count exactly
+        # like a cold hourly-only call.
         from repro.core.parallel import day_reductions, hourly_attacks, port_counts
 
         ports, hourly = port_counts(SELECTORS), hourly_attacks(10_000.0)

@@ -10,6 +10,7 @@ from repro.core.parallel import (
     day_reductions,
     hourly_attacks,
     port_counts,
+    prefetch,
     streaming_ingest,
 )
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series
@@ -116,18 +117,25 @@ class TestDigestBitIdentityAcrossStrategies:
         jobs4 = self._run(scenario, 4, False)
         assert jobs4.counter("pool.tasks") > 0
 
-    def _run_fused_pair(self, scenario, jobs, cache):
-        """fig4's fused call, then fig5's hourly-only call, on one cache."""
+    def _run_fused_pair(self, scenario, jobs, cache, prefetched=False):
+        """A fused call, then an hourly-only call, on one cache.
+
+        ``prefetched`` first prefetches the two calls' union, so both
+        calls are served from the cache.
+        """
         ports = port_counts(SELECTORS)
         hourly = hourly_attacks(10_000.0)
+        asks = [
+            (range(40, 44), {"ixp": (ports, hourly), "tier2": (ports,)}),
+            (range(40, 44), {"ixp": (hourly,)}),
+        ]
         day_cache().clear()
         registry = MetricsRegistry()
         with use_metrics(registry):
-            day_reductions(
-                scenario, range(40, 44), {"ixp": (ports, hourly), "tier2": (ports,)},
-                jobs=jobs, cache=cache,
-            )
-            day_reductions(scenario, range(40, 44), {"ixp": (hourly,)}, jobs=jobs, cache=cache)
+            if prefetched:
+                prefetch(scenario, asks, jobs=jobs)
+            for days, requests in asks:
+                day_reductions(scenario, days, requests, jobs=jobs, cache=cache)
         day_cache().clear()
         return registry
 
@@ -137,6 +145,8 @@ class TestDigestBitIdentityAcrossStrategies:
             for jobs in (1, 4)
             for cache in (False, True)
         }
+        for jobs in (1, 4):
+            runs[jobs, "prefetched"] = self._run_fused_pair(scenario, jobs, True, prefetched=True)
         digests = {key: counter_digest(run.counters) for key, run in runs.items()}
         assert len(set(digests.values())) == 1, digests
         # Per call, the ground truth counts once per day and each vantage
@@ -145,6 +155,11 @@ class TestDigestBitIdentityAcrossStrategies:
         assert cached.counter("scenario.days_generated") == 8
         assert cached.counter("scenario.days_observed") == 12
         assert cached.counter("cache.hits") == 4
+        for jobs in (1, 4):
+            prefetched = runs[jobs, "prefetched"]
+            assert prefetched.counter("scenario.days_generated") == 8
+            # The prefetch synthesized each day once; both calls were hits.
+            assert prefetched.counter("cache.hits") == 16
 
 
 class TestRecordAppendRead:

@@ -128,7 +128,7 @@ class TestTimeseriesProperties:
         table = _flow_table(rng, 300)
         stats = per_destination_stats(table)
         assert stats.total_packets.sum() == table.total_packets
-        assert stats.total_bytes.sum() == table.total_bytes
+        assert stats.total_bytes.sum() == table["bytes"].sum()
         assert np.unique(stats.destinations).size == len(stats)
         assert (stats.unique_sources >= stats.max_sources_per_bin).all()
 
@@ -185,8 +185,8 @@ class TestAnonymizationProperties:
             src_ip=anonymizer.anonymize_array(table["src_ip"]),
             dst_ip=anonymizer.anonymize_array(table["dst_ip"]),
         )
-        assert anonymized.unique_sources() == table.unique_sources()
-        assert anonymized.unique_destinations() == table.unique_destinations()
+        for column in ("src_ip", "dst_ip"):
+            assert np.unique(anonymized[column]).size == np.unique(table[column]).size
         original = per_destination_stats(table)
         masked = per_destination_stats(anonymized)
         assert len(masked) == len(original)

@@ -42,7 +42,8 @@ class TestClassifierRobustness:
     def test_empty_table(self):
         empty = FlowTable.empty()
         assert len(OptimisticClassifier().amplification_flows(empty)) == 0
-        stats = ConservativeClassifier().classify_flows(empty)
+        amplified = OptimisticClassifier().amplification_flows(empty)
+        stats = ConservativeClassifier().classify(per_destination_stats(amplified))
         assert len(stats) == 0
 
     def test_tcp_on_port_123_ignored(self):
