@@ -6,12 +6,12 @@ scratch. This module adds the durable tier: each cached flow table is
 written as one file in the :mod:`repro.flows.binio` fixed-record format
 (header + contiguous :data:`~repro.flows.records.RECORD_DTYPE` records)
 next to a small JSON sidecar carrying the schema version, the full
-cache key, the ``scenario.*`` counter deltas to replay on a hit (kept
-as the day's ground-truth part and the entry's vantage part), and a
-sha256 of the record bytes. Reads go through ``np.memmap`` and the
-zero-copy :meth:`FlowTable.from_structured` path, so a disk hit costs
-one page-cache-backed mapping plus a checksum pass — no parse, no
-object churn.
+cache key, the day's work counts that travel with every value (see
+:data:`repro.core.parallel.Counts`; a read counts its ``scenario.*``
+work from them), and a sha256 of the record bytes. Reads go through
+``np.memmap`` and the zero-copy :meth:`FlowTable.from_structured` path,
+so a disk hit costs one page-cache-backed mapping plus a checksum pass
+— no parse, no object churn.
 
 Entries are content-addressed: the filename is the sha256 of the cache
 key's ``repr``, and the key embeds ``ScenarioConfig.content_hash()``
@@ -58,10 +58,10 @@ from repro.obs.metrics import metrics
 __all__ = ["DiskDayCache", "SIDECAR_SCHEMA", "DEFAULT_MAX_BYTES"]
 
 #: Sidecar schema identifier; bump on any layout change so old caches
-#: read as misses instead of misparsing. Version 2: the deltas split
-#: into ``truth`` and ``vantage`` parts. Version 3: a JSON-lane entry is
-#: its sidecar alone, with no record file.
-SIDECAR_SCHEMA = "repro.diskcache/3"
+#: read as misses instead of misparsing. Version 3: a JSON-lane entry is
+#: its sidecar alone, with no record file. Version 4: the sidecar keeps
+#: the entry's work ``counts`` instead of counter deltas.
+SIDECAR_SCHEMA = "repro.diskcache/4"
 
 #: Default eviction budget for all entry files (2 GiB ~= 40M records).
 DEFAULT_MAX_BYTES = 2 << 30
@@ -75,13 +75,13 @@ def key_digest(key: tuple) -> str:
 class DiskDayCache:
     """Byte-bounded, content-addressed on-disk store of per-day values.
 
-    Values move through the same ``(value, deltas)`` tuples the in-memory
+    Values move through the same ``(value, counts)`` tuples the in-memory
     cache stores: :meth:`put` accepts a flow table or a JSON-exact value
-    with its deltas (or ``None``) and silently declines anything else;
-    :meth:`get` returns that tuple or ``None``. Attach one to the
-    in-memory cache with :meth:`DayResultCache.attach_disk` and the
-    tiers compose — memory miss consults disk, disk hit promotes back
-    into memory.
+    with its counts (a tuple of ints and ``None``, or ``None``) and
+    silently declines anything else; :meth:`get` returns that tuple or
+    ``None``. Attach one to the in-memory cache with
+    :meth:`DayResultCache.attach_disk` and the tiers compose — memory
+    miss consults disk, disk hit promotes back into memory.
 
     All index mutations and file writes happen under one re-entrant
     lock: the serving plane reads from ``asyncio.to_thread`` workers
@@ -154,8 +154,8 @@ class DiskDayCache:
 
     # -- the cache protocol ---------------------------------------------------
 
-    def get(self, key: tuple) -> tuple[Any, dict[str, float] | None] | None:
-        """The stored ``(value, deltas)`` for ``key``, or ``None``.
+    def get(self, key: tuple) -> tuple[Any, tuple | None] | None:
+        """The stored ``(value, counts)`` for ``key``, or ``None``.
 
         Any validation failure — schema drift, key collision, bad magic,
         truncation, checksum mismatch, a record file without its sidecar
@@ -190,21 +190,20 @@ class DiskDayCache:
                 pass
             return entry
 
-    def _load(self, key: tuple, digest: str) -> tuple[Any, dict[str, float] | None]:
+    def _load(self, key: tuple, digest: str) -> tuple[Any, tuple | None]:
         sidecar = json.loads(self._sidecar_path(digest).read_text())
         if sidecar.get("schema") != SIDECAR_SCHEMA:
             raise ValueError(f"sidecar schema {sidecar.get('schema')!r}")
         if sidecar.get("key") != repr(key):
             raise ValueError("key repr mismatch (digest collision or tamper)")
-        deltas = sidecar.get("deltas")
-        if deltas is not None:
-            # Keep JSON-native numeric types: counters incremented with
-            # ints must replay as ints, or the canonical counter digest
-            # (which distinguishes 162 from 162.0) would drift.
-            deltas = {str(name): value for name, value in deltas.items()}
+        # JSON keeps the counts' ints as ints, which the counter digest
+        # needs (it tells 162 from 162.0); only the tuple becomes a list.
+        counts = sidecar["counts"]
+        if counts is not None:
+            counts = tuple(counts)
         kind = sidecar.get("kind")
         if kind == "json":
-            return sidecar["value"], deltas
+            return sidecar["value"], counts
         if kind != "table":
             raise ValueError(f"unknown entry kind {kind!r}")
         data_path = self._data_path(digest)
@@ -224,10 +223,10 @@ class DiskDayCache:
             records = np.memmap(data_path, dtype=RECORD_DTYPE, mode="r", offset=HEADER.size)
         if hashlib.sha256(records).hexdigest() != sidecar["sha256"]:
             raise ValueError("record checksum mismatch")
-        return FlowTable.from_structured(records), deltas
+        return FlowTable.from_structured(records), counts
 
     def put(self, key: tuple, value: Any) -> bool:
-        """Persist a ``(value, deltas)`` entry; returns True if stored.
+        """Persist a ``(value, counts)`` entry; returns True if stored.
 
         Flow tables use the record lane; JSON-exact values (checked by a
         dump/load round-trip equality) live in the sidecar alone. Everything
@@ -237,10 +236,10 @@ class DiskDayCache:
         """
         if not (isinstance(value, tuple) and len(value) == 2):
             return False
-        payload, deltas = value
-        if deltas is not None and not isinstance(deltas, dict):
+        payload, counts = value
+        if counts is not None and not isinstance(counts, tuple):
             return False
-        sidecar: dict[str, Any] = {"schema": SIDECAR_SCHEMA, "key": repr(key), "deltas": deltas}
+        sidecar: dict[str, Any] = {"schema": SIDECAR_SCHEMA, "key": repr(key), "counts": counts}
         records = None
         if isinstance(payload, FlowTable):
             try:

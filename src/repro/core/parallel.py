@@ -22,11 +22,21 @@ engine, :func:`day_reductions`:
   automatic day batching), so ``jobs=1`` and ``jobs=N`` are
   **bit-identical**.
 
+A day task returns each vantage's values with the day's :data:`Counts`
+(attack events drawn, flows synthesized, flows the vantage exported),
+and every cache entry keeps them beside its value. The read paths —
+:func:`day_reductions` and the wrappers over it — count the
+``scenario.*`` work counters from them in the calling process, so a
+value computed now, served by either cache tier or computed in a
+worker counts the same, whether or not metrics were on when it was
+computed.
+
 :func:`prefetch` joins several :data:`Ask` values (what one
 :func:`day_reductions` call takes) per day and computes what the cache
-misses with one task per distinct day. The runner prefetches the asks
-its experiments declare (:data:`repro.experiments.registry.ASKS`), so a
-day several of them read is synthesized once per run.
+misses with one task per distinct day, counting nothing. The runner
+prefetches the asks its experiments declare
+(:data:`repro.experiments.registry.ASKS`), so a day several of them read
+is synthesized once per run.
 
 :func:`daily_port_counts` serves
 :func:`repro.core.pipeline.collect_daily_port_series`. The other
@@ -60,20 +70,16 @@ import numpy as np
 from repro.booter.takedown import TakedownScenario
 from repro.core.classify import ClassifierThresholds
 from repro.core.victims import attacks_per_hour
-from repro.core.workerpool import (
-    REPLAY_PREFIX as _REPLAY_PREFIX,
-    get_pool,
-    record_inline_pool,
-    scenario_for,
-)
+from repro.core.workerpool import get_pool, record_inline_pool, scenario_for
 from repro.flows.records import FlowTable, SCHEMA
-from repro.obs import MetricsRegistry, metrics
+from repro.obs import metrics
 from repro.scenario.config import ScenarioConfig
-from repro.scenario.scenario import DayTraffic, Scenario
+from repro.scenario.scenario import KINDS, DayTraffic, Scenario
 
 __all__ = [
     "ATTACK_TABLE",
     "Ask",
+    "Counts",
     "DaySpec",
     "DayResultCache",
     "OBSERVED",
@@ -196,15 +202,13 @@ class DaySpec:
     """Picklable recipe for one scenario-day of work.
 
     Carries everything a worker process needs to regenerate the day
-    bit-identically: the full scenario config, the day index, the
-    vantage point (``None`` for an engine task, whose vantages and
-    reductions travel alongside the spec), and the (possibly customized)
-    takedown scenario to apply.
+    bit-identically: the full scenario config, the day index and the
+    (possibly customized) takedown scenario to apply. The vantages and
+    reductions of an engine task travel alongside the spec.
     """
 
     config: ScenarioConfig
     day: int
-    vantage: str | None
     takedown: TakedownScenario | None = None
 
 
@@ -229,48 +233,37 @@ def _materialize(spec: DaySpec) -> Scenario:
 #: reductions to apply.
 _Need = tuple[tuple[str | None, tuple[Reduction, ...]], ...]
 
+#: A day's logical work as one vantage's values carry it: the attack
+#: events drawn, the flows synthesized (both the day's, so the same at
+#: every vantage), and the flows the vantage exported (``None`` at
+#: vantage ``None``).
+Counts = tuple[int, int, int | None]
 
-def _reduce_day(scenario: Scenario, day: int, need: _Need) -> list:
+
+def _reduce_day(scenario: Scenario, day: int, need: _Need) -> list[tuple[list[Any], Counts]]:
     """Synthesize ``day`` once, then observe it once per vantage of ``need``.
 
-    Returns one ``(values, deltas)`` pair per vantage, aligned with
-    ``need``. ``deltas`` keeps the day's ground-truth counters (what
-    synthesizing the day recorded) apart from the counters of this
-    vantage's observation, so a later replay can count the ground truth
-    once per day however many vantages it serves. ``None`` when the
-    registry is off.
+    Returns one ``(values, counts)`` pair per vantage, aligned with
+    ``need``; the :data:`Counts` are read off the tables themselves.
     """
-    registry = metrics()
-    before = _counters_snapshot(registry)
     traffic = scenario.day_traffic(day)
-    truth = _counters_delta(registry, before)
+    attacks = len(traffic.events)
+    flows = sum(len(getattr(traffic, kind)) for kind in KINDS)
     out = []
     for vantage, reductions in need:
-        observed: dict[str, float] | None = {}
         if vantage is None:
-            data = traffic
+            data, exported = traffic, None
         else:
-            before = _counters_snapshot(registry)
             data = scenario.observe_day(vantage, traffic)
-            observed = _counters_delta(registry, before)
-        deltas = None if truth is None else {"truth": truth, "vantage": observed}
-        out.append(([reduction(day, data) for reduction in reductions], deltas))
+            exported = len(data)
+        out.append(([reduction(day, data) for reduction in reductions], (attacks, flows, exported)))
     return out
 
 
-def _day_task(item: tuple[DaySpec, _Need]) -> list:
+def _day_task(item: tuple[DaySpec, _Need]) -> list[tuple[list[Any], Counts]]:
     """Pool task: one day of the engine, in a worker."""
     spec, need = item
     return _reduce_day(_materialize(spec), spec.day, need)
-
-
-def _ingest_chunk_task(chunk: tuple[tuple[DaySpec, ...], Any]) -> Any:
-    specs, analyzer = chunk
-    for spec in specs:
-        scenario = _materialize(spec)
-        traffic = scenario.day_traffic(spec.day)
-        analyzer.ingest_day(spec.day, scenario.observe_day(spec.vantage, traffic))
-    return analyzer
 
 
 # -- the executor -------------------------------------------------------------
@@ -306,60 +299,6 @@ def _use_pool(n_jobs: int, n_items: int) -> bool:
 
 # -- the day-result cache ------------------------------------------------------
 
-# The replayed counter family (``scenario.*``) is defined in
-# :mod:`repro.core.workerpool` (imported above as ``_REPLAY_PREFIX``):
-# logical work counters describe the dataset an experiment processed, not
-# the physical generations the strategy happened to run, so serving a day
-# from the cache must count the same as regenerating it. That is what
-# keeps them identical across ``jobs`` and ``cache`` settings.
-
-
-def _counters_snapshot(registry: MetricsRegistry) -> dict[str, float] | None:
-    if not registry.enabled:
-        return None
-    return {
-        name: value
-        for name, value in registry.counters.items()
-        if name.startswith(_REPLAY_PREFIX)
-    }
-
-
-def _counters_delta(
-    registry: MetricsRegistry, before: dict[str, float] | None
-) -> dict[str, float] | None:
-    if before is None:
-        return None
-    return {
-        name: value - before.get(name, 0)
-        for name, value in registry.counters.items()
-        if name.startswith(_REPLAY_PREFIX) and value != before.get(name, 0)
-    }
-
-
-def _replay(part: dict[str, float] | None) -> None:
-    """Add one part of a cached entry's deltas to the active registry.
-
-    Replay makes a hit indistinguishable from regeneration as far as the
-    ``scenario.*`` counters are concerned. Entries cached while the
-    registry was disabled carry no deltas and replay nothing — within one
-    runner invocation the enabled state is constant, so exports stay
-    strategy-independent.
-    """
-    registry = metrics()
-    if registry.enabled and part:
-        counters = registry.counters
-        for name, amount in part.items():
-            counters[name] = counters.get(name, 0) + amount
-
-
-def _cache_get(key: tuple) -> tuple[Any, dict[str, dict[str, float]] | None] | None:
-    """A cached ``(value, deltas)`` entry, replaying both parts of its deltas."""
-    entry = _DAY_CACHE.get(key)
-    if entry is not None and entry[1] is not None:
-        _replay(entry[1]["truth"])
-        _replay(entry[1]["vantage"])
-    return entry
-
 
 def _approx_nbytes(value: Any) -> int:
     """Best-effort size estimate of a cached value, in bytes.
@@ -382,9 +321,11 @@ def _approx_nbytes(value: Any) -> int:
 class DayResultCache:
     """Bounded LRU cache of per-day results, content-addressed by config.
 
-    Entries are ``(value, deltas)`` pairs: a day's :class:`Reduction`
-    values (observed or attack tables, port counts, hourly counts) and
-    its ground-truth event lists. Keys embed the scenario config's
+    The engine's entries are ``(value, counts)`` pairs: a day's
+    :class:`Reduction` value (a row table, port counts, hourly counts)
+    with the day's :data:`Counts`, from which a read counts its
+    ``scenario.*`` work. Ground-truth event lists are stored as
+    ``(events, None)``. Keys embed the scenario config's
     ``content_hash()`` (seed included) and the takedown scenario, so two
     different worlds never collide and two identically-configured
     scenarios share.
@@ -573,10 +514,11 @@ def _reduce_days(
     asks: Sequence[Ask],
     jobs: int,
     cache: bool,
-) -> list[dict[tuple[str | None, Reduction], list[Any]]]:
+) -> tuple[list[dict[tuple[str | None, Reduction], list[Any]]], dict[tuple[str | None, int], Counts]]:
     """The engine: ``asks`` joined per day, one task per day with a miss.
 
-    Returns, per ask, what :func:`day_reductions` returns for it.
+    Returns, per ask, what :func:`day_reductions` returns for it, and the
+    :data:`Counts` of every (vantage, day) read. It counts nothing itself.
     """
     asks = [
         ([int(d) for d in days], list(dict.fromkeys((v, r) for v, rs in requests.items() for r in rs)))
@@ -597,55 +539,83 @@ def _reduce_days(
     found: dict[tuple[str | None, Reduction], dict[int, Any]] = {
         pair: {} for _, pairs in asks for pair in pairs
     }
+    counts: dict[tuple[str | None, int], Counts] = {}
     todo: list[tuple[int, _Need]] = []
     for day, pairs in joined.items():
         entries = (
             _DAY_CACHE.get_many([key(v, day, r) for v, r in pairs]) if cache else [None] * len(pairs)
         )
         missing: dict[str | None, list[Reduction]] = {}
-        served: dict[str | None, dict[str, dict[str, float]] | None] = {}
         for (vantage, r), entry in zip(pairs, entries):
             if entry is None:
                 missing.setdefault(vantage, []).append(r)
             else:
                 found[vantage, r][day] = entry[0]
-                served.setdefault(vantage, entry[1])
-        # A day served from the cache counts like a computed one: each
-        # vantage's observation once, and the ground truth once unless
-        # the day is synthesized again below (which counts it live).
-        truth = None
-        for vantage, deltas in served.items():
-            if vantage not in missing and deltas is not None:
-                truth = deltas["truth"]
-                _replay(deltas["vantage"])
+                counts[vantage, day] = entry[1]
         if missing:
             todo.append((day, tuple((v, tuple(rs)) for v, rs in missing.items())))
-        else:
-            _replay(truth)
 
-    def store(day: int, need: _Need, result: list) -> None:
-        for (vantage, reductions), (values, deltas) in zip(need, result):
+    def store(day: int, need: _Need, result: list[tuple[list[Any], Counts]]) -> None:
+        for (vantage, reductions), (values, day_counts) in zip(need, result):
+            counts[vantage, day] = day_counts
             for reduction, value in zip(reductions, values):
                 if cache:
-                    _DAY_CACHE.put(key(vantage, day, reduction), (value, deltas))
+                    _DAY_CACHE.put(key(vantage, day, reduction), (value, day_counts))
                 found[vantage, reduction][day] = value
 
     if todo:
         registry.inc("parallel.days_dispatched", len(todo))
         n_jobs = resolve_jobs(jobs)
         if _use_pool(n_jobs, len(todo)):
-            items = [(DaySpec(scenario.config, day, None, scenario.takedown), need) for day, need in todo]
-            pairs = get_pool(scenario, n_jobs).map_with_deltas(_day_task, items)
-            for (day, need), (result, deltas) in zip(todo, pairs):
-                if deltas is None:  # unmetered workers: nothing to replay later
-                    result = [(values, None) for values, _ in result]
+            items = [(DaySpec(scenario.config, day, scenario.takedown), need) for day, need in todo]
+            results = get_pool(scenario, n_jobs).map_with_deltas(_day_task, items)
+            for (day, need), result in zip(todo, results):
                 store(day, need, result)
         else:
             start = time.perf_counter()
             for day, need in todo:
                 store(day, need, _reduce_day(scenario, day, need))
             record_inline_pool(registry, len(todo), time.perf_counter() - start)
-    return [{pair: list(map(found[pair].__getitem__, days)) for pair in pairs} for days, pairs in asks]
+    values = [{pair: list(map(found[pair].__getitem__, days)) for pair in pairs} for days, pairs in asks]
+    return values, counts
+
+
+def _read(
+    scenario: Scenario,
+    days: Iterable[int],
+    requests: Mapping[str | None, Sequence[Reduction]],
+    jobs: int,
+    cache: bool,
+) -> dict[tuple[str | None, Reduction], list[Any]]:
+    """One ask's values, with its work counted into ``scenario.*``.
+
+    Per day the ground truth counts once (``days_generated``,
+    ``attacks_generated``, ``flows_synthesized``) and each vantage read
+    there once (``days_observed``, ``flows_observed``), from the counts
+    that travel with the values: a value computed now, one served by
+    either cache tier and one the prefetch left behind count alike.
+    """
+    (values,), counts = _reduce_days(scenario, [(days, requests)], jobs, cache)
+    registry = metrics()
+    if registry.enabled and counts:
+        # One pass, summed locally: a warm serve request pays this per read.
+        truth_days: set[int] = set()
+        attacks = flows = observed = exported = 0
+        for (vantage, day), (n_attacks, n_flows, n_exported) in counts.items():
+            if day not in truth_days:
+                truth_days.add(day)
+                attacks += n_attacks
+                flows += n_flows
+            if vantage is not None:
+                observed += 1
+                exported += n_exported
+        registry.inc("scenario.days_generated", len(truth_days))
+        registry.inc("scenario.attacks_generated", attacks)
+        registry.inc("scenario.flows_synthesized", flows)
+        if observed:
+            registry.inc("scenario.days_observed", observed)
+            registry.inc("scenario.flows_observed", exported)
+    return values
 
 
 def day_reductions(
@@ -662,36 +632,28 @@ def day_reductions(
     :class:`Reduction` values wanted there. Returns, per
     ``(vantage, reduction)``, one value per day in ``days`` order.
 
-    With ``cache``, each value is cached per (reduction, day) and only
-    the requested values are kept. Each day with a value missing is one
-    task — inline, or on the warm pool with ``jobs > 1`` — that
-    synthesizes the ground truth once and observes it once per vantage
-    still needed. Results and the ``scenario.*`` counters are the same
-    for every ``jobs`` and cache state: per day, the ground truth counts
-    once and each requested vantage's observation once.
+    With ``cache``, each value is cached per (reduction, day) with the
+    day's :data:`Counts`, and only the requested values are kept. Each
+    day with a value missing is one task — inline, or on the warm pool
+    with ``jobs > 1`` — that synthesizes the ground truth once and
+    observes it once per vantage still needed. Results and the
+    ``scenario.*`` counters are the same for every ``jobs`` and cache
+    state: per day, the ground truth counts once and each requested
+    vantage's observation once.
     """
     with metrics().span("parallel.day_reductions"):
-        return _reduce_days(scenario, [(days, requests)], jobs, cache)[0]
+        return _read(scenario, days, requests, jobs, cache)
 
 
 def prefetch(scenario: Scenario, asks: Sequence[Ask], jobs: int = 1) -> None:
     """Compute and cache every value of ``asks``, one task per distinct day.
 
-    The ``scenario.*`` counters it adds are restored afterwards: a later
-    :func:`day_reductions` read of an ask counts its days by replay, as
-    an uncached call would, so counter digests ignore the prefetch.
+    It counts no ``scenario.*`` work: each later :func:`day_reductions`
+    read of an ask counts its days from the cached counts, as an
+    uncached read would, so counter digests ignore the prefetch.
     """
-    registry = metrics()
-    with registry.span("parallel.prefetch"):
-        before = _counters_snapshot(registry)
+    with metrics().span("parallel.prefetch"):
         _reduce_days(scenario, asks, jobs, cache=True)
-        if before is not None:
-            counters = registry.counters
-            for name in [n for n in counters if n.startswith(_REPLAY_PREFIX)]:
-                if name in before:
-                    counters[name] = before[name]
-                else:
-                    del counters[name]
 
 
 # -- wrappers ---------------------------------------------------------------------
@@ -706,7 +668,7 @@ def observed_days(
 ) -> list[FlowTable]:
     """The :data:`OBSERVED` table of each day, in ``days`` order."""
     with metrics().span("parallel.observed_days"):
-        return _reduce_days(scenario, [(days, {vantage: (OBSERVED,)})], jobs, cache)[0][vantage, OBSERVED]
+        return _read(scenario, days, {vantage: (OBSERVED,)}, jobs, cache)[vantage, OBSERVED]
 
 
 def daily_port_counts(
@@ -721,7 +683,7 @@ def daily_port_counts(
     with metrics().span("parallel.daily_port_counts"):
         days = [int(d) for d in days]
         reduction = port_counts(selectors)
-        counts = _reduce_days(scenario, [(days, {vantage: (reduction,)})], jobs, cache)[0][vantage, reduction]
+        counts = _read(scenario, days, {vantage: (reduction,)}, jobs, cache)[vantage, reduction]
         return dict(zip(days, counts))
 
 
@@ -733,58 +695,17 @@ def streaming_ingest(
     jobs: int = 1,
     cache: bool = False,
 ) -> Any:
-    """Feed ``days`` through ``analyzer``, optionally over the pool.
+    """Feed each day's :data:`OBSERVED` table through ``analyzer``, in ``days`` order.
 
-    Serially, each day's observed table is the engine's :data:`OBSERVED`
-    value (cached under the engine's key), one day at a time. With ``jobs > 1``
-    the analyzer must implement the merge protocol (``clone_empty()`` +
-    ``merge(other)``): cached observed days are ingested in the parent,
-    and the rest are pre-chunked at the pool's automatic batch size, one
-    pool task per chunk, whose clones fold back order-independently.
+    The tables come from one engine read (over the pool with
+    ``jobs > 1``) and are ingested here, so the analyzer needs only
+    ``ingest_day``; the read holds every day's table until it returns.
     """
     with metrics().span("parallel.streaming_ingest"):
         days = [int(d) for d in days]
-        n_jobs = resolve_jobs(jobs)
-        if not _use_pool(n_jobs, len(days)):
-            for day in days:
-                observed = _reduce_days(scenario, [([day], {vantage: (OBSERVED,)})], 1, cache)[0]
-                analyzer.ingest_day(day, observed[vantage, OBSERVED][0])
-            return analyzer
-        if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
-            raise TypeError(
-                "streaming_ingest with jobs > 1 needs an analyzer with the merge "
-                "protocol (clone_empty() and merge()); got "
-                f"{type(analyzer).__name__}"
-            )
-        config_hash, takedown = _context(scenario)
-        pending: list[int] = []
-        for day in days:
-            if cache:
-                hit = _cache_get(_key("day", config_hash, takedown, vantage, day, OBSERVED.key))
-                if hit is not None:
-                    analyzer.ingest_day(day, hit[0])
-                    continue
-            pending.append(day)
-        if not pending:
-            return analyzer
-        metrics().inc("parallel.days_dispatched", len(pending))
-        pool = get_pool(scenario, n_jobs)
-        chunk_size = pool.resolve_batch(len(pending))
-        tasks = [
-            (
-                tuple(
-                    DaySpec(scenario.config, d, vantage, scenario.takedown)
-                    for d in pending[i : i + chunk_size]
-                ),
-                analyzer.clone_empty(),
-            )
-            for i in range(0, len(pending), chunk_size)
-        ]
-        # Each task is already a chunk of days sharing one analyzer
-        # clone; at most _OVERSUBSCRIBE chunks per worker, so the pool's
-        # automatic batches hold one chunk each.
-        for part, _ in pool.map_with_deltas(_ingest_chunk_task, tasks):
-            analyzer.merge(part)
+        tables = _read(scenario, days, {vantage: (OBSERVED,)}, jobs, cache)[vantage, OBSERVED]
+        for day, table in zip(days, tables):
+            analyzer.ingest_day(day, table)
         return analyzer
 
 
@@ -796,20 +717,17 @@ def day_events(
     """Ground-truth attack events for ``day`` (cached; no flow synthesis).
 
     Event lists are not flow values, so they keep their own ``"events"``
-    key family instead of the engine's.
+    key family instead of the engine's, and count no ``scenario.*`` work.
     """
     config_hash, takedown = _context(scenario)
     key = _key("events", config_hash, takedown, None, day)
     if cache:
-        hit = _cache_get(key)
+        hit = _DAY_CACHE.get(key)
         if hit is not None:
             return hit[0]
-    registry = metrics()
-    before = _counters_snapshot(registry)
     events = scenario.day_events(day)
     if cache:
-        truth = _counters_delta(registry, before)
-        _DAY_CACHE.put(key, (events, None if truth is None else {"truth": truth, "vantage": {}}))
+        _DAY_CACHE.put(key, (events, None))
     return events
 
 
@@ -821,4 +739,4 @@ def day_attack_tables(
 ) -> list[FlowTable]:
     """The :data:`ATTACK_TABLE` of each day, in ``days`` order."""
     with metrics().span("parallel.day_attack_tables"):
-        return _reduce_days(scenario, [(days, {None: (ATTACK_TABLE,)})], jobs, cache)[0][None, ATTACK_TABLE]
+        return _read(scenario, days, {None: (ATTACK_TABLE,)}, jobs, cache)[None, ATTACK_TABLE]

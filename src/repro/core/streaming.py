@@ -138,13 +138,12 @@ class StreamingAnalyzer:
             )
             self.hourly_attacks[day * 24 : (day + 1) * 24] = hourly
 
-    # -- parallel merge protocol --------------------------------------------------
+    # -- merge protocol -----------------------------------------------------------
 
     def clone_empty(self) -> "StreamingAnalyzer":
         """A fresh analyzer with identical parameters and no ingested days.
 
-        The day engine (:mod:`repro.core.parallel`) hands each pool
-        worker chunk its own clone; chunk results fold back with
+        A clone can ingest a chunk of days on its own and fold back with
         :meth:`merge`.
         """
         return StreamingAnalyzer(

@@ -2,9 +2,8 @@
 
 :mod:`repro.core.parallel` hands its day tasks here: the engine
 (:func:`~repro.core.parallel.day_reductions`,
-:func:`~repro.core.parallel.prefetch` and the wrappers over them) and
-:func:`~repro.core.parallel.streaming_ingest`. A fresh
-``ProcessPoolExecutor`` per call would pay pool spin-up, fork, and
+:func:`~repro.core.parallel.prefetch` and the wrappers over them). A
+fresh ``ProcessPoolExecutor`` per call would pay pool spin-up, fork, and
 (under ``spawn``) scenario re-materialization on every call, so this
 module owns one executor instead:
 
@@ -19,11 +18,12 @@ module owns one executor instead:
 * **Day batching**: :meth:`WorkerPool.map_with_deltas` packs several
   cheap items into one task (about :data:`_OVERSUBSCRIBE` batches per
   worker) so per-task dispatch and pickle overhead amortize. Batching
-  is a pure transport detail: every item still runs under its own
-  fresh worker registry, so results and their ``scenario.*`` replay
-  deltas come back at per-item granularity and cache keys are
-  unchanged. Results, flow tables included, travel back over the
-  pool's result pipe as pickles.
+  is a pure transport detail: results come back one per item, in
+  order, and a day task's results carry the day's work counts
+  themselves. Results, flow tables included, travel back over the
+  pool's result pipe as pickles. When the parent records metrics, each
+  batch runs under a fresh worker registry that folds into the
+  parent's: spans, trace events and ``pool.busy_s``.
 
 A pool is the only parallel path: with ``jobs=1`` (or a single item)
 callers run their tasks inline and record the same ``pool.*`` counter
@@ -54,12 +54,6 @@ __all__ = [
     "shutdown_pool",
     "worker_init_count",
 ]
-
-#: Counter family replayed on day-cache hits (mirrored by
-#: :mod:`repro.core.parallel`). The ``scenario.*`` counters are *logical*
-#: work counters, so serving a day from cache — or from the pool — must
-#: count the same as regenerating it serially.
-REPLAY_PREFIX = "scenario."
 
 #: Auto-batching oversubscription: aim for about this many batches per
 #: worker so stragglers still balance while dispatch overhead amortizes.
@@ -131,52 +125,37 @@ def _probe_task(_item: Any) -> dict[str, Any]:
 # -- worker-side task wrappers (module-level: must pickle) ---------------------
 
 
-def _metered_item(
-    fn: Callable[[Any], Any],
-    item: Any,
-    trace: bool,
-    request_id: str | None = None,
-) -> tuple[Any, MetricsRegistry]:
-    """Run one item under a fresh worker registry and ship both back.
-
-    The fresh registry shadows whatever the worker inherited (under
-    fork, the parent's already-populated registry), so nothing is double
-    counted; the parent folds the returned registry in. With ``trace``
-    the worker also buffers span events (pid-stamped, and stamped with
-    ``request_id`` when the dispatch originated from a serve request, so
-    worker spans stitch under their HTTP request in the Perfetto
-    export).
-    """
-    registry = MetricsRegistry(enabled=True, trace=TraceRecorder() if trace else None)
-    previous = set_metrics(registry)
-    start = time.perf_counter()
-    try:
-        with request_scope(request_id):
-            result = fn(item)
-    finally:
-        registry.inc("pool.busy_s", time.perf_counter() - start)
-        set_metrics(previous)
-    return result, registry
-
-
 def _batch_task(
     fn: Callable[[Any], Any],
     metered: bool,
     trace: bool,
     request_id: str | None,
     batch: Sequence[Any],
-) -> list[tuple[Any, MetricsRegistry | None]]:
+) -> tuple[list[Any], MetricsRegistry | None]:
     """One pool task covering a whole batch of items, one result each.
 
-    Every item still runs under its own registry so the parent can
-    attribute ``scenario.*`` deltas per day — batching only changes how
-    many items share a dispatch, never the result granularity.
-    ``request_id`` is the originating serve request, forwarded explicitly
+    ``metered`` runs the batch under a fresh worker registry and ships
+    it back with the results. The fresh registry shadows whatever the
+    worker inherited (under fork, the parent's already-populated
+    registry), so nothing is double counted; the parent folds it in.
+    With ``trace`` the worker also buffers span events (pid-stamped,
+    and stamped with ``request_id`` when the dispatch originated from a
+    serve request, so worker spans stitch under their HTTP request in
+    the Perfetto export). ``request_id`` is forwarded explicitly
     because context variables do not cross the process boundary.
     """
     if not metered:
-        return [(fn(item), None) for item in batch]
-    return [_metered_item(fn, item, trace, request_id) for item in batch]
+        return [fn(item) for item in batch], None
+    registry = MetricsRegistry(enabled=True, trace=TraceRecorder() if trace else None)
+    previous = set_metrics(registry)
+    start = time.perf_counter()
+    try:
+        with request_scope(request_id):
+            results = [fn(item) for item in batch]
+    finally:
+        registry.inc("pool.busy_s", time.perf_counter() - start)
+        set_metrics(previous)
+    return results, registry
 
 
 # -- the pool ------------------------------------------------------------------
@@ -223,15 +202,12 @@ class WorkerPool:
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-    ) -> list[tuple[Any, dict[str, float] | None]]:
-        """Map ``fn`` over ``items``; pair each result with its deltas.
+    ) -> list[Any]:
+        """Map ``fn`` over ``items``: one result per item, in submission order.
 
-        Results come back in submission order. When the active registry
-        is enabled every item runs metered and its worker registry folds
-        into the parent, with the item's ``scenario.*`` counter deltas
-        returned alongside the result (``None`` when the registry is
-        off) — exactly what the day cache stores for replay. Items travel
-        in :meth:`resolve_batch`-sized batches, one task each.
+        Items travel in :meth:`resolve_batch`-sized batches, one task
+        each. When the active registry is enabled every batch runs
+        metered and its worker registry folds into the parent.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is shut down")
@@ -255,7 +231,7 @@ class WorkerPool:
         except BrokenProcessPool:
             # A worker died (OOM kill, hard crash). Respawn once and
             # retry the whole map — tasks are pure day recipes, so a
-            # replay is safe and bit-identical.
+            # rerun is safe and bit-identical.
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = self._spawn()
             registry.inc("pool.respawns")
@@ -268,23 +244,16 @@ class WorkerPool:
             registry.inc("pool.capacity_s", self.workers * wall)
             registry.gauge("pool.workers", self.workers)
             registry.gauge("pool.batch_size", batch_size)
-        results: list[tuple[Any, dict[str, float] | None]] = []
-        for pairs in raw:
-            for result, worker_registry in pairs:
-                deltas = None
-                if worker_registry is not None:
-                    registry.merge(worker_registry)
-                    deltas = {
-                        name: value
-                        for name, value in worker_registry.counters.items()
-                        if name.startswith(REPLAY_PREFIX) and value
-                    }
-                results.append((result, deltas))
+        results: list[Any] = []
+        for batch_results, worker_registry in raw:
+            if worker_registry is not None:
+                registry.merge(worker_registry)
+            results.extend(batch_results)
         return results
 
     def probe(self) -> list[dict[str, Any]]:
         """One :func:`_probe_task` report per dispatched probe (tests)."""
-        return [r for r, _ in self.map_with_deltas(_probe_task, list(range(self.workers * 2)))]
+        return self.map_with_deltas(_probe_task, list(range(self.workers * 2)))
 
     def shutdown(self) -> None:
         """Stop the workers; the pool cannot be used afterwards."""

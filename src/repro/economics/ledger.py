@@ -32,7 +32,7 @@ computed for all of them at once. On a typical day only ~2% of
 customers churn, and an intervention day only pays event costs on the
 seized booter's rows. A booter whose churn probability crosses
 :data:`_DENSE_CHURN_THRESHOLD` falls back to the dense per-row path,
-chunked to the ``chunk_bytes`` transient budget. Both paths consume
+chunked to the :data:`_CHUNK_BYTES` transient budget. Both paths consume
 dedicated :class:`~repro.stats.rng.SeedSequenceTree` child streams in
 booter-then-sequence order, and the path choice depends only on the
 day's parameters — never on chunking — so the same seed yields
@@ -87,8 +87,11 @@ BYTES_PER_CUSTOMER = 9
 
 #: Transient working bytes per active row in one dense-path chunk
 #: (uniform draw + gathered booter ids + masks + collected events);
-#: sizes the chunk rows from the ``chunk_bytes`` budget.
+#: sizes the chunk rows from the :data:`_CHUNK_BYTES` budget.
 _TRANSIENT_BYTES_PER_ROW = 48
+
+#: Transient memory budget of one dense-path chunk.
+_CHUNK_BYTES = 32 << 20
 
 #: Highest per-booter churn probability the sparse event path handles.
 #: Above this, geometric gaps are mostly 1 and one uniform per row is
@@ -223,9 +226,9 @@ class CustomerLedger:
     directly from names + popularity weights. ``n_customers`` seeds the
     initial cohort, apportioned over booters by popularity;
     ``daily_price`` (optional, per booter, USD/day) accrues lifetime
-    spend for active customers; ``chunk_bytes`` bounds per-step
-    transient memory — it is a pure execution knob and never changes
-    results (property-tested: digests are identical across chunk sizes).
+    spend for active customers. :attr:`chunk_rows` bounds per-step
+    transient memory to :data:`_CHUNK_BYTES`; it never changes results
+    (property-tested: digests are identical across chunk sizes).
 
     Days advance consecutively: the ``day`` passed to :meth:`step` must
     equal :attr:`days_stepped` (0, 1, 2, ...), which lets open-stint
@@ -242,13 +245,10 @@ class CustomerLedger:
         n_customers: int,
         *,
         daily_price: np.ndarray | None = None,
-        chunk_bytes: int = 32 << 20,
         reserve_rows: int | None = None,
     ) -> None:
         if n_customers < 0:
             raise ValueError("n_customers cannot be negative")
-        if chunk_bytes <= 0:
-            raise ValueError("chunk_bytes must be positive")
         if reserve_rows is not None and reserve_rows < 0:
             raise ValueError("reserve_rows cannot be negative")
         self.names = list(names)
@@ -267,7 +267,7 @@ class CustomerLedger:
         self._price_f32 = (
             None if self.daily_price is None else self.daily_price.astype(np.float32)
         )
-        self.chunk_rows = max(16_384, int(chunk_bytes) // _TRANSIENT_BYTES_PER_ROW)
+        self.chunk_rows = _CHUNK_BYTES // _TRANSIENT_BYTES_PER_ROW
 
         n_booters = len(self.names)
         initial = _apportion(self.popularity, n_customers)
@@ -322,7 +322,6 @@ class CustomerLedger:
         n_customers: int,
         *,
         daily_price: np.ndarray | None = None,
-        chunk_bytes: int = 32 << 20,
         reserve_rows: int | None = None,
     ) -> "CustomerLedger":
         """Build a ledger over a :class:`~repro.booter.market.BooterMarket`."""
@@ -335,7 +334,6 @@ class CustomerLedger:
             seeds,
             n_customers,
             daily_price=daily_price,
-            chunk_bytes=chunk_bytes,
             reserve_rows=reserve_rows,
         )
 

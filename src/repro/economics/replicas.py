@@ -47,7 +47,6 @@ class ReplicaTask:
     replica: int
     n_days: int
     n_customers: int
-    chunk_bytes: int
     paying_fraction: float
     dynamics: CustomerDynamics
 
@@ -84,7 +83,6 @@ def _run_replica(scenario: Scenario, task: ReplicaTask) -> ReplicaResult:
         task.paying_fraction,
         model="ledger",
         n_customers=task.n_customers,
-        chunk_bytes=task.chunk_bytes,
     )
     report = sim.run(task.n_days, task.intervention)
     assert isinstance(report, LedgerEconomyReport)
@@ -161,7 +159,6 @@ def run_intervention_replicas(
     jobs: int | None = 1,
     dynamics: CustomerDynamics = CustomerDynamics(),
     paying_fraction: float = 0.12,
-    chunk_bytes: int = 32 << 20,
 ) -> ReplicaStudy:
     """Fan ``len(interventions) x n_replicas`` ledger runs over the pool.
 
@@ -182,7 +179,6 @@ def run_intervention_replicas(
             replica=replica,
             n_days=n_days,
             n_customers=n_customers,
-            chunk_bytes=chunk_bytes,
             paying_fraction=paying_fraction,
             dynamics=dynamics,
         )
@@ -197,7 +193,7 @@ def run_intervention_replicas(
         record_inline_pool(registry, len(tasks), time.perf_counter() - start)
     else:
         pool = get_pool(scenario, n_jobs)
-        results = [r for r, _ in pool.map_with_deltas(_run_replica_task, tasks)]
+        results = pool.map_with_deltas(_run_replica_task, tasks)
     study = ReplicaStudy(
         n_replicas=n_replicas,
         n_days=n_days,

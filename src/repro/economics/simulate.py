@@ -131,7 +131,7 @@ class EconomySimulation:
     ``model`` selects the default engine (any :meth:`run` call can
     override it): ``"aggregate"`` for the per-booter float step,
     ``"ledger"`` for the columnar per-customer plane with
-    ``n_customers`` simulated customers chunked to ``chunk_bytes``.
+    ``n_customers`` simulated customers.
     """
 
     def __init__(
@@ -143,7 +143,6 @@ class EconomySimulation:
         *,
         model: str = "aggregate",
         n_customers: int = 100_000,
-        chunk_bytes: int = 32 << 20,
     ) -> None:
         """``paying_fraction``: registered customers actively paying in a
         month (leaked databases show most registered users never buy)."""
@@ -159,7 +158,6 @@ class EconomySimulation:
         self.paying_fraction = paying_fraction
         self.model = model
         self.n_customers = n_customers
-        self.chunk_bytes = chunk_bytes
         # Revenue per paying customer per month: the non-VIP price of the
         # service, plus the VIP premium for the VIP share of buyers.
         self._monthly_price = {}
@@ -238,7 +236,6 @@ class EconomySimulation:
             self.seeds.child("ledger", intervention.name),
             self.n_customers,
             daily_price=daily_price,
-            chunk_bytes=self.chunk_bytes,
             # One appended row per signup: reserving the expected
             # horizon up front skips the column regrowth copies.
             reserve_rows=self.n_customers

@@ -35,8 +35,6 @@ __all__ = [
 #: the IXP and the tier-2 ISP share theirs.
 _SHARED_WINDOW = range(40, 54)
 _TIER1_WINDOW = range(73, 87)
-#: Sampling rate per vantage point, in report order.
-_VP_SAMPLING = {"ixp": 10_000.0, "tier1": 1_000.0, "tier2": 1_000.0}
 
 
 def _ntp_rows(day: int, observed: FlowTable) -> FlowTable:
@@ -129,8 +127,9 @@ def _per_vp_reports(scenario: Scenario, config: ExperimentConfig) -> dict[str, V
     for values in read_asks(scenario, window_asks(scenario.config), config):
         for (vantage, _), rows in values.items():
             stats = per_destination_stats(FlowTable.concat(rows))
-            reports[vantage] = VictimReport(stats, sampling_factor=_VP_SAMPLING[vantage])
-    return {vantage: reports[vantage] for vantage in _VP_SAMPLING}
+            sampling_factor = scenario.vantage_point(vantage).sampling_factor
+            reports[vantage] = VictimReport(stats, sampling_factor=sampling_factor)
+    return {vantage: reports[vantage] for vantage in scenario.vantage_points}
 
 
 def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
@@ -248,8 +247,8 @@ def run_landscape(config: ExperimentConfig) -> ExperimentResult:
     (values,) = read_asks(scenario, landscape_asks(scenario.config), config)
     conservative = ConservativeClassifier()
     stats = per_destination_stats(FlowTable.concat(values["ixp", AMPLIFICATION_ROWS]))
-    reductions = conservative.rule_reductions(stats, sampling_factor=10_000.0)
-    kept = conservative.classify(stats, sampling_factor=10_000.0)
+    reductions = conservative.rule_reductions(stats, sampling_factor=scenario.ixp.sampling_factor)
+    kept = conservative.classify(stats, sampling_factor=scenario.ixp.sampling_factor)
 
     table = format_table(
         ["rule", "destination reduction"],

@@ -7,8 +7,11 @@ unless a run installs an enabled one (``repro-experiments
 Worker processes record into their own registries, which ship back with
 task results and fold into the parent via
 :meth:`MetricsRegistry.merge` — the same reduction shape as
-``StreamingAnalyzer.merge()``, so ``jobs=1`` and ``jobs=N`` runs agree
-on every deterministic counter.
+``StreamingAnalyzer.merge()``. The day engine's ``scenario.*`` work
+counters do not travel that way: each read counts them in the calling
+process from the work counts cached beside each day's values
+(:mod:`repro.core.parallel`), so ``jobs=1`` and ``jobs=N`` runs, cached
+or not, agree on every deterministic counter.
 
 On top of the registry sit three run-comparison layers (PR 3):
 

@@ -26,14 +26,19 @@ Exit code 1 reports unreadable/invalid input files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import io
 import json
 import logging
+import os
 import sys
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.obs.expo import MetricFamily, histogram_quantile, parse_exposition
 from repro.obs.profile import EXPORT_SCHEMA, load_export, registry_from_dict, render_profile
@@ -130,6 +135,35 @@ def _diff_counters(a: RunSnapshot, b: RunSnapshot) -> list[str]:
     return lines
 
 
+def _survives_hangup(command: Callable[[argparse.Namespace], int]) -> Callable[[argparse.Namespace], int]:
+    """Buffer ``command``'s output and write it once it returns.
+
+    A reader that closes the pipe early (``| head -1``) then ends the
+    output quietly, and the command's exit code stands. stdout is
+    pointed at ``os.devnull`` after the failed write, so the
+    interpreter's flush at exit cannot raise again (the recipe of the
+    :mod:`signal` docs).
+    """
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = command(args)
+        try:
+            sys.stdout.write(buffer.getvalue())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            except (OSError, ValueError):
+                pass
+        return code
+
+    return run
+
+
+@_survives_hangup
 def _diff(args: argparse.Namespace) -> int:
     a = load_run_snapshot(args.a, index=args.index_a)
     b = load_run_snapshot(args.b, index=args.index_b)
@@ -176,6 +210,7 @@ def _diff(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
+@_survives_hangup
 def _show(args: argparse.Namespace) -> int:
     export = load_export(args.export)
     run = export.get("run", {})

@@ -19,10 +19,17 @@ constraints of the day-parallel pipeline (:mod:`repro.core.parallel`):
 Naming conventions (relied on by tests and the profile report):
 
 * deterministic work counters live under the ``scenario.``,
-  ``streaming.`` and ``pipeline.`` families and must be identical for
-  ``jobs=1`` and ``jobs=N`` runs of the same work, cached or not (the
-  day cache stores each day's ``scenario.*`` deltas and replays them on
-  hits, so these counters measure logical rather than physical work);
+  ``streaming.``, ``pipeline.`` and ``econ.`` families and must be
+  identical for ``jobs=1`` and ``jobs=N`` runs of the same work, cached
+  or not. ``scenario.*`` counts the days the day engine served to its
+  callers, not the syntheses it ran: each read of
+  :func:`repro.core.parallel.day_reductions` (and the wrappers over it)
+  counts, per day, the ground truth once (``days_generated``,
+  ``attacks_generated``, ``flows_synthesized``) and each vantage it
+  asked for once (``days_observed``, ``flows_observed``), from the work
+  counts cached beside each value. Physical synthesis and observation
+  show as the ``scenario.day_traffic`` and ``scenario.observe_day``
+  spans;
 * timing counters end in ``_s`` (seconds) and execution-strategy
   metrics live under the ``cache.`` / ``pool.`` / ``serve.`` /
   ``visibility.`` / ``parallel.`` families — all of these are

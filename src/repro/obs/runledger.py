@@ -66,7 +66,7 @@ EXCLUDED_PREFIXES: tuple[str, ...] = (
     "parallel.",
     "matrix.",
     # Market-plane execution strategy: ledger chunk fan-out and replica
-    # dispatch counts vary with chunk_bytes / jobs, never with results.
+    # dispatch counts vary with the chunk size and jobs, never with results.
     "market.",
 )
 

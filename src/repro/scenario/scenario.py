@@ -224,7 +224,8 @@ class Scenario:
         ``with_takedown=False`` produces the counterfactual world where
         the seizure never happened (used by ablations). Nothing is kept:
         days are reused through the day-reduction engine's cache
-        (:func:`repro.core.parallel.day_reductions`).
+        (:func:`repro.core.parallel.day_reductions`), which also counts
+        the ``scenario.*`` work; this method records its span only.
         """
         if not 0 <= day < self.config.n_days:
             raise ValueError(f"day {day} outside scenario [0, {self.config.n_days})")
@@ -249,17 +250,9 @@ class Scenario:
                 scaled_activity = {n: a * self.config.scale for n, a in activity.items()}
                 scan = self.market.scan_flows_for_day(day, activity=scaled_activity)
                 benign = self.background.flows_for_day(day, intensity_scale=self.config.scale)
-            traffic = DayTraffic(
+            return DayTraffic(
                 day=day, events=events, attack=attack, trigger=trigger, scan=scan, benign=benign
             )
-            if registry.enabled:
-                registry.inc("scenario.days_generated")
-                registry.inc("scenario.attacks_generated", len(events))
-                registry.inc(
-                    "scenario.flows_synthesized",
-                    len(traffic.attack) + len(traffic.trigger) + len(scan) + len(benign),
-                )
-        return traffic
 
     def _synthesize_events(
         self, day: int, events: list[AttackEvent], bin_seconds: float
@@ -298,18 +291,13 @@ class Scenario:
                 f"kinds must be distinct names among {', '.join(KINDS)}; got {kinds}"
             )
         vp = self.vantage_point(vantage)
-        registry = metrics()
-        with registry.span(
+        with metrics().span(
             "scenario.observe_day", trace_args={"day": traffic.day, "vantage": vantage}
         ):
             tables = [getattr(traffic, kind) for kind in kinds]
             indices = [traffic.kind_index(kind, self.visibility) for kind in kinds]
             rng = self.seeds.child("observe", vantage, traffic.day).rng()
-            observed = vp.observe(tables, rng, indices=indices)
-        if registry.enabled:
-            registry.inc("scenario.days_observed")
-            registry.inc("scenario.flows_observed", len(observed))
-        return observed
+            return vp.observe(tables, rng, indices=indices)
 
     def vantage_point(self, name: str) -> VantagePoint:
         try:

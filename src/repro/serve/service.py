@@ -3,9 +3,10 @@
 Every endpoint payload is derived from the same deterministic day
 engine the experiments use, :func:`repro.core.parallel.day_reductions`
 with caching on. Every endpoint asks for one fixed request per day and
-vantage point, :data:`SERVE_DAY`: the day's per-selector packet counts,
+vantage point, :func:`serve_day`: the day's per-selector packet counts,
 its flow/packet/byte totals and its victim ranking cut at
-:data:`MAX_TOP_VICTIMS` there, plus the day's ground-truth attack
+:data:`MAX_TOP_VICTIMS` there (peak rates renormalized by the vantage
+point's configured sampling rate), plus the day's ground-truth attack
 summary. A request resolves through the tiers in order:
 
 1. in-memory :class:`~repro.core.parallel.DayResultCache` — hit in
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import json
 import threading
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -63,13 +64,10 @@ from repro.scenario.scenario import DayTraffic
 from repro.serve.http import HttpError
 from repro.timeutil import TRAFFIC_EPOCH, date_of, day_index, parse_date
 
-__all__ = ["ObservatoryService", "SERVE_DAY", "VANTAGES", "VP_SAMPLING", "canonical_json"]
+__all__ = ["ObservatoryService", "VANTAGES", "canonical_json", "serve_day"]
 
 #: Vantage points a request may select (the paper's three).
 VANTAGES = ("ixp", "tier1", "tier2")
-
-#: Renormalization per vantage point (mirrors fig2's sampling factors).
-VP_SAMPLING = {"ixp": 10_000.0, "tier1": 1_000.0, "tier2": 1_000.0}
 
 #: Hard caps on the work one request may ask for. The victim ranking is
 #: cached cut at ``MAX_TOP_VICTIMS``; ``?top=`` slices it.
@@ -166,23 +164,23 @@ PORTS = port_counts(SELECTORS.values())
 #: The day's observed flow/packet/byte totals.
 TOTALS = Reduction(("totals",), _day_totals)
 
-#: Per vantage point, the day's victims ranked by peak Gbps renormalized
-#: by its sampling factor, cut at ``MAX_TOP_VICTIMS``: the destination
-#: count, the count above 1 Gbps, and payload-ready victim dicts. The key
-#: pins the default classifier thresholds, the bin and the cut.
-RANKINGS = {
-    vantage: Reduction(
+
+@lru_cache(maxsize=None)
+def _ranking(sampling_factor: float) -> Reduction:
+    """The day's victims ranked by peak Gbps renormalized by
+    ``sampling_factor``, cut at ``MAX_TOP_VICTIMS``: the destination
+    count, the count above 1 Gbps, and payload-ready victim dicts. The
+    key pins the default classifier thresholds, the bin and the cut."""
+    return Reduction(
         (
             "victim_ranking",
-            VP_SAMPLING[vantage],
+            sampling_factor,
             repr(ClassifierThresholds()),
             VICTIM_BIN_SECONDS,
             MAX_TOP_VICTIMS,
         ),
-        partial(_victim_ranking, VP_SAMPLING[vantage]),
+        partial(_victim_ranking, sampling_factor),
     )
-    for vantage in VANTAGES
-}
 
 
 def _attack_summary(day: int, traffic: DayTraffic) -> dict[str, Any]:
@@ -198,13 +196,18 @@ def _attack_summary(day: int, traffic: DayTraffic) -> dict[str, Any]:
 #: The day's ground-truth attack events, summarized (vantage ``None``).
 ATTACKS = Reduction(("attack_summary",), _attack_summary)
 
-#: Per vantage point, the one request every endpoint makes for a day
-#: there. Asking for all three vantage points at once would synthesize a
-#: day once for traffic that asks it at several of them, but pay two
-#: extra observations and rankings per cold day for traffic that asks
-#: one; no benchmark workload has the second kind of traffic to weigh
-#: the two against.
-SERVE_DAY = {v: {None: (ATTACKS,), v: (PORTS, TOTALS, RANKINGS[v])} for v in VANTAGES}
+
+def serve_day(vantage: str, sampling_factor: float) -> dict[str | None, tuple[Reduction, ...]]:
+    """The one request every endpoint makes for a day at ``vantage``,
+    whose configured sampling rate is 1 in ``sampling_factor``.
+
+    Asking for all three vantage points at once would synthesize a day
+    once for traffic that asks it at several of them, but pay two extra
+    observations and rankings per cold day for traffic that asks one;
+    no benchmark workload has the second kind of traffic to weigh the
+    two against.
+    """
+    return {None: (ATTACKS,), vantage: (PORTS, TOTALS, _ranking(sampling_factor))}
 
 
 class ObservatoryService:
@@ -313,14 +316,19 @@ class ObservatoryService:
         metrics().inc(f"serve.cache_tier.{tier}")
         return result
 
+    @cached_property
+    def _requests(self) -> dict[str, dict[str | None, tuple[Reduction, ...]]]:
+        """:func:`serve_day` per vantage point, at its configured sampling rate."""
+        return {v: serve_day(v, self.scenario.vantage_point(v).sampling_factor) for v in VANTAGES}
+
     def _serve_days(
         self, days: list[int], vantage: str
     ) -> dict[tuple[str | None, Reduction], list[Any]]:
-        """:data:`SERVE_DAY` of ``vantage`` for ``days``, through the cache tiers."""
+        """:func:`serve_day` of ``vantage`` for ``days``, through the cache tiers."""
         return day_reductions(
             self.scenario,
             days,
-            SERVE_DAY[vantage],
+            self._requests[vantage],
             jobs=self.config.jobs,
             cache=True,
         )
@@ -483,12 +491,13 @@ class ObservatoryService:
                 400, f"top must be in [1, {MAX_TOP_VICTIMS}], got {top}", close=False
             )
         values = self._resolve(lambda: self._serve_days([day], vantage_name))
-        ranking = values[vantage_name, RANKINGS[vantage_name]][0]
+        sampling_factor = self.scenario.vantage_point(vantage_name).sampling_factor
+        ranking = values[vantage_name, _ranking(sampling_factor)][0]
         return {
             "date": date_text,
             "day_index": day,
             "vantage": vantage_name,
-            "sampling_factor": VP_SAMPLING[vantage_name],
+            "sampling_factor": sampling_factor,
             "n_destinations": ranking["n_destinations"],
             "victims_above_1gbps": ranking["victims_above_1gbps"],
             "victims": ranking["victims"][:top],

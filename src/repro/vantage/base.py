@@ -93,6 +93,12 @@ class VantagePoint(ABC):
         self.sampler = sampler
         self.anonymizer = anonymizer
 
+    @property
+    def sampling_factor(self) -> float:
+        """What renormalizes this vantage point's sampled rates: N of its
+        1-in-N packet sampling."""
+        return float(self.sampler.rate_denominator)
+
     @abstractmethod
     def visibility_filter(
         self, tables: Sequence[FlowTable], indices: Sequence[np.ndarray] | None = None

@@ -32,30 +32,37 @@ def make_table(n, seed=0):
 
 
 KEY = ("day", "cfg-hash", "takedown-repr", "ixp", 3, ("observed",))
-DELTAS = {"scenario.days_generated": 1, "scenario.flows_generated": 1234.0}
+#: A day's work counts at a vantage: attack events, flows synthesized,
+#: flows the vantage exported.
+COUNTS = (13, 208_960, 51_448)
 
 
 class TestRoundtrip:
     def test_table_roundtrip_bit_identical(self, tmp_path):
         cache = DiskDayCache(tmp_path)
         table = make_table(200, seed=1)
-        assert cache.put(KEY, (table, DELTAS))
-        value, deltas = cache.get(KEY)
+        assert cache.put(KEY, (table, COUNTS))
+        value, counts = cache.get(KEY)
         for name in SCHEMA:
             np.testing.assert_array_equal(table[name], value[name], err_msg=name)
             assert value[name].dtype == table[name].dtype, name
-        assert deltas == DELTAS
-        # ints stay ints, floats stay floats: the counter digest
-        # distinguishes 1 from 1.0, so replay must preserve types.
-        assert isinstance(deltas["scenario.days_generated"], int)
-        assert isinstance(deltas["scenario.flows_generated"], float)
+        assert counts == COUNTS
+
+    @pytest.mark.parametrize("counts", [COUNTS, (13, 208_960, None)])
+    def test_counts_roundtrip_as_ints(self, tmp_path, counts):
+        """The counter digest tells 162 from 162.0, so counts read back
+        from disk must be the ints (and ``None``) they were stored as."""
+        DiskDayCache(tmp_path).put(KEY, ({"ntp_to": 7}, counts))
+        _, loaded = DiskDayCache(tmp_path).get(KEY)
+        assert loaded == counts
+        assert [type(n) for n in loaded] == [type(n) for n in counts]
 
     def test_persists_across_instances(self, tmp_path):
         DiskDayCache(tmp_path).put(KEY, (make_table(50), None))
         reopened = DiskDayCache(tmp_path)
         assert len(reopened) == 1
-        value, deltas = reopened.get(KEY)
-        assert len(value) == 50 and deltas is None
+        value, counts = reopened.get(KEY)
+        assert len(value) == 50 and counts is None
 
     def test_empty_table(self, tmp_path):
         cache = DiskDayCache(tmp_path)
@@ -66,11 +73,11 @@ class TestRoundtrip:
     def test_json_value_roundtrip(self, tmp_path):
         cache = DiskDayCache(tmp_path)
         counts = {"ntp_to": 123456, "dns_from": 0}
-        assert cache.put(KEY, (counts, DELTAS))
-        value, deltas = cache.get(KEY)
+        assert cache.put(KEY, (counts, COUNTS))
+        value, entry_counts = cache.get(KEY)
         assert value == counts
         assert all(isinstance(v, int) for v in value.values())
-        assert deltas == DELTAS
+        assert entry_counts == COUNTS
 
     def test_miss_returns_none(self, tmp_path):
         cache = DiskDayCache(tmp_path)
@@ -87,6 +94,7 @@ class TestDeclinedValues:
         assert not cache.put(KEY, (object(), None))
         assert not cache.put(KEY, ({"a": (1, 2)}, None))  # tuple -> list
         assert not cache.put(KEY, ({"a": np.int64(3)}, None))  # numpy scalar
+        assert not cache.put(KEY, ({"a": 3}, {"scenario.days_generated": 1}))  # not counts
         assert len(cache) == 0
 
     def test_wide_asn_table_declined(self, tmp_path):
@@ -99,7 +107,7 @@ class TestDeclinedValues:
 class TestCorruption:
     def _store(self, tmp_path, n=40):
         cache = DiskDayCache(tmp_path)
-        cache.put(KEY, (make_table(n, seed=2), DELTAS))
+        cache.put(KEY, (make_table(n, seed=2), COUNTS))
         digest = key_digest(KEY)
         return cache, tmp_path / f"{digest}.rfl", tmp_path / f"{digest}.json"
 
@@ -233,15 +241,15 @@ class TestJsonLane:
 
     def test_one_file_per_json_entry(self, tmp_path):
         cache = DiskDayCache(tmp_path)
-        assert cache.put(KEY, ({"ntp_to": 7}, DELTAS))
+        assert cache.put(KEY, ({"ntp_to": 7}, COUNTS))
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key_digest(KEY)}.json"]
-        assert DiskDayCache(tmp_path).get(KEY) == ({"ntp_to": 7}, DELTAS)
+        assert DiskDayCache(tmp_path).get(KEY) == ({"ntp_to": 7}, COUNTS)
 
     def test_resident_bytes_is_every_file_byte(self, tmp_path):
         cache = DiskDayCache(tmp_path)
-        cache.put(self._key(0), ({"ntp_to": 123456}, DELTAS))
+        cache.put(self._key(0), ({"ntp_to": 123456}, COUNTS))
         cache.put(self._key(1), (list(range(500)), None))
-        cache.put(KEY, (make_table(30), DELTAS))
+        cache.put(KEY, (make_table(30), COUNTS))
         on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
         assert cache.resident_bytes == on_disk
         assert DiskDayCache(tmp_path).resident_bytes == on_disk  # the re-scan agrees
@@ -260,13 +268,13 @@ class TestJsonLane:
     @pytest.mark.parametrize("damage", ["truncated", "old_schema"])
     def test_bad_sidecar_is_a_counted_miss(self, tmp_path, damage):
         cache = DiskDayCache(tmp_path)
-        cache.put(KEY, ({"ntp_to": 7}, DELTAS))
+        cache.put(KEY, ({"ntp_to": 7}, COUNTS))
         sidecar = tmp_path / f"{key_digest(KEY)}.json"
         if damage == "truncated":
             sidecar.write_text(sidecar.read_text()[:-9])
         else:
             payload = json.loads(sidecar.read_text())
-            payload["schema"] = "repro.diskcache/2"
+            payload["schema"] = "repro.diskcache/3"
             sidecar.write_text(json.dumps(payload))
         registry = MetricsRegistry(enabled=True)
         with use_metrics(registry):
@@ -283,16 +291,16 @@ class TestDayResultCacheIntegration:
         first = DayResultCache()
         first.attach_disk(disk)
         table = make_table(80, seed=7)
-        first.put(KEY, (table, DELTAS))
+        first.put(KEY, (table, COUNTS))
 
         second = DayResultCache()
         second.attach_disk(disk)
         entry = second.get(KEY)
         assert entry is not None
-        value, deltas = entry
+        value, counts = entry
         for name in SCHEMA:
             np.testing.assert_array_equal(table[name], value[name], err_msg=name)
-        assert deltas == DELTAS
+        assert counts == COUNTS
         assert disk.hits == 1
         # Promoted: the next lookup is served from memory.
         assert second.get(KEY) is entry or second.get(KEY) == entry

@@ -9,6 +9,7 @@ from repro.booter.market import MarketConfig
 from repro.core.parallel import (
     DayResultCache,
     DaySpec,
+    Reduction,
     day_attack_tables,
     day_cache,
     day_events,
@@ -39,6 +40,10 @@ FUSED_DAYS = range(40, 44)
 
 def _span_calls(registry, stage: str) -> int:
     return sum(stats.calls for path, stats in registry.spans.items() if path[-1] == stage)
+
+
+def _scenario_counters(registry) -> dict:
+    return {k: v for k, v in registry.counters.items() if k.startswith("scenario.")}
 
 
 def _fused_pair(scenario, **kwargs):
@@ -103,16 +108,8 @@ class TestParallelDeterminism:
         )
         np.testing.assert_array_equal(a.total_packets, b.total_packets)
 
-    def test_parallel_streaming_needs_merge_protocol(self, scenario):
-        class Bare:
-            def ingest_day(self, day, table):
-                pass
-
-        with pytest.raises(TypeError, match="merge"):
-            streaming_ingest(scenario, "ixp", Bare(), range(40, 44), jobs=2)
-
     def test_day_spec_pickles(self, scenario):
-        spec = DaySpec(config=scenario.config, day=40, vantage="ixp", takedown=scenario.takedown)
+        spec = DaySpec(config=scenario.config, day=40, takedown=scenario.takedown)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
@@ -359,9 +356,8 @@ class TestPrefetch:
             # four days and tier-2 on three, whichever ask wanted them.
             assert _span_calls(registry, "scenario.day_traffic") == 4
             assert _span_calls(registry, "scenario.observe_day") == 7
-            # The counters it added are restored; the ones it found stay.
-            scenario_counters = {k: v for k, v in registry.counters.items() if k.startswith("scenario.")}
-            assert scenario_counters == {"scenario.days_generated": 5}
+            # It counts no scenario.* work: the counters stay as it found them.
+            assert _scenario_counters(registry) == {"scenario.days_generated": 5}
 
             warm, warm_registry = read(cache=True)
         finally:
@@ -370,10 +366,117 @@ class TestPrefetch:
         assert warm == cold
         assert warm_registry.counter("cache.misses") == 0
         assert _span_calls(warm_registry, "scenario.day_traffic") == 0
-        replayed = {k: v for k, v in warm_registry.counters.items() if k.startswith("scenario.")}
-        computed = {k: v for k, v in cold_registry.counters.items() if k.startswith("scenario.")}
-        assert replayed == computed
+        computed = _scenario_counters(cold_registry)
+        assert _scenario_counters(warm_registry) == computed
         assert computed["scenario.days_generated"] == 6
+
+
+def _event_count(day: int, traffic) -> int:
+    return len(traffic.events)
+
+
+class TestCountsTravelWithValues:
+    """A read counts ``scenario.*`` from the work counts cached beside each
+    value, so a cache filled while metrics were off counts like a cold run."""
+
+    #: JSON-exact values at all three kinds of vantage, so the disk tier keeps them.
+    REQUESTS = {
+        None: (Reduction(("event_count",), _event_count),),
+        "ixp": (PORTS, HOURLY),
+        "tier2": (PORTS,),
+    }
+    DAYS = range(40, 43)
+
+    def _metered_read(self, scenario, jobs=1, cache=False):
+        from repro.obs import MetricsRegistry, use_metrics
+
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            values = day_reductions(scenario, self.DAYS, self.REQUESTS, jobs=jobs, cache=cache)
+        return values, registry
+
+    def _unmetered_fill(self, scenario, jobs=1):
+        from repro.obs import MetricsRegistry, use_metrics
+
+        with use_metrics(MetricsRegistry(enabled=False)):
+            day_reductions(scenario, self.DAYS, self.REQUESTS, jobs=jobs, cache=True)
+
+    def _assert_counts_like_cold(self, warm, cold):
+        from repro.obs.runledger import counter_digest
+
+        warm_values, warm_registry = warm
+        cold_values, cold_registry = cold
+        assert warm_values == cold_values
+        assert _span_calls(warm_registry, "scenario.day_traffic") == 0  # served, not computed
+        assert _scenario_counters(warm_registry) == _scenario_counters(cold_registry)
+        # The digest tells 3 from 3.0, which dict equality does not.
+        assert counter_digest(warm_registry.counters) == counter_digest(cold_registry.counters)
+        counters = _scenario_counters(cold_registry)
+        assert counters["scenario.days_generated"] == 3
+        assert counters["scenario.days_observed"] == 6
+        assert counters["scenario.flows_observed"] < counters["scenario.flows_synthesized"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memory_tier_filled_unmetered(self, scenario, jobs):
+        from repro.core.workerpool import shutdown_pool
+
+        cache = day_cache()
+        cache.clear()
+        try:
+            cold = self._metered_read(scenario, jobs)
+            self._unmetered_fill(scenario, jobs)
+            warm = self._metered_read(scenario, jobs, cache=True)
+        finally:
+            cache.clear()
+            shutdown_pool()
+        self._assert_counts_like_cold(warm, cold)
+
+    def test_disk_tier_filled_unmetered(self, scenario, tmp_path):
+        from repro.core.diskcache import DiskDayCache
+
+        cache = day_cache()
+        cache.clear()
+        disk = DiskDayCache(tmp_path / "day_cache")
+        cache.attach_disk(disk)
+        try:
+            self._unmetered_fill(scenario)
+            cache.clear()  # a fresh process: memory gone, disk survives
+            warm = self._metered_read(scenario, cache=True)
+            assert disk.hits == 12  # three days of four values
+        finally:
+            cache.attach_disk(None)
+            cache.clear()
+        self._assert_counts_like_cold(warm, self._metered_read(scenario))
+
+    def test_counts_follow_the_read_rule(self, scenario):
+        """Per day the ground truth counts once, however many vantages the
+        read asks for, and each vantage's observation counts once."""
+        from repro.scenario.scenario import KINDS
+
+        _, registry = self._metered_read(scenario)
+        attacks = flows = observed = 0
+        for day in self.DAYS:
+            traffic = scenario.day_traffic(day)
+            attacks += len(traffic.events)
+            flows += sum(len(getattr(traffic, kind)) for kind in KINDS)
+            observed += sum(len(scenario.observe_day(v, traffic)) for v in ("ixp", "tier2"))
+        assert _scenario_counters(registry) == {
+            "scenario.days_generated": 3,
+            "scenario.attacks_generated": attacks,
+            "scenario.flows_synthesized": flows,
+            "scenario.days_observed": 6,
+            "scenario.flows_observed": observed,
+        }
+
+    def test_scenario_records_spans_but_no_counters(self, scenario):
+        from repro.obs import MetricsRegistry, use_metrics
+
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            scenario.observe_day("ixp", scenario.day_traffic(40))
+        assert _span_calls(registry, "scenario.day_traffic") == 1
+        assert _span_calls(registry, "scenario.observe_day") == 1
+        assert _scenario_counters(registry) == {}
 
 
 class TestDayResultCacheEdgeCases:

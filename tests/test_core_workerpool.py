@@ -244,15 +244,14 @@ class TestDayBatching:
             patch.setattr(WorkerPool, "_spawn", lambda self: executor)
             pool = WorkerPool(workers, scenario.config)
         items = list(range(n_items))
-        pairs = pool.map_with_deltas(_square, items)
-        assert [result for result, _ in pairs] == [i * i for i in items]
+        assert pool.map_with_deltas(_square, items) == [i * i for i in items]
         assert [item for batch in executor.batches for item in batch] == items
         assert len(executor.batches) <= 4 * workers
 
     def test_batching_collapses_dispatches(self, scenario):
         pool = get_pool(scenario, 2)
-        pairs, registry = _recorded(lambda: pool.map_with_deltas(_square, range(16)))
-        assert [result for result, _ in pairs] == [i * i for i in range(16)]
+        results, registry = _recorded(lambda: pool.map_with_deltas(_square, range(16)))
+        assert results == [i * i for i in range(16)]
         assert registry.counter("pool.tasks") == 16
         assert registry.counter("pool.batches") == 8
         assert registry.gauges["pool.batch_size"] == 2
@@ -274,7 +273,7 @@ class TestTransportInvariance:
     def test_jobs_never_change_results(self, jobs):
         """Worker count and its automatic batch size (3 days per task at
         jobs=2, 2 at jobs=3) are invisible in results and in the
-        scenario.* replay deltas."""
+        scenario.* work counters."""
         config = _config(n_days=46, takedown_day=43)
         days = list(range(26, 46))
         reference = Scenario(config)
@@ -295,9 +294,9 @@ class TestWorkerDeath:
     def test_killed_worker_is_respawned_once(self, scenario, tmp_path):
         pool = get_pool(scenario, 2)
         items = [(str(tmp_path), value) for value in range(8)]
-        pairs, registry = _recorded(lambda: pool.map_with_deltas(_kill_first_call, items))
+        results, registry = _recorded(lambda: pool.map_with_deltas(_kill_first_call, items))
         assert (tmp_path / "killed").exists()
-        assert [result for result, _ in pairs] == [_square(value) for _, value in items]
+        assert results == [_square(value) for _, value in items]
         assert registry.counter("pool.respawns") == 1
         assert registry.counter("pool.tasks") == len(items)
 

@@ -119,8 +119,6 @@ class TestConstruction:
             CustomerLedger(NAMES, np.ones(3), CustomerDynamics(), SeedSequenceTree(1), 10)
         with pytest.raises(ValueError, match="negative"):
             _ledger(n=-1)
-        with pytest.raises(ValueError, match="chunk_bytes"):
-            _ledger(chunk_bytes=0)
         with pytest.raises(ValueError, match="daily_price"):
             _ledger(daily_price=np.ones(2))
 
@@ -171,7 +169,7 @@ class TestStepValidation:
 
 
 class TestChunkInvariance:
-    """chunk_bytes is a pure execution knob: digests never move."""
+    """The dense path's chunk rows are a pure execution detail: digests never move."""
 
     def _run(self, chunk_rows=None, days=12):
         led = _ledger(seed=99)

@@ -1,6 +1,11 @@
 """``repro-obs`` CLI: drift classification exit codes, show, schema checks."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +196,56 @@ class TestShow:
     def test_registry_from_dict_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
             registry_from_dict({"schema": "nope/1"})
+
+
+class _HungUpStdout(io.StringIO):
+    """A stdout whose reader has closed the pipe: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head -1``) ends the output
+    quietly, and ``diff`` still exits with its verdict."""
+
+    @pytest.mark.parametrize(
+        "b_counters, b_wall_s, verdict",
+        [
+            (BASE, 1.0, EXIT_CLEAN),
+            (dict(BASE, **{"scenario.days_generated": 5.0}), 1.0, EXIT_LOGIC_DRIFT),
+            (BASE, 2.0, EXIT_PERF_REGRESSION),
+        ],
+    )
+    def test_diff_keeps_its_verdict(self, tmp_path, monkeypatch, b_counters, b_wall_s, verdict):
+        a = _export(tmp_path, "a.json", BASE, wall_s=1.0)
+        b = _export(tmp_path, "b.json", b_counters, wall_s=b_wall_s)
+        monkeypatch.setattr(sys, "stdout", _HungUpStdout())
+        assert main(["diff", str(a), str(b)]) == verdict
+
+    def test_show_ends_quietly(self, tmp_path, monkeypatch):
+        export = _export(tmp_path, "m.json", BASE, wall_s=1.0)
+        monkeypatch.setattr(sys, "stdout", _HungUpStdout())
+        assert main(["show", str(export)]) == EXIT_CLEAN
+
+    @pytest.mark.parametrize("command", ["diff", "show"])
+    def test_closed_pipe_exits_without_traceback(self, tmp_path, command):
+        a = _export(tmp_path, "a.json", BASE, wall_s=1.0)
+        b = _export(tmp_path, "b.json", dict(BASE, **{"scenario.days_generated": 5.0}), wall_s=1.0)
+        args = [str(a), str(b)] if command == "diff" else [str(a)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.obs.cli", command, *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader hangs up before the first line
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == (EXIT_LOGIC_DRIFT if command == "diff" else EXIT_CLEAN)
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, stderr
 
 
 class TestRunnerRoundtrip:

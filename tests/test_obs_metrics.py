@@ -289,7 +289,7 @@ class TestInstrumentedPipeline:
             )
         assert warm.counter("cache.hits") > 0
         # no physical generation ran (no day_traffic span), yet the logical
-        # counters were replayed from the cached entries
+        # counters were counted from the cached entries' work counts
         assert not any(p[-1] == "scenario.day_traffic" for p in warm.spans)
         assert _deterministic(warm) == _deterministic(cold)
         day_cache().clear()

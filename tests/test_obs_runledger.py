@@ -150,7 +150,7 @@ class TestDigestBitIdentityAcrossStrategies:
         digests = {key: counter_digest(run.counters) for key, run in runs.items()}
         assert len(set(digests.values())) == 1, digests
         # Per call, the ground truth counts once per day and each vantage
-        # once per day, whether computed, shared or replayed.
+        # once per day, whether computed, shared or served from the cache.
         cached = runs[1, True]
         assert cached.counter("scenario.days_generated") == 8
         assert cached.counter("scenario.days_observed") == 12

@@ -285,7 +285,9 @@ class TestObserveDayParity:
         ref_rng = scenario.seeds.child("observe", vantage, day).rng()
         want = reference_observe.observe(scenario.vantage_point(vantage), table, ref_rng)
         assert_identical(got, want)
-        assert registry.counter("scenario.flows_observed") == len(got)
+        # The span only: the day engine counts the scenario.* work.
+        assert registry.spans[("scenario.observe_day",)].calls == 1
+        assert not any(name.startswith("scenario.") for name in registry.counters)
 
 
 class TestStageParity:

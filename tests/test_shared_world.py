@@ -100,7 +100,7 @@ def test_custom_takedown_travels_with_the_task():
     assert theirs != ours
 
     # In-process, the task's world is a copy carrying its takedown.
-    spec = DaySpec(config=config.scenario_config(), day=72, vantage=None, takedown=custom.takedown)
+    spec = DaySpec(config=config.scenario_config(), day=72, takedown=custom.takedown)
     view = parallel._materialize(spec)
     assert view is not world
     assert view.takedown == custom.takedown
