@@ -292,7 +292,7 @@ def _legacy_day_traffic(scenario, day, bin_seconds=60.0):
     from repro.flows.records import FlowTable
     from repro.scenario.scenario import DayTraffic
 
-    weights, activity, demand_level = scenario._day_demand(day, True)
+    weights, activity, demand_level = scenario._day_demand(day)
     events = scenario.market.attacks_for_day(
         day, demand_weights=weights, demand_scale=scenario.config.scale * demand_level
     )
@@ -306,8 +306,6 @@ def _legacy_day_traffic(scenario, day, bin_seconds=60.0):
                 event, rng, bin_seconds=bin_seconds, origin_asn=backend.backend_asn
             )
         )
-    if activity is None:
-        activity = {name: 1.0 for name in scenario.market.services}
     scaled = {n: a * scenario.config.scale for n, a in activity.items()}
     return DayTraffic(
         day=day,

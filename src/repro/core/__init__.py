@@ -13,7 +13,7 @@ from repro.core.classify import (
     OptimisticClassifier,
 )
 from repro.core.overlap import OverlapMatrix, reflector_overlap_matrix
-from repro.core.parallel import DayResultCache, DaySpec, day_cache
+from repro.core.parallel import DayResultCache, day_cache
 from repro.core.pipeline import DailyPortSeries, TrafficSelector, collect_daily_port_series
 from repro.core.selfattack import SelfAttackSummary, summarize_measurements
 from repro.core.takedown_analysis import TakedownReport, analyze_takedown
@@ -24,7 +24,6 @@ __all__ = [
     "ConservativeClassifier",
     "DailyPortSeries",
     "DayResultCache",
-    "DaySpec",
     "OptimisticClassifier",
     "OverlapMatrix",
     "SelfAttackSummary",

@@ -16,10 +16,10 @@ engine, :func:`day_reductions`:
 * each day missing from the cache becomes **one** task that synthesizes
   the ground truth once, observes it once per vantage still needed and
   applies every requested reduction;
-* tasks run inline (``jobs=1``, or a single task) or on the
-  **persistent warm process pool** owned by :mod:`repro.core.workerpool`
-  (spawned once per (jobs, config) and reused across call sites, with
-  automatic day batching), so ``jobs=1`` and ``jobs=N`` are
+* :func:`repro.core.workerpool.run_tasks` runs the tasks inline
+  (``jobs=1``, or a single task) or one per pool task on the
+  **persistent warm process pool** (spawned once per (jobs, config) and
+  reused across call sites), so ``jobs=1`` and ``jobs=N`` are
   **bit-identical**.
 
 A day task returns each vantage's values with the day's :data:`Counts`
@@ -55,11 +55,8 @@ too: it asks for small per-day reductions at one vantage point.
 
 from __future__ import annotations
 
-import copy
-import os
 import sys
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -67,25 +64,21 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.booter.takedown import TakedownScenario
 from repro.core.classify import ClassifierThresholds
 from repro.core.victims import attacks_per_hour
-from repro.core.workerpool import get_pool, record_inline_pool, scenario_for
+from repro.core.workerpool import run_tasks
 from repro.flows.records import FlowTable, SCHEMA
 from repro.obs import metrics
-from repro.scenario.config import ScenarioConfig
 from repro.scenario.scenario import KINDS, DayTraffic, Scenario
 
 __all__ = [
     "ATTACK_TABLE",
     "Ask",
     "Counts",
-    "DaySpec",
     "DayResultCache",
     "OBSERVED",
     "Reduction",
     "day_cache",
-    "resolve_jobs",
     "day_reductions",
     "prefetch",
     "port_counts",
@@ -194,39 +187,6 @@ def hourly_attacks(
     )
 
 
-# -- day specs and worker-side scenario reconstruction ------------------------
-
-
-@dataclass(frozen=True)
-class DaySpec:
-    """Picklable recipe for one scenario-day of work.
-
-    Carries everything a worker process needs to regenerate the day
-    bit-identically: the full scenario config, the day index and the
-    (possibly customized) takedown scenario to apply. The vantages and
-    reductions of an engine task travel alongside the spec.
-    """
-
-    config: ScenarioConfig
-    day: int
-    takedown: TakedownScenario | None = None
-
-
-def _materialize(spec: DaySpec) -> Scenario:
-    """The process's world, under the takedown ``spec`` carries.
-
-    The memoized world is shared by every experiment of the run, so a
-    custom takedown never lands on it: the task gets a shallow copy that
-    carries it instead.
-    """
-    scenario = scenario_for(spec.config)
-    if spec.takedown is None or scenario.takedown == spec.takedown:
-        return scenario
-    view = copy.copy(scenario)
-    view.takedown = spec.takedown
-    return view
-
-
 # -- the day task ---------------------------------------------------------------
 
 #: What one day task computes: per vantage (``None`` = ground truth), the
@@ -240,12 +200,13 @@ _Need = tuple[tuple[str | None, tuple[Reduction, ...]], ...]
 Counts = tuple[int, int, int | None]
 
 
-def _reduce_day(scenario: Scenario, day: int, need: _Need) -> list[tuple[list[Any], Counts]]:
-    """Synthesize ``day`` once, then observe it once per vantage of ``need``.
+def _reduce_day(scenario: Scenario, task: tuple[int, _Need]) -> list[tuple[list[Any], Counts]]:
+    """Synthesize the task's day once, then observe it once per vantage it needs.
 
-    Returns one ``(values, counts)`` pair per vantage, aligned with
-    ``need``; the :data:`Counts` are read off the tables themselves.
+    Returns one ``(values, counts)`` pair per vantage, aligned with the
+    need; the :data:`Counts` are read off the tables themselves.
     """
+    day, need = task
     traffic = scenario.day_traffic(day)
     attacks = len(traffic.events)
     flows = sum(len(getattr(traffic, kind)) for kind in KINDS)
@@ -258,43 +219,6 @@ def _reduce_day(scenario: Scenario, day: int, need: _Need) -> list[tuple[list[An
             exported = len(data)
         out.append(([reduction(day, data) for reduction in reductions], (attacks, flows, exported)))
     return out
-
-
-def _day_task(item: tuple[DaySpec, _Need]) -> list[tuple[list[Any], Counts]]:
-    """Pool task: one day of the engine, in a worker."""
-    spec, need = item
-    return _reduce_day(_materialize(spec), spec.day, need)
-
-
-# -- the executor -------------------------------------------------------------
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``jobs`` request: ``None``/``0`` means all CPU cores.
-
-    Negative values are rejected here, with the offending value in the
-    message, so a bad request can never reach the process pool (where
-    ``max_workers <= 0`` raises a far less helpful error).
-    """
-    if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(
-            f"jobs must be a positive worker count, or 0/None for all "
-            f"CPU cores; got {jobs} (refusing to size a process pool "
-            f"with a negative worker count)"
-        )
-    return jobs
-
-
-def _use_pool(n_jobs: int, n_items: int) -> bool:
-    """Whether this fan goes to the warm pool or runs inline.
-
-    Single items stay inline even with ``jobs > 1`` — a warm dispatch
-    is cheap, but the serial path skips pickling entirely and single
-    one-shot lookups should not spawn a pool at all.
-    """
-    return n_jobs > 1 and n_items > 1
 
 
 # -- the day-result cache ------------------------------------------------------
@@ -531,7 +455,6 @@ def _reduce_days(
             have = joined.get(day)
             joined[day] = pairs if have is None else list(dict.fromkeys(have + pairs))
     config_hash, takedown = _context(scenario)
-    registry = metrics()
 
     def key(vantage: str | None, day: int, reduction: Reduction) -> tuple:
         return _key("day", config_hash, takedown, vantage, day, reduction.key)
@@ -555,27 +478,15 @@ def _reduce_days(
         if missing:
             todo.append((day, tuple((v, tuple(rs)) for v, rs in missing.items())))
 
-    def store(day: int, need: _Need, result: list[tuple[list[Any], Counts]]) -> None:
-        for (vantage, reductions), (values, day_counts) in zip(need, result):
-            counts[vantage, day] = day_counts
-            for reduction, value in zip(reductions, values):
-                if cache:
-                    _DAY_CACHE.put(key(vantage, day, reduction), (value, day_counts))
-                found[vantage, reduction][day] = value
-
     if todo:
-        registry.inc("parallel.days_dispatched", len(todo))
-        n_jobs = resolve_jobs(jobs)
-        if _use_pool(n_jobs, len(todo)):
-            items = [(DaySpec(scenario.config, day, scenario.takedown), need) for day, need in todo]
-            results = get_pool(scenario, n_jobs).map_with_deltas(_day_task, items)
-            for (day, need), result in zip(todo, results):
-                store(day, need, result)
-        else:
-            start = time.perf_counter()
-            for day, need in todo:
-                store(day, need, _reduce_day(scenario, day, need))
-            record_inline_pool(registry, len(todo), time.perf_counter() - start)
+        metrics().inc("parallel.days_dispatched", len(todo))
+        for (day, need), result in zip(todo, run_tasks(scenario, _reduce_day, todo, jobs)):
+            for (vantage, reductions), (values, day_counts) in zip(need, result):
+                counts[vantage, day] = day_counts
+                for reduction, value in zip(reductions, values):
+                    if cache:
+                        _DAY_CACHE.put(key(vantage, day, reduction), (value, day_counts))
+                    found[vantage, reduction][day] = value
     values = [{pair: list(map(found[pair].__getitem__, days)) for pair in pairs} for days, pairs in asks]
     return values, counts
 

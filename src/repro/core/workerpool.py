@@ -1,41 +1,43 @@
-"""The persistent warm worker pool that runs day tasks in parallel.
+"""The one fan-out: :func:`run_tasks`, inline or on a warm worker pool.
 
-:mod:`repro.core.parallel` hands its day tasks here: the engine
-(:func:`~repro.core.parallel.day_reductions`,
-:func:`~repro.core.parallel.prefetch` and the wrappers over them). A
-fresh ``ProcessPoolExecutor`` per call would pay pool spin-up, fork, and
-(under ``spawn``) scenario re-materialization on every call, so this
-module owns one executor instead:
+Two kinds of work fan out: the day engine's days
+(:mod:`repro.core.parallel`) and the market study's ledger replicas
+(:mod:`repro.economics.replicas`). Both hand :func:`run_tasks` a
+function of ``(world, item)`` and their items, and it alone decides
+where they run:
 
-* :class:`WorkerPool` spawns its worker processes **once** with an
-  initializer that preloads the process's memoized world
-  (:func:`scenario_for`; under the Linux-default ``fork`` start method
-  the built world is inherited for free) and warms its
-  :class:`~repro.vantage.matrix.VisibilityMatrix` tables.
-  :func:`get_pool` hands the same live pool back to every subsequent
-  call site with a matching ``(jobs, config hash)`` key — reuse is the
-  common case and is counted (``pool.spawns`` / ``pool.reuses``).
-* **Day batching**: :meth:`WorkerPool.map_with_deltas` packs several
-  cheap items into one task (about :data:`_OVERSUBSCRIBE` batches per
-  worker) so per-task dispatch and pickle overhead amortize. Batching
-  is a pure transport detail: results come back one per item, in
-  order, and a day task's results carry the day's work counts
-  themselves. Results, flow tables included, travel back over the
-  pool's result pipe as pickles. When the parent records metrics, each
-  batch runs under a fresh worker registry that folds into the
-  parent's: spans, trace events and ``pool.busy_s``.
+* with one job or one item, inline on the caller's scenario, recording
+  the same ``pool.*`` counter family a pool records (one worker, busy
+  the whole wall time), so ``--jobs 1`` profiles compare with pooled
+  ones;
+* otherwise one pool task per item on the worker's memoized world,
+  viewed under the caller's takedown.
 
-A pool is the only parallel path: with ``jobs=1`` (or a single item)
-callers run their tasks inline and record the same ``pool.*`` counter
-family through :func:`record_inline_pool`. Asking for a pool with a
-*different* config content hash shuts the active pool down cleanly
-before the next one spawns, so stale workers never serve a new world.
+A fresh ``ProcessPoolExecutor`` per call would pay pool spin-up, fork,
+and (under ``spawn``) scenario re-materialization on every call, so
+this module owns one executor instead. :class:`WorkerPool` spawns its
+worker processes **once** with an initializer that records the pool's
+config and preloads its world (:func:`scenario_for`; under the
+Linux-default ``fork`` start method the built world is inherited for
+free) and warms its :class:`~repro.vantage.matrix.VisibilityMatrix`
+tables. :func:`get_pool` hands the same live pool back to every
+subsequent call with a matching ``(jobs, config hash)`` key — reuse is
+the common case and is counted (``pool.spawns`` / ``pool.reuses``).
+Asking for a pool with a *different* config content hash shuts the
+active pool down cleanly before the next one spawns, so stale workers
+never serve a new world.
+
+Each item is its own task, so a worker sends each result back as soon
+as it has it and holds one at a time. Results travel back over the
+pool's result pipe as pickles, in item order. When the parent records
+metrics, each task runs under a fresh worker registry that folds into
+the parent's: spans, trace events and ``pool.busy_s``.
 """
 
 from __future__ import annotations
 
 import atexit
-import math
+import copy
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Any, Callable, Sequence
 
+from repro.booter.takedown import TakedownScenario
 from repro.obs import MetricsRegistry, TraceRecorder, metrics, set_metrics
 from repro.obs.trace import current_request_id, request_scope
 from repro.scenario.config import ScenarioConfig
@@ -51,13 +54,11 @@ from repro.scenario.scenario import Scenario
 __all__ = [
     "WorkerPool",
     "get_pool",
+    "resolve_jobs",
+    "run_tasks",
     "shutdown_pool",
     "worker_init_count",
 ]
-
-#: Auto-batching oversubscription: aim for about this many batches per
-#: worker so stragglers still balance while dispatch overhead amortizes.
-_OVERSUBSCRIBE = 4
 
 
 # -- per-process scenario memo -------------------------------------------------
@@ -73,6 +74,10 @@ _WORKER_SCENARIOS: dict[str, Scenario] = {}
 #: In the parent this stays 0; each worker increments its own copy, so a
 #: probe task can verify the initializer ran exactly once per worker.
 _WORKER_INITS = 0
+
+#: The config of the pool this process works for (set by the pool
+#: initializer; ``None`` in the parent): a task finds its world here.
+_POOL_CONFIG: ScenarioConfig | None = None
 
 
 def scenario_for(config: ScenarioConfig) -> Scenario:
@@ -107,9 +112,10 @@ def _warm_scenario(scenario: Scenario) -> None:
 
 
 def _process_worker_init(config: ScenarioConfig) -> None:
-    """Runs once per worker process: preload and warm the world."""
-    global _WORKER_INITS
+    """Runs once per worker process: record the config, preload and warm the world."""
+    global _WORKER_INITS, _POOL_CONFIG
     _WORKER_INITS += 1
+    _POOL_CONFIG = config
     _warm_scenario(scenario_for(config))
 
 
@@ -125,17 +131,33 @@ def _probe_task(_item: Any) -> dict[str, Any]:
 # -- worker-side task wrappers (module-level: must pickle) ---------------------
 
 
-def _batch_task(
+def _world_task(
+    fn: Callable[[Scenario, Any], Any], takedown: TakedownScenario, item: Any
+) -> Any:
+    """Pool task of :func:`run_tasks`: ``fn`` on the worker's world.
+
+    The memoized world is shared by every task of the run, so a custom
+    takedown never lands on it: the task gets a shallow copy that
+    carries it instead.
+    """
+    world = scenario_for(_POOL_CONFIG)
+    if world.takedown != takedown:
+        world = copy.copy(world)
+        world.takedown = takedown
+    return fn(world, item)
+
+
+def _metered_task(
     fn: Callable[[Any], Any],
     metered: bool,
     trace: bool,
     request_id: str | None,
-    batch: Sequence[Any],
-) -> tuple[list[Any], MetricsRegistry | None]:
-    """One pool task covering a whole batch of items, one result each.
+    item: Any,
+) -> tuple[Any, MetricsRegistry | None]:
+    """One pool task: ``fn(item)``, with the worker's registry if ``metered``.
 
-    ``metered`` runs the batch under a fresh worker registry and ships
-    it back with the results. The fresh registry shadows whatever the
+    ``metered`` runs the task under a fresh worker registry and ships
+    it back with the result. The fresh registry shadows whatever the
     worker inherited (under fork, the parent's already-populated
     registry), so nothing is double counted; the parent folds it in.
     With ``trace`` the worker also buffers span events (pid-stamped,
@@ -145,17 +167,17 @@ def _batch_task(
     because context variables do not cross the process boundary.
     """
     if not metered:
-        return [fn(item) for item in batch], None
+        return fn(item), None
     registry = MetricsRegistry(enabled=True, trace=TraceRecorder() if trace else None)
     previous = set_metrics(registry)
     start = time.perf_counter()
     try:
         with request_scope(request_id):
-            results = [fn(item) for item in batch]
+            result = fn(item)
     finally:
         registry.inc("pool.busy_s", time.perf_counter() - start)
         set_metrics(previous)
-    return results, registry
+    return result, registry
 
 
 # -- the pool ------------------------------------------------------------------
@@ -190,24 +212,15 @@ class WorkerPool:
     def key(self) -> tuple[int, str]:
         return (self.workers, self.config_hash)
 
-    def resolve_batch(self, n_items: int) -> int:
-        """The per-task batch size for ``n_items``.
-
-        Targets :data:`_OVERSUBSCRIBE` batches per worker, so cheap day
-        fans amortize dispatch while stragglers can still rebalance.
-        """
-        return max(1, math.ceil(n_items / (self.workers * _OVERSUBSCRIBE)))
-
     def map_with_deltas(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
     ) -> list[Any]:
-        """Map ``fn`` over ``items``: one result per item, in submission order.
+        """Map ``fn`` over ``items``: one task and one result per item, in order.
 
-        Items travel in :meth:`resolve_batch`-sized batches, one task
-        each. When the active registry is enabled every batch runs
-        metered and its worker registry folds into the parent.
+        When the active registry is enabled every task runs metered and
+        its worker registry folds into the parent.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is shut down")
@@ -215,8 +228,6 @@ class WorkerPool:
         items = list(items)
         if not items:
             return []
-        batch_size = self.resolve_batch(len(items))
-        batches = [items[i : i + batch_size] for i in range(0, len(items), batch_size)]
         metered = registry.enabled
         trace = metered and registry.trace is not None
         # Captured here, in the dispatching context, and forwarded into
@@ -224,35 +235,37 @@ class WorkerPool:
         # boundary, and the id is what stitches worker spans to their
         # originating serve request.
         request_id = current_request_id() if trace else None
-        task = partial(_batch_task, fn, metered, trace, request_id)
+        task = partial(_metered_task, fn, metered, trace, request_id)
         start = time.perf_counter()
         try:
-            raw = list(self._executor.map(task, batches))
+            raw = list(self._executor.map(task, items))
         except BrokenProcessPool:
             # A worker died (OOM kill, hard crash). Respawn once and
-            # retry the whole map — tasks are pure day recipes, so a
-            # rerun is safe and bit-identical.
+            # retry the whole map — tasks are pure recipes, so a rerun
+            # is safe and bit-identical.
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = self._spawn()
             registry.inc("pool.respawns")
-            raw = list(self._executor.map(task, batches))
+            raw = list(self._executor.map(task, items))
         wall = time.perf_counter() - start
         if metered:
             registry.inc("pool.tasks", len(items))
-            registry.inc("pool.batches", len(batches))
             registry.inc("pool.wall_s", wall)
             registry.inc("pool.capacity_s", self.workers * wall)
             registry.gauge("pool.workers", self.workers)
-            registry.gauge("pool.batch_size", batch_size)
         results: list[Any] = []
-        for batch_results, worker_registry in raw:
+        for result, worker_registry in raw:
             if worker_registry is not None:
                 registry.merge(worker_registry)
-            results.extend(batch_results)
+            results.append(result)
         return results
 
     def probe(self) -> list[dict[str, Any]]:
-        """One :func:`_probe_task` report per dispatched probe (tests)."""
+        """One :func:`_probe_task` report from each of two tasks per worker.
+
+        Dispatching them makes every worker process exist, whose
+        initializer has then run.
+        """
         return self.map_with_deltas(_probe_task, list(range(self.workers * 2)))
 
     def shutdown(self) -> None:
@@ -281,7 +294,7 @@ def get_pool(scenario: Scenario, jobs: int) -> WorkerPool:
     for ``scenario``'s config is memoized, so fork children inherit it
     built. That is the shared world of :func:`scenario_for`, never the
     caller's object: a caller's own scenario may carry a custom
-    takedown, which day tasks carry themselves.
+    takedown, which :func:`run_tasks` sends with each task.
     """
     global _ACTIVE_POOL
     key = (jobs, scenario.config.content_hash())
@@ -309,16 +322,55 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def record_inline_pool(registry: MetricsRegistry, n_tasks: int, wall_s: float) -> None:
-    """Record the ``pool.*`` counter family for an inline (serial) run.
+# -- the fan-out ---------------------------------------------------------------
 
-    Profiles from ``--jobs 1`` runs are then comparable with pooled
-    runs: one worker, busy the whole wall time.
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``jobs`` request: ``None``/``0`` means all CPU cores.
+
+    Negative values are rejected here, with the offending value in the
+    message, so a bad request can never reach the process pool (where
+    ``max_workers <= 0`` raises a far less helpful error).
     """
-    if not registry.enabled or n_tasks <= 0:
-        return
-    registry.inc("pool.tasks", n_tasks)
-    registry.inc("pool.wall_s", wall_s)
-    registry.inc("pool.capacity_s", wall_s)
-    registry.inc("pool.busy_s", wall_s)
-    registry.gauge("pool.workers", 1)
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(
+            f"jobs must be a positive worker count, or 0/None for all "
+            f"CPU cores; got {jobs} (refusing to size a process pool "
+            f"with a negative worker count)"
+        )
+    return jobs
+
+
+def run_tasks(
+    scenario: Scenario,
+    fn: Callable[[Scenario, Any], Any],
+    items: Sequence[Any],
+    jobs: int | None,
+) -> list[Any]:
+    """``fn(world, item)`` for every item, results in ``items`` order.
+
+    With one job or one item, ``world`` is ``scenario`` itself and the
+    items run here; a warm dispatch is cheap, but a single one-shot item
+    should not spawn a pool at all. Otherwise each item is one task on
+    the warm pool for ``(jobs, scenario.config)``, whose ``world`` is the
+    worker's memoized world under ``scenario.takedown``. ``fn`` must be
+    module-level, so the pool can pickle it.
+    """
+    n_jobs = resolve_jobs(jobs)
+    items = list(items)
+    if n_jobs > 1 and len(items) > 1:
+        task = partial(_world_task, fn, scenario.takedown)
+        return get_pool(scenario, n_jobs).map_with_deltas(task, items)
+    registry = metrics()
+    start = time.perf_counter()
+    results = [fn(scenario, item) for item in items]
+    if items:
+        wall = time.perf_counter() - start
+        registry.inc("pool.tasks", len(items))
+        registry.inc("pool.wall_s", wall)
+        registry.inc("pool.capacity_s", wall)
+        registry.inc("pool.busy_s", wall)
+        registry.gauge("pool.workers", 1)
+    return results

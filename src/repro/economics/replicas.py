@@ -3,16 +3,14 @@
 One economy run answers "what did this seizure do to *this* market
 draw"; ranking intervention strategies needs distributions — N seeds per
 strategy, compared on dip, recovery, revenue shortfall, and recidivism.
-This module fans those ``strategy x replica`` runs across the persistent
-:mod:`repro.core.workerpool` exactly like the day pipeline fans days:
+This module fans those ``strategy x replica`` runs through
+:func:`repro.core.workerpool.run_tasks`, as the day engine fans days:
 
-* every replica is an independent :class:`ReplicaTask` carrying the
-  scenario config and a frozen intervention — pool workers rebuild (or,
-  under fork, inherit) the market via
-  :func:`repro.core.workerpool.scenario_for`, the inline path reads the
-  caller's scenario, and both seed the run from the scenario seed tree,
-  so results are bit-identical for any ``jobs`` (pinned by the ledger
-  digests in each result);
+* every replica is an independent :class:`ReplicaTask` carrying a
+  frozen intervention; it runs on the caller's world inline, or on the
+  pool worker's memoized world, and seeds the run from the scenario
+  seed tree, so results are bit-identical for any ``jobs`` (pinned by
+  the ledger digests in each result);
 * worker-side ``econ.*`` counters merge back into the parent registry
   through the pool's standard metering path, so a replica study shows up
   in ``--profile`` / ``--metrics-out`` like any other fan-out.
@@ -20,19 +18,16 @@ This module fans those ``strategy x replica`` runs across the persistent
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.parallel import resolve_jobs
-from repro.core.workerpool import get_pool, record_inline_pool, scenario_for
+from repro.core.workerpool import run_tasks
 from repro.economics.customers import CustomerDynamics
 from repro.economics.interventions import Intervention
 from repro.economics.simulate import EconomySimulation, LedgerEconomyReport
 from repro.obs import metrics
-from repro.scenario.config import ScenarioConfig
 from repro.scenario.scenario import Scenario
 
 __all__ = ["ReplicaTask", "ReplicaResult", "ReplicaStudy", "run_intervention_replicas"]
@@ -42,7 +37,6 @@ __all__ = ["ReplicaTask", "ReplicaResult", "ReplicaStudy", "run_intervention_rep
 class ReplicaTask:
     """One picklable ``strategy x replica`` work item for the pool."""
 
-    config: ScenarioConfig
     intervention: Intervention
     replica: int
     n_days: int
@@ -99,12 +93,6 @@ def _run_replica(scenario: Scenario, task: ReplicaTask) -> ReplicaResult:
         ledger_digest=report.ledger_digest,
         total_customers=report.total_customers().astype(np.float64),
     )
-
-
-def _run_replica_task(task: ReplicaTask) -> ReplicaResult:
-    """Pool task: one replica on the worker's world (module-level so the
-    process pool can pickle the callable)."""
-    return _run_replica(scenario_for(task.config), task)
 
 
 @dataclass
@@ -171,10 +159,8 @@ def run_intervention_replicas(
         raise ValueError("n_replicas must be positive")
     if not interventions:
         raise ValueError("need at least one intervention to study")
-    n_jobs = resolve_jobs(jobs)
     tasks = [
         ReplicaTask(
-            config=scenario.config,
             intervention=intervention,
             replica=replica,
             n_days=n_days,
@@ -185,21 +171,11 @@ def run_intervention_replicas(
         for intervention in interventions
         for replica in range(n_replicas)
     ]
-    registry = metrics()
-    results: list[Any]
-    if n_jobs <= 1 or len(tasks) <= 1:
-        start = time.perf_counter()
-        results = [_run_replica(scenario, task) for task in tasks]
-        record_inline_pool(registry, len(tasks), time.perf_counter() - start)
-    else:
-        pool = get_pool(scenario, n_jobs)
-        results = pool.map_with_deltas(_run_replica_task, tasks)
-    study = ReplicaStudy(
+    results = run_tasks(scenario, _run_replica, tasks, jobs)
+    metrics().inc("market.replica_tasks", len(tasks))
+    return ReplicaStudy(
         n_replicas=n_replicas,
         n_days=n_days,
         n_customers=n_customers,
-        results=list(results),
+        results=results,
     )
-    if registry.enabled:
-        registry.inc("market.replica_tasks", len(tasks))
-    return study

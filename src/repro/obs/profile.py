@@ -132,13 +132,6 @@ def render_profile(registry: MetricsRegistry, title: str | None = None) -> str:
             f"pool reuse: {spawns:.0f} spawn(s) / {reuses:.0f} reuse(s)"
             f"{respawn_note}"
         )
-    batches = registry.counter("pool.batches")
-    if batches:
-        summary.append(
-            f"pool batching: {registry.counter('pool.tasks'):.0f} tasks in "
-            f"{batches:.0f} dispatch(es) "
-            f"(batch size {registry.gauges.get('pool.batch_size', 0):.0f})"
-        )
     requests = registry.counter("serve.requests")
     if requests:
         tiers = "/".join(

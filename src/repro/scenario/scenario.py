@@ -186,19 +186,15 @@ class Scenario:
 
     # -- traffic generation -------------------------------------------------
 
-    def _day_demand(
-        self, day: int, with_takedown: bool
-    ) -> tuple[dict[str, float] | None, dict[str, float] | None, float]:
+    def _day_demand(self, day: int) -> tuple[dict[str, float], dict[str, float], float]:
         """(demand weights, backend activity, demand scale) for ``day``."""
-        if with_takedown:
-            return (
-                self.takedown.demand_weights(self.market, day),
-                self.takedown.backend_activity(self.market, day),
-                self.takedown.demand_scale(self.market, day),
-            )
-        return None, None, 1.0
+        return (
+            self.takedown.demand_weights(self.market, day),
+            self.takedown.backend_activity(self.market, day),
+            self.takedown.demand_scale(self.market, day),
+        )
 
-    def day_events(self, day: int, with_takedown: bool = True) -> list[AttackEvent]:
+    def day_events(self, day: int) -> list[AttackEvent]:
         """Ground-truth attack events of ``day``, without flow synthesis.
 
         Returns exactly the events ``day_traffic(day).events`` would carry
@@ -208,22 +204,17 @@ class Scenario:
         """
         if not 0 <= day < self.config.n_days:
             raise ValueError(f"day {day} outside scenario [0, {self.config.n_days})")
-        weights, _, demand_level = self._day_demand(day, with_takedown)
+        weights, _, demand_level = self._day_demand(day)
         return self.market.attacks_for_day(
             day, demand_weights=weights, demand_scale=self.config.scale * demand_level
         )
 
-    def day_traffic(
-        self,
-        day: int,
-        with_takedown: bool = True,
-        bin_seconds: float = 60.0,
-    ) -> DayTraffic:
+    def day_traffic(self, day: int) -> DayTraffic:
         """Generate the ground-truth traffic for ``day``.
 
-        ``with_takedown=False`` produces the counterfactual world where
-        the seizure never happened (used by ablations). Nothing is kept:
-        days are reused through the day-reduction engine's cache
+        The world without the seizure is a copy whose ``takedown`` never
+        seizes (``TakedownScenario(takedown_day=10_000)``). Nothing is
+        kept: days are reused through the day-reduction engine's cache
         (:func:`repro.core.parallel.day_reductions`), which also counts
         the ``scenario.*`` work; this method records its span only.
         """
@@ -231,22 +222,18 @@ class Scenario:
             raise ValueError(f"day {day} outside scenario [0, {self.config.n_days})")
 
         registry = metrics()
-        with registry.span(
-            "scenario.day_traffic", trace_args={"day": day, "takedown": with_takedown}
-        ):
+        with registry.span("scenario.day_traffic", trace_args={"day": day}):
             # attacks_for_day normalizes the weights (they only set the
             # per-service mix); the takedown's *total* demand level must be
             # applied through the scale factor.
-            weights, activity, demand_level = self._day_demand(day, with_takedown)
+            weights, activity, demand_level = self._day_demand(day)
             events = self.market.attacks_for_day(
                 day, demand_weights=weights, demand_scale=self.config.scale * demand_level
             )
             with registry.span("scenario.synthesize_flows"):
-                attack, trigger = self._synthesize_events(day, events, bin_seconds)
+                attack, trigger = self._synthesize_events(day, events)
                 # Scan volume scales with the simulated world size like
                 # everything else.
-                if activity is None:
-                    activity = {name: 1.0 for name in self.market.services}
                 scaled_activity = {n: a * self.config.scale for n, a in activity.items()}
                 scan = self.market.scan_flows_for_day(day, activity=scaled_activity)
                 benign = self.background.flows_for_day(day, intensity_scale=self.config.scale)
@@ -255,25 +242,20 @@ class Scenario:
             )
 
     def _synthesize_events(
-        self, day: int, events: list[AttackEvent], bin_seconds: float
+        self, day: int, events: list[AttackEvent]
     ) -> tuple[FlowTable, FlowTable]:
-        """Attack and trigger flows of ``day``'s events.
+        """Attack and trigger flows of ``day``'s events, in one-minute bins.
 
         Every event draws, in order, from the day's one sequential
-        ``("traffic", day)`` stream.
+        ``("traffic", day)`` stream. The bin width is the synthesizers'
+        default.
         """
         rng = self.seeds.child("traffic", day).rng()
-        draws = EventDraws(events, bin_seconds)
+        draws = EventDraws(events)
         for event in draws.events:
-            synthesize_attack_flows(event, rng, bin_seconds=bin_seconds, out=draws)
+            synthesize_attack_flows(event, rng, out=draws)
             backend = self.market.services[event.booter]
-            synthesize_trigger_flows(
-                event,
-                rng,
-                bin_seconds=bin_seconds,
-                origin_asn=backend.backend_asn,
-                out=draws,
-            )
+            synthesize_trigger_flows(event, rng, origin_asn=backend.backend_asn, out=draws)
         return draws.attack_table(), draws.trigger_table()
 
     def observe_day(

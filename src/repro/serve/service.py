@@ -51,9 +51,8 @@ from repro.core.parallel import (
     day_events,
     day_reductions,
     port_counts,
-    resolve_jobs,
 )
-from repro.core.workerpool import get_pool
+from repro.core.workerpool import get_pool, resolve_jobs
 from repro.core.takedown_analysis import analyze_takedown
 from repro.core.victims import victim_report
 from repro.experiments.base import ExperimentConfig, build_scenario
@@ -110,12 +109,6 @@ def canonical_json(payload: Any) -> bytes:
     return json.dumps(
         _py(payload), sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
-
-
-def _warm_probe(item: int) -> int:
-    """No-op pool task: dispatching one per worker forces every worker
-    process to exist (ProcessPoolExecutor forks lazily on submit)."""
-    return item
 
 
 def _dotted(ip: int) -> str:
@@ -252,10 +245,8 @@ class ObservatoryService:
         have no pool and return immediately.
         """
         n_jobs = resolve_jobs(self.config.jobs)
-        if n_jobs <= 1:
-            return
-        pool = get_pool(self.scenario, n_jobs)
-        pool.map_with_deltas(_warm_probe, list(range(pool.workers)))
+        if n_jobs > 1:
+            get_pool(self.scenario, n_jobs).probe()
 
     # -- request-facing parsing helpers --------------------------------------
 

@@ -288,32 +288,26 @@ def benign_flows_for_day(background, day: int, intensity_scale: float = 1.0) -> 
     return FlowTable.concat(parts)
 
 
-def day_traffic(
-    scenario: Scenario, day: int, with_takedown: bool = True, bin_seconds: float = 60.0
-) -> DayTraffic:
+def day_traffic(scenario: Scenario, day: int) -> DayTraffic:
     """``scenario``'s ground truth for ``day``, synthesized table by table.
 
     Events come from the market unchanged; each event's attack and
-    trigger flows are drawn, in order, from the day's sequential stream.
+    trigger flows are drawn, in order, from the day's sequential stream,
+    in one-minute bins.
     """
-    weights, activity, demand_level = scenario._day_demand(day, with_takedown)
+    weights, activity, demand_level = scenario._day_demand(day)
     events = scenario.market.attacks_for_day(
         day, demand_weights=weights, demand_scale=scenario.config.scale * demand_level
     )
     rng = scenario.seeds.child("traffic", day).rng()
     attack, trigger = [], []
     for event in events:
-        attack.append(attack_flows(event, rng, bin_seconds=bin_seconds))
+        attack.append(attack_flows(event, rng))
         trigger.append(
             trigger_flows(
-                event,
-                rng,
-                bin_seconds=bin_seconds,
-                origin_asn=scenario.market.services[event.booter].backend_asn,
+                event, rng, origin_asn=scenario.market.services[event.booter].backend_asn
             )
         )
-    if activity is None:
-        activity = {name: 1.0 for name in scenario.market.services}
     scaled = {name: a * scenario.config.scale for name, a in activity.items()}
     return DayTraffic(
         day=day,

@@ -1,14 +1,11 @@
 """Parallel day executor, merge protocol, content hash, and day cache."""
 
-import pickle
-
 import numpy as np
 import pytest
 
 from repro.booter.market import MarketConfig
 from repro.core.parallel import (
     DayResultCache,
-    DaySpec,
     Reduction,
     day_attack_tables,
     day_cache,
@@ -18,11 +15,11 @@ from repro.core.parallel import (
     observed_days,
     port_counts,
     prefetch,
-    resolve_jobs,
     streaming_ingest,
 )
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series
 from repro.core.streaming import StreamingAnalyzer
+from repro.core.workerpool import resolve_jobs
 from repro.flows.sketch import PerKeyCardinality
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
@@ -107,11 +104,6 @@ class TestParallelDeterminism:
             a.unique_sources_estimate, b.unique_sources_estimate
         )
         np.testing.assert_array_equal(a.total_packets, b.total_packets)
-
-    def test_day_spec_pickles(self, scenario):
-        spec = DaySpec(config=scenario.config, day=40, takedown=scenario.takedown)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3

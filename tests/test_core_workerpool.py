@@ -1,4 +1,4 @@
-"""Warm worker pool: reuse semantics, jobs parity, batching, worker death."""
+"""Warm worker pool: reuse semantics, jobs parity, one task per item, worker death."""
 
 import os
 import signal
@@ -16,7 +16,7 @@ from repro.core.pipeline import TrafficSelector
 from repro.core.workerpool import (
     WorkerPool,
     get_pool,
-    record_inline_pool,
+    run_tasks,
     scenario_for,
     shutdown_pool,
     worker_init_count,
@@ -81,16 +81,20 @@ def _square(item: int) -> int:
     return item * item
 
 
+def _world_square(world: Scenario, item: int) -> int:
+    return item * item
+
+
 class _InlineExecutor:
-    """Stands in for the process pool: runs each task here, keeps its batch."""
+    """Stands in for the process pool: runs each task here, keeps its argument."""
 
     def __init__(self) -> None:
-        self.batches: list[list[int]] = []
+        self.items: list[int] = []
 
-    def map(self, task, batches):
-        batches = list(batches)
-        self.batches.extend(batches)
-        return [task(batch) for batch in batches]
+    def map(self, task, items):
+        items = list(items)
+        self.items.extend(items)
+        return [task(item) for item in items]
 
     def shutdown(self, wait=True, cancel_futures=False) -> None:
         pass
@@ -195,19 +199,16 @@ class TestExecutorParity:
                 assert _tables_equal(a, b), jobs
 
     def test_digest_identical_across_batch_sizes(self, scenario):
-        """12 days auto-batch 2 per task at jobs=2 and 1 at jobs=3."""
+        """12 days, one task each, over 1, 2 and 3 workers."""
         days = list(range(34, 46))
         counts = {}
         digests = {}
-        batch_sizes = {}
         for jobs in (1, 2, 3):
             counts[jobs], registry = _recorded(
                 lambda: daily_port_counts(scenario, "ixp", SELECTORS, days, jobs=jobs)
             )
             shutdown_pool()
             digests[jobs] = counter_digest(registry.counters)
-            batch_sizes[jobs] = registry.gauges.get("pool.batch_size")
-        assert batch_sizes == {1: None, 2: 2, 3: 1}
         assert counts[1] == counts[2] == counts[3]
         assert len(set(digests.values())) == 1, digests
 
@@ -219,22 +220,19 @@ class TestExecutorParity:
         assert registry.counter("pool.busy_s") > 0
         assert registry.gauges["pool.workers"] == 1
 
-    def test_record_inline_pool_noop_when_disabled(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_tasks_records_nothing_when_disabled(self, scenario, jobs):
         registry = MetricsRegistry(enabled=False)
-        record_inline_pool(registry, 5, 1.0)
-        assert registry.counter("pool.tasks") == 0
-        record_inline_pool(MetricsRegistry(enabled=True), 0, 1.0)  # no tasks, no-op
+        previous = set_metrics(registry)
+        try:
+            assert run_tasks(scenario, _world_square, [2, 3], jobs) == [4, 9]
+        finally:
+            set_metrics(previous)
+        assert not registry.counters and not registry.gauges and not registry.spans
 
 
 class TestDayBatching:
-    def test_resolve_batch_auto_and_explicit(self, scenario):
-        pool = get_pool(scenario, 2)
-        # About _OVERSUBSCRIBE batches per worker, never an empty batch.
-        assert pool.resolve_batch(16) == 2
-        assert pool.resolve_batch(17) == 3
-        assert pool.resolve_batch(3) == 1
-        assert pool.resolve_batch(1) == 1
-        assert pool.resolve_batch(0) == 1
+    """A fan's transport: every item is one task, whatever the worker count."""
 
     @settings(max_examples=60, deadline=None)
     @given(workers=st.integers(1, 4), n_items=st.integers(1, 500))
@@ -245,34 +243,31 @@ class TestDayBatching:
             pool = WorkerPool(workers, scenario.config)
         items = list(range(n_items))
         assert pool.map_with_deltas(_square, items) == [i * i for i in items]
-        assert [item for batch in executor.batches for item in batch] == items
-        assert len(executor.batches) <= 4 * workers
+        # Each task is handed the item itself, never a batch of them.
+        assert executor.items == items
 
     def test_batching_collapses_dispatches(self, scenario):
         pool = get_pool(scenario, 2)
         results, registry = _recorded(lambda: pool.map_with_deltas(_square, range(16)))
         assert results == [i * i for i in range(16)]
         assert registry.counter("pool.tasks") == 16
-        assert registry.counter("pool.batches") == 8
-        assert registry.gauges["pool.batch_size"] == 2
 
     def test_per_day_deltas_survive_batching(self, scenario):
         days = list(range(34, 46))
         generated = {}
-        for jobs in (2, 3):  # auto batches of 2 and of 1 day
+        for jobs in (2, 3):
             _, registry = _recorded(lambda: day_attack_tables(scenario, days, jobs=jobs, cache=True))
             shutdown_pool()
             generated[jobs] = registry.counter("scenario.days_generated")
             day_cache().clear()
-        # The logical work counters are batch-size invariant.
+        # The logical work counters are worker-count invariant.
         assert generated[2] == generated[3] == len(days)
 
 
 class TestTransportInvariance:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_jobs_never_change_results(self, jobs):
-        """Worker count and its automatic batch size (3 days per task at
-        jobs=2, 2 at jobs=3) are invisible in results and in the
+        """The worker count is invisible in results and in the
         scenario.* work counters."""
         config = _config(n_days=46, takedown_day=43)
         days = list(range(26, 46))
@@ -286,8 +281,6 @@ class TestTransportInvariance:
             assert _tables_equal(a, b)
         assert registry.counter("scenario.days_generated") == len(days)
         assert registry.counter("scenario.flows_synthesized") >= 1.0
-        if jobs > 1:
-            assert registry.gauges["pool.batch_size"] == {2: 3, 3: 2}[jobs]
 
 
 class TestWorkerDeath:

@@ -114,7 +114,7 @@ def test_deterministic_counters_drops_every_excluded_family():
         "cache.hits": 3.0,
         "pool.busy_s": 0.4,
         "serve.requests": 9.0,
-        "pool.batches": 8.0,
+        "pool.tasks": 8.0,
         "matrix.blocks_built": 7.0,
         "parallel.days_dispatched": 5.0,
         "market.step_chunks": 12.0,

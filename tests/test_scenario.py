@@ -1,13 +1,22 @@
 """Tests for the scenario orchestration and benign background."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.booter.takedown import TakedownScenario
 from repro.scenario import BackgroundConfig, Scenario, ScenarioConfig
 from repro.scenario.background import BenignBackground
 from repro.stats.rng import SeedSequenceTree
+
+
+def _never_seized(scenario: Scenario) -> Scenario:
+    """The counterfactual: a view of ``scenario`` whose takedown never seizes."""
+    twin = copy.copy(scenario)
+    twin.takedown = TakedownScenario(takedown_day=10_000)
+    return twin
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +145,7 @@ class TestDayTraffic:
         attacks_for_day (the per-service weights alone are normalized away)."""
         day_after = scenario.config.takedown_day + 1
         with_td = scenario.day_traffic(day_after)
-        without_td = scenario.day_traffic(day_after, with_takedown=False)
+        without_td = _never_seized(scenario).day_traffic(day_after)
         expected_level = scenario.takedown.demand_scale(scenario.market, day_after)
         assert expected_level < 0.8
         # Attack counts are Poisson; compare against the counterfactual of
@@ -146,7 +155,7 @@ class TestDayTraffic:
     def test_counterfactual_keeps_scans(self, scenario):
         after_day = scenario.config.takedown_day + 5
         with_td = scenario.day_traffic(after_day)
-        without_td = scenario.day_traffic(after_day, with_takedown=False)
+        without_td = _never_seized(scenario).day_traffic(after_day)
         assert without_td.scan.total_packets > with_td.scan.total_packets
 
 

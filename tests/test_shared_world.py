@@ -16,10 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.booter.takedown import TakedownScenario
-from repro.core import parallel
-from repro.core.parallel import DaySpec, day_reductions, port_counts
+from repro.core.parallel import day_reductions, port_counts
 from repro.core.pipeline import TrafficSelector
-from repro.core.workerpool import scenario_for, shutdown_pool
+from repro.core.workerpool import run_tasks, scenario_for, shutdown_pool
 from repro.experiments.base import ExperimentConfig, build_scenario
 from repro.experiments.campaign import AttackSpec, SelfAttackCampaign
 from repro.experiments.registry import run_experiment
@@ -81,10 +80,19 @@ def test_fig1a_does_not_depend_on_earlier_experiments():
     assert _digest(run_experiment("fig1a", CONFIG)) == GOLDENS["experiments"]["fig1a"]
 
 
+def _world_of(world: Scenario, item: int) -> Scenario:
+    return world
+
+
+def _takedowns(world: Scenario, item: int) -> tuple[TakedownScenario, TakedownScenario]:
+    """The task's takedown, and that of the worker's shared world."""
+    return world.takedown, scenario_for(world.config).takedown
+
+
 def test_custom_takedown_travels_with_the_task():
     """A pool task from a scenario with its own takedown, on a pool
     spawned for the shared world, leaves the shared world alone — in the
-    worker that runs it and in the process that materializes it."""
+    worker that runs it and in the calling process."""
     config = ExperimentConfig(cache=True)
     fig4_before = _digest(run_experiment("fig4", config))
     world = build_scenario(config)
@@ -99,12 +107,12 @@ def test_custom_takedown_travels_with_the_task():
     assert theirs == day_reductions(custom, days, requests, jobs=1)
     assert theirs != ours
 
-    # In-process, the task's world is a copy carrying its takedown.
-    spec = DaySpec(config=config.scenario_config(), day=72, takedown=custom.takedown)
-    view = parallel._materialize(spec)
-    assert view is not world
-    assert view.takedown == custom.takedown
-    assert scenario_for(config.scenario_config()).takedown == config.scenario_config().default_takedown()
+    # Inline, a task gets the caller's own object; on the pool, each
+    # worker's world is viewed under the caller's takedown.
+    default = config.scenario_config().default_takedown()
+    assert all(w is custom for w in run_tasks(custom, _world_of, [0, 1], jobs=1))
+    assert run_tasks(custom, _takedowns, range(4), jobs=2) == [(custom.takedown, default)] * 4
+    assert scenario_for(config.scenario_config()).takedown == default
 
     assert build_scenario(config) is world
     assert world.takedown == config.scenario_config().default_takedown()

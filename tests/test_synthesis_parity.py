@@ -11,6 +11,7 @@ the same events, and the same reflector set on every day.
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.booter.attack import (
 )
 from repro.booter.market import MarketConfig
 from repro.booter.reflectors import ReflectorChurnConfig, ReflectorPool, ReflectorSetProcess
+from repro.booter.takedown import TakedownScenario
 from repro.flows.records import SCHEMA, FlowTable
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
@@ -98,14 +100,15 @@ class TestDayParity:
     @given(
         world=st.sampled_from(sorted(WORLDS)),
         day=st.integers(0, 121),
-        with_takedown=st.booleans(),
-        bin_seconds=st.sampled_from([60.0, 45.0, 300.0]),
+        twin=st.booleans(),
     )
-    def test_day_traffic_matches_reference(self, world, day, with_takedown, bin_seconds):
+    def test_day_traffic_matches_reference(self, world, day, twin):
+        """The seized world, or its twin whose takedown never seizes."""
         scenario = _world(world)
-        got = scenario.day_traffic(day, with_takedown=with_takedown, bin_seconds=bin_seconds)
-        want = reference.day_traffic(scenario, day, with_takedown=with_takedown, bin_seconds=bin_seconds)
-        assert_same_day(got, want)
+        if twin:
+            scenario = copy.copy(scenario)
+            scenario.takedown = TakedownScenario(takedown_day=10_000)
+        assert_same_day(scenario.day_traffic(day), reference.day_traffic(scenario, day))
 
     def test_quiet_world_has_days_without_events(self):
         scenario = _world("quiet")
